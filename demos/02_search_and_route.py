@@ -13,9 +13,9 @@ import numpy as np
 
 from mgrag.confidence import entropy
 from mgrag.corpus import read_cisi_documents
-from mgrag.embedder import EmbedderSpec, embed_layers
+from mgrag.embedder import EmbedderSpec
 from mgrag.memory import build, search_layer
-from mgrag.router import RouterConfig, layer_scores, route, routing_weights
+from mgrag.router import RouterConfig, route, routing_weights
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 QUERY = "how are library catalogs organized for information retrieval"
@@ -30,22 +30,21 @@ def main() -> None:
 
     print(f"\nquery: {QUERY!r}")
     cfg = RouterConfig(k_per_layer=3)
-    encodings = embed_layers(QUERY, hier.depth, hier.embedder_spec)
-    scores, hits_by_layer = layer_scores(hier, encodings, cfg)
+    ctx = route(hier, QUERY, cfg)
 
     for layer_no in range(1, hier.depth + 1):
-        print(f"\nlayer {layer_no} top hits (evidence score {scores[layer_no - 1]:.4f}):")
-        for hit in hits_by_layer[layer_no]:
+        print(f"\nlayer {layer_no} top hits (evidence score {ctx.scores[layer_no - 1]:.4f}):")
+        for hit in ctx.layer_hits[layer_no]:
             print(f"  doc {hit.doc_id:>3}  sim {hit.sim:+.4f}  unit {hit.unit_id}")
 
     print("\nrouting weights by temperature:")
-    for temp in (0.25, 1.0, 4.0):
-        weights = routing_weights(scores, temp)
+    for temp in (0.25, cfg.temperature, 4.0):
+        # the route's own weights are the row at its temperature
+        weights = ctx.weights if temp == cfg.temperature else routing_weights(ctx.scores, temp)
         rendered = "  ".join(f"a{i + 1}={w:.3f}" for i, w in enumerate(weights))
         print(f"  T={temp:<5}{rendered}  entropy={entropy(weights):.3f}")
     print("low T trusts the best layer; high T spreads evidence across all of them")
 
-    ctx = route(hier, QUERY, cfg)
     print(f"\nfused context: norm={np.linalg.norm(ctx.c):.4f}, {len(ctx.paths)} retrieval paths")
     print("top paths by confidence:")
     for path in ctx.paths[:5]:
@@ -53,7 +52,7 @@ def main() -> None:
 
     # the same engine piece answers plain nearest-neighbor questions too
     mem = hier.layer(1)
-    top = search_layer(mem, encodings[0], 3)
+    top = search_layer(mem, ctx.encodings[0], 3)
     print("\nwhole-document nearest neighbors:")
     for hit in top:
         title = next(d.title for d in docs if d.doc_id == hit.doc_id)

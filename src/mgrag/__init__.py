@@ -8,39 +8,17 @@ answer model trains under a joint loss of negative log-likelihood plus
 entropy and predictive-variance penalties.
 """
 
-from .confidence import (
-    ConfidenceReport,
-    GateConfig,
-    combined_objective,
-    ensemble_variance,
-    entropy,
-    filter_paths,
-    intra_variance,
-    validate_distribution,
-)
+from .confidence import GateConfig, entropy, filter_paths
 from .corpus import (
     DEFAULT_SEGMENTATION,
-    Document,
-    GranularUnit,
-    Query,
-    SegmentationSpec,
-    corpus_sha256,
     keyword_eval_suite,
-    mix_corpora,
-    parse_cisi_documents,
-    parse_cisi_qrels,
-    parse_cisi_queries,
     read_cisi_documents,
     read_cisi_qrels,
     read_cisi_queries,
-    read_jsonl_documents,
-    read_jsonl_qrels,
-    read_jsonl_queries,
     segment,
     synthesize_corpus,
-    validate_qrels,
 )
-from .embedder import EmbedderSpec, embed, embed_layers, is_degenerate, load_external_vectors
+from .embedder import EmbedderSpec
 from .errors import (
     BuildError,
     ConfigError,
@@ -50,142 +28,47 @@ from .errors import (
     ParseError,
     RoutingError,
 )
-from .evaluation import (
-    DocRanking,
-    EvalConfig,
-    EvalReport,
-    SweepGrid,
-    SweepResult,
-    aggregate_ranking,
-    average_precision,
-    evaluate,
-    ndcg_at_k,
-    recall_at_k,
-    sweep,
-)
-from .generator import (
-    GeneratorParams,
-    QAExample,
-    TrainConfig,
-    TrainResult,
-    build_toy_qa,
-    finite_difference_grad,
-    grad,
-    gradient_check,
-    init_params,
-    load_params,
-    nll,
-    predict,
-    qa_accuracy,
-    save_params,
-    total_loss,
-    train,
-)
-from .memory import (
-    BuildManifest,
-    Hit,
-    LayerMemory,
-    MemoryHierarchy,
-    build,
-    load,
-    save,
-    search_layer,
-)
-from .router import (
-    FusedContext,
-    RetrievalPath,
-    RouterConfig,
-    fuse,
-    layer_scores,
-    readout,
-    route,
-    routing_weights,
-)
+from .evaluation import EvalConfig, SweepGrid, evaluate, sweep
+from .generator import TrainConfig, build_toy_qa, gradient_check, init_params, qa_accuracy, train
+from .memory import build, search_layer
+from .router import RouterConfig, route, routing_weights
 
 __version__ = "0.1.0"
 
+# the names the README and demos use, plus the error types; everything else
+# is imported from its module (mgrag.corpus, mgrag.generator, ...)
 __all__ = [
     "BuildError",
-    "BuildManifest",
-    "ConfidenceReport",
     "ConfigError",
     "DEFAULT_SEGMENTATION",
-    "DocRanking",
-    "Document",
     "EmbedderSpec",
     "EvalConfig",
     "EvalError",
-    "EvalReport",
-    "FusedContext",
     "GateConfig",
-    "GeneratorParams",
-    "GranularUnit",
-    "Hit",
     "IndexFormatError",
-    "LayerMemory",
-    "MemoryHierarchy",
     "MgragError",
     "ParseError",
-    "QAExample",
-    "Query",
-    "RetrievalPath",
     "RouterConfig",
     "RoutingError",
-    "SegmentationSpec",
     "SweepGrid",
-    "SweepResult",
     "TrainConfig",
-    "TrainResult",
-    "aggregate_ranking",
-    "average_precision",
     "build",
     "build_toy_qa",
-    "combined_objective",
-    "corpus_sha256",
-    "embed",
-    "embed_layers",
-    "ensemble_variance",
     "entropy",
     "evaluate",
     "filter_paths",
-    "finite_difference_grad",
-    "fuse",
-    "grad",
     "gradient_check",
     "init_params",
-    "intra_variance",
-    "is_degenerate",
     "keyword_eval_suite",
-    "layer_scores",
-    "load",
-    "load_external_vectors",
-    "load_params",
-    "mix_corpora",
-    "ndcg_at_k",
-    "nll",
-    "parse_cisi_documents",
-    "parse_cisi_qrels",
-    "parse_cisi_queries",
-    "predict",
     "qa_accuracy",
     "read_cisi_documents",
     "read_cisi_qrels",
     "read_cisi_queries",
-    "read_jsonl_documents",
-    "read_jsonl_qrels",
-    "read_jsonl_queries",
-    "readout",
-    "recall_at_k",
     "route",
     "routing_weights",
-    "save",
-    "save_params",
     "search_layer",
     "segment",
     "sweep",
     "synthesize_corpus",
-    "total_loss",
     "train",
-    "validate_distribution",
-    "validate_qrels",
 ]

@@ -3,7 +3,8 @@
 Machine-readable output (JSON/CSV) goes to standard output or to files named
 by flags; human logs go to standard error. Every command is deterministic
 for a fixed seed; the default seed is 0, never the clock. Exit codes:
-0 success, 1 runtime failure, 2 usage or validation error.
+0 success, 1 runtime failure (including a sweep with failed cells), 2 usage
+or validation error.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self.file_cfg) - (set(vars(args)) - {"command", "func"}))
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown config key {', '.join(unknown)} for {args.command}")
 
     def get(self, key: str, default, kind: type | None = None):
         flag = getattr(self.args, key, None)
@@ -82,35 +86,12 @@ class Options:
         return default
 
 
-def _detect_format(path: str, fmt: str) -> str:
-    if fmt != "auto":
-        return fmt
-    return "jsonl" if str(path).endswith(".jsonl") else "cisi"
-
-
-def _load_documents(path: str, fmt: str):
+def _read(kind: str, path: str, fmt: str):
+    """Read ``documents``, ``queries`` or ``qrels`` from a JSONL or marker-format file."""
+    if fmt == "auto":
+        fmt = "jsonl" if str(path).endswith(".jsonl") else "cisi"
     try:
-        if _detect_format(path, fmt) == "jsonl":
-            return corpus_mod.read_jsonl_documents(path)
-        return corpus_mod.read_cisi_documents(path)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_queries(path: str, fmt: str):
-    try:
-        if _detect_format(path, fmt) == "jsonl":
-            return corpus_mod.read_jsonl_queries(path)
-        return corpus_mod.read_cisi_queries(path)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_qrels(path: str, fmt: str):
-    try:
-        if _detect_format(path, fmt) == "jsonl":
-            return corpus_mod.read_jsonl_qrels(path)
-        return corpus_mod.read_cisi_qrels(path)
+        return getattr(corpus_mod, f"read_{fmt}_{kind}")(path)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -147,10 +128,11 @@ def _router_from(opts: Options) -> RouterConfig:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    Options(args)  # rejects a config file with unknown keys
     if args.cisi_docs:
-        docs = _load_documents(args.cisi_docs, "cisi")
+        docs = _read("documents", args.cisi_docs, "cisi")
     else:
-        docs = _load_documents(args.jsonl, "jsonl")
+        docs = _read("documents", args.jsonl, "jsonl")
     text = corpus_mod.documents_to_jsonl(docs)
     Path(args.out).write_text(text, encoding="utf-8")
     log.info("wrote %s", args.out)
@@ -168,7 +150,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         hash_seed=opts.get("hash_seed", 0),
         shared_phi=opts.get("shared_phi", False),
     )
-    docs = _load_documents(args.corpus, args.format)
+    docs = _read("documents", args.corpus, args.format)
     hier = build(docs, spec, depth)
     save(hier, args.out)
     log.info("wrote index %s", args.out)
@@ -210,8 +192,12 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = Options(args)
     hier = load(args.index)
-    queries = _load_queries(args.queries, args.format)
-    qrels = _load_qrels(args.qrels, args.format)
+    queries = _read("queries", args.queries, args.format)
+    qrels = _read("qrels", args.qrels, args.format)
+    indexed = {int(d) for mem in hier.layers for d in mem.doc_ids}
+    dangling = corpus_mod.validate_qrels(qrels, indexed)
+    if dangling:
+        log.warning("%d qrels pairs point at documents not in the index", len(dangling))
     cfg = EvalConfig(
         k=opts.get("eval_k", 5),
         router=_router_from(opts),
@@ -247,10 +233,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         temperatures=_parse_axis(opts.get("temperatures", "0.5,1.0,1.2,2.0"), float),
         mix_ratios=_parse_axis(opts.get("mix_ratios", "0.0"), float),
     )
-    corpus_a = _load_documents(args.corpus, args.format)
-    corpus_b = _load_documents(args.corpus_b, args.format) if args.corpus_b else None
-    queries = _load_queries(args.queries, args.format)
-    qrels = _load_qrels(args.qrels, args.format)
+    corpus_a = _read("documents", args.corpus, args.format)
+    corpus_b = _read("documents", args.corpus_b, args.format) if args.corpus_b else None
+    queries = _read("queries", args.queries, args.format)
+    qrels = _read("qrels", args.qrels, args.format)
     base = EvalConfig(
         k=opts.get("eval_k", 5),
         router=_router_from(opts),
@@ -287,7 +273,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         Path(args.out_json).write_text(result.to_json(), encoding="utf-8")
         log.info("wrote %s", args.out_json)
     _write_or_print(result.to_csv(), args.out_csv)
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_train_gen(args: argparse.Namespace) -> int:
@@ -410,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--query-id", dest="query_id", type=int)
-    p.add_argument("--json", action="store_true", help="accepted for compatibility; output is JSON")
     p.add_argument("--out", help="write JSON here instead of stdout")
     _add_router_flags(p)
     p.add_argument("--tau", type=float, help="path confidence threshold (default 0: off)")

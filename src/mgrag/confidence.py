@@ -1,20 +1,20 @@
-"""Uncertainty quantities, the joint training objective, and path gating.
+"""Uncertainty measures, the gate and objective settings, and path gating.
 
-Entropy measures how spread a predictive distribution is; variance measures
-how much it moves under small seeded perturbations of the fused context. The
-joint objective adds both to the generation loss with fixed coefficients.
-Gating removes retrieval paths whose confidence falls below a threshold and
-recomputes the context over the survivors.
+Entropy measures how spread a distribution is. GateConfig holds the path
+threshold and the joint objective's coefficients and perturbation settings,
+which the answer model's training uses. Gating removes retrieval paths whose
+confidence falls below a threshold and recomputes the context over the
+survivors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .router import FusedContext, assemble, copy_with_bypass
+from .router import FusedContext, assemble
 
 VAR_MODES = ("ensemble", "intra")
 
@@ -40,26 +40,6 @@ def entropy(p: np.ndarray) -> float:
     return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
-def ensemble_variance(samples: np.ndarray) -> float:
-    """Mean per-class population variance across K sampled distributions.
-
-    samples has shape (K, V); variance uses divisor K.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ValueError(f"samples must be (K, V), got shape {samples.shape}")
-    if samples.shape[0] < 2:
-        raise ConfigError(f"ensemble needs K >= 2 samples, got {samples.shape[0]}")
-    return float(np.mean(np.var(samples, axis=0)))
-
-
-def intra_variance(p: np.ndarray) -> float:
-    """Spread of a single distribution's entries around uniform: (1/V) sum (p_i - 1/V)^2."""
-    p = validate_distribution(p)
-    v = p.size
-    return float(np.mean((p - 1.0 / v) ** 2))
-
-
 @dataclass(frozen=True)
 class GateConfig:
     tau_path: float = 0.0
@@ -83,15 +63,7 @@ class GateConfig:
             raise ConfigError(f"var_mode must be one of {VAR_MODES}, got {self.var_mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "tau_path": self.tau_path,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "ensemble_K": self.ensemble_K,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-            "var_mode": self.var_mode,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -105,23 +77,7 @@ class ConfidenceReport:
     gate_bypassed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "variance": self.variance,
-            "l_gen": self.l_gen,
-            "total": self.total,
-            "kept_paths": self.kept_paths,
-            "dropped_paths": self.dropped_paths,
-            "gate_bypassed": self.gate_bypassed,
-        }
-
-
-def combined_objective(l_gen: float, h: float, var: float, cfg: GateConfig) -> float:
-    """l_gen + lambda1 * h + lambda2 * var."""
-    for name, value in (("l_gen", l_gen), ("entropy", h), ("variance", var)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} is not finite: {value}")
-    return float(l_gen + cfg.lambda1 * h + cfg.lambda2 * var)
+        return asdict(self)
 
 
 def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
@@ -137,7 +93,7 @@ def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
         return ctx
     survivors = {(p.layer, p.unit_id) for p in ctx.paths if p.path_confidence >= tau_path}
     if not survivors:
-        return copy_with_bypass(ctx)
+        return replace(ctx, gate_bypassed=True)
     if len(survivors) == len(ctx.paths):
         return ctx
     kept_hits = {}
@@ -147,4 +103,5 @@ def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
         if keep:
             kept_hits[layer_no] = [hits[i] for i in keep]
             kept_vectors[layer_no] = ctx.hit_vectors[layer_no][keep]
-    return assemble(kept_hits, kept_vectors, ctx.depth, ctx.c.shape[0], ctx.config)
+    gated = assemble(kept_hits, kept_vectors, ctx.depth, ctx.c.shape[0], ctx.config)
+    return replace(gated, encodings=ctx.encodings)

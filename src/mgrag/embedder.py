@@ -11,12 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _MASK64 = (1 << 64) - 1
@@ -45,13 +44,7 @@ class EmbedderSpec:
             raise ConfigError("hash_seed must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "ngram_min": self.ngram_min,
-            "ngram_max": self.ngram_max,
-            "hash_seed": self.hash_seed,
-            "shared_phi": self.shared_phi,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EmbedderSpec":
@@ -101,38 +94,3 @@ def embed_layers(text: str, depth: int, spec: EmbedderSpec = EmbedderSpec()) -> 
     """Stack the per-layer embeddings of one text into a (depth, dim) array."""
     return np.stack([embed(text, layer, spec) for layer in range(1, depth + 1)])
 
-
-def load_external_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Load ``<unit_id> <v1> ... <v_dim>`` lines, L2-normalizing each vector.
-
-    The first data line fixes the dimension; later lines must match it.
-    """
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            cols = line.split()
-            if not cols:
-                continue
-            unit_id = cols[0]
-            if len(cols) < 2:
-                raise ParseError(f"no components for unit {unit_id!r}", line=line_no)
-            try:
-                values = np.array([float(c) for c in cols[1:]], dtype=np.float64)
-            except ValueError:
-                raise ParseError("non-numeric component", line=line_no)
-            if dim is None:
-                dim = values.size
-            elif values.size != dim:
-                raise ParseError(
-                    f"expected {dim} components, got {values.size}", line=line_no
-                )
-            if not np.all(np.isfinite(values)):
-                raise ParseError("non-finite component", line=line_no)
-            norm = math.sqrt(float(values @ values))
-            if norm == 0.0:
-                raise ParseError(f"zero vector for unit {unit_id!r}", line=line_no)
-            if unit_id in vectors:
-                raise ParseError(f"duplicate unit id {unit_id!r}", line=line_no)
-            vectors[unit_id] = values / norm
-    return vectors

@@ -24,7 +24,7 @@ class BuildError(MgragError):
 
 
 class IndexFormatError(MgragError):
-    """Index file is unreadable: bad magic, version, or truncation."""
+    """Index file is unreadable: bad magic, version or header, bad size, non-finite vectors."""
 
 
 class RoutingError(MgragError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -110,12 +110,7 @@ class EvalConfig:
             raise ConfigError(f"agg_mode must be one of {AGG_MODES}, got {self.agg_mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "router": self.router.to_dict(),
-            "gate": self.gate.to_dict(),
-            "agg_mode": self.agg_mode,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -136,22 +131,7 @@ class EvalReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "k": self.k,
-            "n_evaluated": self.n_evaluated,
-            "n_skipped": self.n_skipped,
-            "mean_recall_at_k": self.mean_recall_at_k,
-            "mean_ndcg_at_k": self.mean_ndcg_at_k,
-            "map": self.map,
-            "routing_entropy_mean": self.routing_entropy_mean,
-            "gate_bypassed_count": self.gate_bypassed_count,
-            "qa_accuracy": self.qa_accuracy,
-            "per_query": self.per_query,
-            "config": self.config,
-            "corpus_sha256": self.corpus_sha256,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -12,20 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .confidence import (
-    ConfidenceReport,
-    GateConfig,
-    combined_objective,
-    ensemble_variance,
-    entropy,
-    filter_paths,
-    intra_variance,
-)
+from .confidence import ConfidenceReport, GateConfig, filter_paths
 from .corpus import Document, Query
-from .embedder import embed
 from .errors import ConfigError, ParseError
 from .memory import MemoryHierarchy
 from .router import FusedContext, RouterConfig, route
@@ -146,106 +138,125 @@ def _perturbations(gate: GateConfig, query_id: int, dim: int) -> np.ndarray:
     )
 
 
-@dataclass
-class _Forward:
-    x: np.ndarray  # (2d,)
-    p: np.ndarray  # (V,)
-    xs: np.ndarray | None  # (K, 2d) perturbed features, ensemble mode only
-    ps: np.ndarray | None  # (K, V)
-    ctx: FusedContext
-    report: ConfidenceReport
+def _uses_ensemble(gate: GateConfig) -> bool:
+    # with sigma 0 every pass is the base pass: the variance is zero by definition
+    return gate.var_mode == "ensemble" and gate.noise_sigma > 0
 
 
 def _prepare_features(
     example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray | None, FusedContext, int]:
     """Retrieval side of the forward pass; constant with respect to params."""
-    h = embed(example.query.text, 1, hier.embedder_spec)
     ctx0 = route(hier, example.query.text, cfg.router)
     ctx = filter_paths(ctx0, cfg.gate.tau_path)
     dropped = 0 if ctx.gate_bypassed else len(ctx0.paths) - len(ctx.paths)
+    h = ctx0.encodings[0]  # layer-1 query encoding
     x = np.concatenate([h, ctx.c])
     xs = None
-    if cfg.gate.var_mode == "ensemble":
+    if _uses_ensemble(cfg.gate):
         noise = _perturbations(cfg.gate, example.query.query_id, hier.dim)
         cs = ctx.c + cfg.gate.noise_sigma * noise  # (K, dim)
         xs = np.concatenate([np.tile(h, (cfg.gate.ensemble_K, 1)), cs], axis=1)
     return x, xs, ctx, dropped
 
 
-def _forward(
-    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
-) -> _Forward:
-    x, xs, ctx, dropped = _prepare_features(example, hier, cfg)
-    p = _softmax(params.W @ x + params.b)
-    if cfg.gate.var_mode == "intra":
-        ps = None
-        var = intra_variance(p)
-    elif cfg.gate.noise_sigma == 0.0:
-        # identical passes: zero by definition, and skipping the batched
-        # matmul avoids its per-row rounding leaving ~1e-34 behind
-        ps = np.tile(p, (cfg.gate.ensemble_K, 1))
-        var = 0.0
+class _Objective(NamedTuple):
+    p: np.ndarray  # (N, V) predictive distributions
+    nll: np.ndarray  # (N,) per-row terms of the objective
+    entropy: np.ndarray
+    variance: np.ndarray
+    loss: np.ndarray
+    dW: np.ndarray  # gradient of the mean loss over the N rows
+    db: np.ndarray
+
+
+def _loss_and_grad(
+    params: GeneratorParams,
+    X: np.ndarray,
+    XS: np.ndarray | None,
+    golds: np.ndarray,
+    gate: GateConfig,
+) -> _Objective:
+    """Joint objective of N rows and its analytic gradient.
+
+    X holds the (N, 2d) features; XS the (N, K, 2d) perturbed features when
+    the ensemble variance is on (see ``_uses_ensemble``), else None. Each
+    penalty's gradient is pulled back through the softmax: entropy gives
+    -p (ln p + H), a variance gradient g gives p g - p (p . g).
+    """
+    n, v = X.shape[0], params.vocab_size
+    rows = np.arange(n)
+    p = _softmax(X @ params.W.T + params.b)
+    lnp = np.log(np.maximum(p, _P_FLOOR))
+    nll_vals = -lnp[rows, golds]
+    h_vals = -np.sum(p * lnp, axis=1)
+    ensemble = _uses_ensemble(gate)
+    if ensemble:
+        k_count = XS.shape[1]
+        ps = _softmax(XS.reshape(n * k_count, -1) @ params.W.T + params.b).reshape(n, k_count, v)
+        var_vals = np.mean(np.var(ps, axis=1), axis=1)
+    elif gate.var_mode == "ensemble":
+        var_vals = np.zeros(n)
     else:
-        ps = _softmax(xs @ params.W.T + params.b)
-        var = ensemble_variance(ps)
-    h_val = entropy(p)
-    l_gen = nll(p, example.gold)
-    total = combined_objective(l_gen, h_val, var, cfg.gate)
-    report = ConfidenceReport(
-        entropy=h_val,
-        variance=var,
-        l_gen=l_gen,
-        total=total,
-        kept_paths=len(ctx.paths),
-        dropped_paths=dropped,
-        gate_bypassed=ctx.gate_bypassed,
-    )
-    return _Forward(x=x, p=p, xs=xs, ps=ps, ctx=ctx, report=report)
+        var_vals = np.mean((p - 1.0 / v) ** 2, axis=1)
+    loss_vals = nll_vals + gate.lambda1 * h_vals + gate.lambda2 * var_vals
+
+    onehot = np.zeros((n, v))
+    onehot[rows, golds] = 1.0
+    dz = (p - onehot) + gate.lambda1 * (-p * (lnp + h_vals[:, None]))
+    if gate.var_mode == "intra" and gate.lambda2 > 0:
+        g = (2.0 / v) * (p - 1.0 / v)
+        dz = dz + gate.lambda2 * (p * g - p * np.sum(p * g, axis=1, keepdims=True))
+    dz /= n
+    dW = dz.T @ X
+    db = dz.sum(axis=0)
+    if ensemble and gate.lambda2 > 0:
+        g = (2.0 / (v * k_count)) * (ps - ps.mean(axis=1, keepdims=True))
+        dzs = ps * g - ps * np.sum(ps * g, axis=2, keepdims=True)
+        dzs *= gate.lambda2 / n
+        dW += dzs.reshape(n * k_count, v).T @ XS.reshape(n * k_count, -1)
+        db += dzs.sum(axis=(0, 1))
+    return _Objective(p, nll_vals, h_vals, var_vals, loss_vals, dW, db)
+
+
+def _example_objective(
+    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
+) -> tuple[_Objective, FusedContext, int]:
+    """The objective of one example: the N=1 call of ``_loss_and_grad``."""
+    if example.gold >= params.vocab_size:
+        raise ValueError(f"gold {example.gold} out of range for vocabulary {params.vocab_size}")
+    x, xs, ctx, dropped = _prepare_features(example, hier, cfg)
+    XS = None if xs is None else xs[None]
+    obj = _loss_and_grad(params, x[None], XS, np.array([example.gold]), cfg.gate)
+    return obj, ctx, dropped
 
 
 def total_loss(
     params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
 ) -> tuple[float, ConfidenceReport]:
-    fwd = _forward(params, example, hier, cfg)
-    return fwd.report.total, fwd.report
-
-
-def _entropy_grad_z(p: np.ndarray, h_val: float) -> np.ndarray:
-    # d(-sum p ln p)/dz through softmax: -p_j (ln p_j + H)
-    lnp = np.log(np.maximum(p, _P_FLOOR))
-    return -p * (lnp + h_val)
-
-
-def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # J^T g for softmax: p*g - p*(p.g)
-    return p * g - p * float(p @ g)
+    """Joint objective of one example with its confidence report; a non-finite value raises."""
+    obj, ctx, dropped = _example_objective(params, example, hier, cfg)
+    total = float(obj.loss[0])
+    if not np.isfinite(total):
+        raise ValueError(f"objective is not finite: {total}")
+    report = ConfidenceReport(
+        entropy=float(obj.entropy[0]),
+        variance=float(obj.variance[0]),
+        l_gen=float(obj.nll[0]),
+        total=total,
+        kept_paths=len(ctx.paths),
+        dropped_paths=dropped,
+        gate_bypassed=ctx.gate_bypassed,
+    )
+    return total, report
 
 
 def grad(
     params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dW, db) of the joint objective for one example."""
-    fwd = _forward(params, example, hier, cfg)
-    p, x = fwd.p, fwd.x
-    onehot = np.zeros_like(p)
-    onehot[example.gold] = 1.0
-    dz = (p - onehot) + cfg.gate.lambda1 * _entropy_grad_z(p, fwd.report.entropy)
-    if cfg.gate.var_mode == "intra":
-        g = (2.0 / p.size) * (p - 1.0 / p.size)
-        dz = dz + cfg.gate.lambda2 * _softmax_vjp(p, g)
-    dW = np.outer(dz, x)
-    db = dz.copy()
-    if cfg.gate.var_mode == "ensemble" and cfg.gate.lambda2 > 0 and cfg.gate.noise_sigma > 0:
-        ps, xs = fwd.ps, fwd.xs
-        k_count, v = ps.shape
-        mean_p = ps.mean(axis=0)
-        for k in range(k_count):
-            g = (2.0 / (v * k_count)) * (ps[k] - mean_p)
-            dzk = cfg.gate.lambda2 * _softmax_vjp(ps[k], g)
-            dW += np.outer(dzk, xs[k])
-            db += dzk
-    return dW, db
+    obj = _example_objective(params, example, hier, cfg)[0]
+    return obj.dW, obj.db
 
 
 def finite_difference_grad(
@@ -320,37 +331,17 @@ def train(
         vocab = max(ex.gold for ex in dataset) + 1
         params = init_params(max(vocab, 2), hier.dim, seed=cfg.gate.seed)
     params = params.copy()
-    n = len(dataset)
     golds = np.array([ex.gold for ex in dataset])
     if golds.max() >= params.vocab_size:
         raise ValueError(f"gold {golds.max()} out of range for vocabulary {params.vocab_size}")
     feats = [_prepare_features(ex, hier, cfg) for ex in dataset]
-    x_mat = np.stack([f[0] for f in feats])  # (N, 2d)
-    ensemble = cfg.gate.var_mode == "ensemble" and cfg.gate.noise_sigma > 0
-    if ensemble:
-        xs_all = np.stack([f[1] for f in feats])  # (N, K, 2d)
-        k_count = cfg.gate.ensemble_K
+    X = np.stack([f[0] for f in feats])  # (N, 2d)
+    XS = np.stack([f[1] for f in feats]) if _uses_ensemble(cfg.gate) else None  # (N, K, 2d)
     history: list[dict] = []
     diverged = False
-    v = params.vocab_size
-    onehot = np.zeros((n, v))
-    onehot[np.arange(n), golds] = 1.0
     for epoch in range(cfg.epochs):
-        z = x_mat @ params.W.T + params.b
-        p = _softmax(z)
-        lnp = np.log(np.maximum(p, _P_FLOOR))
-        nll_vals = -lnp[np.arange(n), golds]
-        h_vals = -np.sum(p * lnp, axis=1)
-        if ensemble:
-            zs = xs_all.reshape(n * k_count, -1) @ params.W.T + params.b
-            ps = _softmax(zs).reshape(n, k_count, v)
-            var_vals = np.mean(np.var(ps, axis=1), axis=1)
-        elif cfg.gate.var_mode == "ensemble":
-            var_vals = np.zeros(n)  # sigma 0: every pass is the base pass
-        else:
-            var_vals = np.mean((p - 1.0 / v) ** 2, axis=1)
-        loss_vals = nll_vals + cfg.gate.lambda1 * h_vals + cfg.gate.lambda2 * var_vals
-        loss = float(np.mean(loss_vals))
+        obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
+        loss = float(np.mean(obj.loss))
         if not np.isfinite(loss):
             diverged = True
             break
@@ -358,30 +349,17 @@ def train(
             {
                 "epoch": epoch,
                 "loss": loss,
-                "nll": float(np.mean(nll_vals)),
-                "entropy": float(np.mean(h_vals)),
-                "variance": float(np.mean(var_vals)),
-                "accuracy": float(np.mean(np.argmax(p, axis=1) == golds)),
+                "nll": float(np.mean(obj.nll)),
+                "entropy": float(np.mean(obj.entropy)),
+                "variance": float(np.mean(obj.variance)),
+                "accuracy": float(np.mean(np.argmax(obj.p, axis=1) == golds)),
             }
         )
-        dz = (p - onehot) + cfg.gate.lambda1 * (-p * (lnp + h_vals[:, None]))
-        if cfg.gate.var_mode == "intra" and cfg.gate.lambda2 > 0:
-            g = (2.0 / v) * (p - 1.0 / v)
-            dz = dz + cfg.gate.lambda2 * (p * g - p * np.sum(p * g, axis=1, keepdims=True))
-        dz /= n
-        dW = dz.T @ x_mat
-        db = dz.sum(axis=0)
-        if ensemble and cfg.gate.lambda2 > 0:
-            g = (2.0 / (v * k_count)) * (ps - ps.mean(axis=1, keepdims=True))
-            dzs = ps * g - ps * np.sum(ps * g, axis=2, keepdims=True)
-            dzs *= cfg.gate.lambda2 / n
-            dW += dzs.reshape(n * k_count, v).T @ xs_all.reshape(n * k_count, -1)
-            db += dzs.sum(axis=(0, 1))
-        if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
+        if not (np.all(np.isfinite(obj.dW)) and np.all(np.isfinite(obj.db))):
             diverged = True
             break
-        params.W -= cfg.lr * dW
-        params.b -= cfg.lr * db
+        params.W -= cfg.lr * obj.dW
+        params.b -= cfg.lr * obj.db
     return TrainResult(params=params, history=history, diverged=diverged)
 
 
@@ -396,7 +374,7 @@ def qa_accuracy(
         raise ValueError("dataset is empty")
     correct = 0
     for ex in dataset:
-        x, _, _, _ = _prepare_features(ex, hier, cfg)
+        x = _prepare_features(ex, hier, cfg)[0]
         p = _softmax(params.W @ x + params.b)
         if int(np.argmax(p)) == ex.gold:
             correct += 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import MAX_DEPTH, Document, SegmentationSpec, DEFAULT_SEGMENTATION, corpus_sha256, segment
 from .embedder import EmbedderSpec, embed, is_degenerate
-from .errors import BuildError, IndexFormatError
+from .errors import BuildError, ConfigError, IndexFormatError
 
 _MAGIC = b"MGIX"
 FORMAT_VERSION = 1
@@ -47,12 +47,6 @@ class LayerMemory:
     @property
     def n_units(self) -> int:
         return len(self.unit_ids)
-
-    def doc_of(self, unit_id: str) -> int:
-        try:
-            return int(self.doc_ids[self.unit_ids.index(unit_id)])
-        except ValueError:
-            raise KeyError(f"unit {unit_id!r} not in layer {self.layer}") from None
 
 
 @dataclass
@@ -102,23 +96,12 @@ class MemoryHierarchy:
     def dim(self) -> int:
         return self.embedder_spec.dim
 
-    def doc_id_set(self) -> set[int]:
-        ids: set[int] = set()
-        for mem in self.layers:
-            ids.update(int(d) for d in mem.doc_ids)
-        return ids
-
 
 def _config_sha256(spec: EmbedderSpec, seg: SegmentationSpec, depth: int) -> str:
     payload = json.dumps(
         {
             "embedder": spec.to_dict(),
-            "segmentation": {
-                "paragraph_fallback_tokens": seg.paragraph_fallback_tokens,
-                "sentence_min_chars": seg.sentence_min_chars,
-                "window_tokens_l4": seg.window_tokens_l4,
-                "window_tokens_l5": seg.window_tokens_l5,
-            },
+            "segmentation": asdict(seg),
             "depth": depth,
         },
         sort_keys=True,
@@ -212,22 +195,13 @@ def search_layer(mem: LayerMemory, query_vec: np.ndarray, k: int) -> list[Hit]:
 # layout: MAGIC, uint32 LE header length, JSON header, packed '<f8' rows per layer
 
 
-def _seg_to_dict(seg: SegmentationSpec) -> dict:
-    return {
-        "paragraph_fallback_tokens": seg.paragraph_fallback_tokens,
-        "sentence_min_chars": seg.sentence_min_chars,
-        "window_tokens_l4": seg.window_tokens_l4,
-        "window_tokens_l5": seg.window_tokens_l5,
-    }
-
-
 def save(hier: MemoryHierarchy, path: str | Path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "dim": hier.dim,
         "depth": hier.depth,
         "embedder_spec": hier.embedder_spec.to_dict(),
-        "seg_spec": _seg_to_dict(hier.seg_spec),
+        "seg_spec": asdict(hier.seg_spec),
         "manifest": hier.manifest.to_dict(),
         "layers": [
             {
@@ -266,32 +240,42 @@ def load(path: str | Path, expect_corpus_sha256: str | None = None) -> MemoryHie
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"{path}: unreadable header ({exc})")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(
-            f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
-        )
-    dim = header["dim"]
     offset = 8 + header_len
-    layers = []
-    for meta in header["layers"]:
-        n = meta["n_units"]
-        if len(meta["unit_ids"]) != n or len(meta["doc_ids"]) != n:
-            raise IndexFormatError(f"{path}: layer {meta['layer']} metadata inconsistent")
-        nbytes = n * dim * 8
-        if len(raw) < offset + nbytes:
-            raise IndexFormatError(f"{path}: truncated vector block for layer {meta['layer']}")
-        block = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8")
-        offset += nbytes
-        layers.append(
-            LayerMemory(
-                layer=meta["layer"],
-                unit_ids=list(meta["unit_ids"]),
-                doc_ids=np.asarray(meta["doc_ids"], dtype=np.int64),
-                vectors=block.reshape(n, dim).astype(np.float64, copy=True),
+    try:
+        version = header.get("format_version")
+        if version != FORMAT_VERSION:
+            raise IndexFormatError(
+                f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
             )
-        )
-    manifest = BuildManifest.from_dict(header["manifest"])
+        dim = header["dim"]
+        layers = []
+        for meta in header["layers"]:
+            n = meta["n_units"]
+            if len(meta["unit_ids"]) != n or len(meta["doc_ids"]) != n:
+                raise IndexFormatError(f"{path}: layer {meta['layer']} metadata inconsistent")
+            nbytes = n * dim * 8
+            if len(raw) < offset + nbytes:
+                raise IndexFormatError(f"{path}: truncated vector block for layer {meta['layer']}")
+            block = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8")
+            offset += nbytes
+            if not np.all(np.isfinite(block)):
+                raise IndexFormatError(f"{path}: layer {meta['layer']} has non-finite vector entries")
+            layers.append(
+                LayerMemory(
+                    layer=meta["layer"],
+                    unit_ids=list(meta["unit_ids"]),
+                    doc_ids=np.asarray(meta["doc_ids"], dtype=np.int64),
+                    vectors=block.reshape(n, dim).astype(np.float64, copy=True),
+                )
+            )
+        manifest = BuildManifest.from_dict(header["manifest"])
+        embedder_spec = EmbedderSpec.from_dict(header["embedder_spec"])
+        seg_spec = SegmentationSpec(**header["seg_spec"])
+        depth = header["depth"]
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise IndexFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
+    if offset != len(raw):
+        raise IndexFormatError(f"{path}: {len(raw) - offset} bytes after the last vector block")
     if expect_corpus_sha256 is not None and expect_corpus_sha256 != manifest.corpus_sha256:
         logging.getLogger(__name__).warning(
             "%s: index corpus hash %s does not match expected %s",
@@ -299,16 +283,10 @@ def load(path: str | Path, expect_corpus_sha256: str | None = None) -> MemoryHie
             manifest.corpus_sha256[:12],
             expect_corpus_sha256[:12],
         )
-    seg = header["seg_spec"]
     return MemoryHierarchy(
-        depth=header["depth"],
+        depth=depth,
         layers=layers,
-        embedder_spec=EmbedderSpec.from_dict(header["embedder_spec"]),
-        seg_spec=SegmentationSpec(
-            paragraph_fallback_tokens=seg["paragraph_fallback_tokens"],
-            sentence_min_chars=seg["sentence_min_chars"],
-            window_tokens_l4=seg["window_tokens_l4"],
-            window_tokens_l5=seg["window_tokens_l5"],
-        ),
+        embedder_spec=embedder_spec,
+        seg_spec=seg_spec,
         manifest=manifest,
     )

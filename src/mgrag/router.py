@@ -8,13 +8,13 @@ the similarity-softmax-weighted mean of that layer's retrieved unit vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .embedder import embed
 from .errors import ConfigError, RoutingError
-from .memory import Hit, LayerMemory, MemoryHierarchy, search_layer
+from .memory import Hit, MemoryHierarchy, search_layer
 
 SCORE_MODES = ("mean_topk", "max")
 
@@ -36,11 +36,7 @@ class RouterConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "k_per_layer": self.k_per_layer,
-            "temperature": self.temperature,
-            "layer_score_mode": self.layer_score_mode,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,36 +61,11 @@ class FusedContext:
     hit_vectors: dict[int, np.ndarray]  # layer -> (n_hits, dim), aligned with layer_hits
     config: RouterConfig
     gate_bypassed: bool = field(default=False)
+    encodings: np.ndarray | None = None  # (depth, dim) query encodings, set by route
 
     @property
     def depth(self) -> int:
         return len(self.weights)
-
-
-def layer_scores(
-    hier: MemoryHierarchy, query_encodings: np.ndarray, cfg: RouterConfig
-) -> tuple[np.ndarray, dict[int, list[Hit]]]:
-    """Search every layer and reduce each hit list to one scalar score.
-
-    Layers with no hits score -inf so they drop to weight zero after softmax.
-    """
-    query_encodings = np.asarray(query_encodings, dtype=np.float64)
-    if query_encodings.shape[0] != hier.depth:
-        raise ValueError(
-            f"expected {hier.depth} query encodings, got {query_encodings.shape[0]}"
-        )
-    scores = np.full(hier.depth, -np.inf)
-    hits_by_layer: dict[int, list[Hit]] = {}
-    for layer_no in range(1, hier.depth + 1):
-        hits = search_layer(hier.layer(layer_no), query_encodings[layer_no - 1], cfg.k_per_layer)
-        hits_by_layer[layer_no] = hits
-        if not hits:
-            continue
-        sims = np.array([h.sim for h in hits])
-        scores[layer_no - 1] = float(np.max(sims) if cfg.layer_score_mode == "max" else np.mean(sims))
-    if not np.any(np.isfinite(scores)):
-        raise RoutingError("no layer produced any hits")
-    return scores, hits_by_layer
 
 
 def routing_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -110,55 +81,8 @@ def routing_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
     return exps / exps.sum()
 
 
-def _within_weights(sims: np.ndarray) -> np.ndarray:
-    # softmax at temperature 1 over one layer's hit similarities
-    shifted = sims - sims.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
-
-
-def readout(hits: list[Hit], mem: LayerMemory) -> np.ndarray:
-    """Similarity-softmax-weighted mean of the hits' stored vectors.
-
-    Not re-normalized; the fusion weights carry the scale. Empty hits give a
-    zero vector.
-    """
-    if not hits:
-        return np.zeros(mem.vectors.shape[1])
-    sims = np.array([h.sim for h in hits])
-    rows = mem.vectors[[h.row for h in hits]]
-    return _within_weights(sims) @ rows
-
-
-def fuse(
-    weights: np.ndarray,
-    readouts: np.ndarray,
-    paths: list[RetrievalPath] | None = None,
-    scores: np.ndarray | None = None,
-    layer_hits: dict[int, list[Hit]] | None = None,
-    hit_vectors: dict[int, np.ndarray] | None = None,
-    config: RouterConfig | None = None,
-) -> FusedContext:
-    """Exact weighted sum of per-layer readouts."""
-    weights = np.asarray(weights, dtype=np.float64)
-    readouts = np.asarray(readouts, dtype=np.float64)
-    if readouts.ndim != 2 or readouts.shape[0] != weights.shape[0]:
-        raise ValueError(
-            f"need one readout per layer: weights {weights.shape}, readouts {readouts.shape}"
-        )
-    c = weights @ readouts
-    if not np.all(np.isfinite(c)):
-        raise ValueError("fused context has non-finite components")
-    depth = len(weights)
-    return FusedContext(
-        c=c,
-        paths=list(paths) if paths is not None else [],
-        weights=weights,
-        scores=np.asarray(scores, dtype=np.float64) if scores is not None else np.full(depth, np.nan),
-        layer_hits=layer_hits if layer_hits is not None else {},
-        hit_vectors=hit_vectors if hit_vectors is not None else {},
-        config=config if config is not None else RouterConfig(),
-    )
+def _layer_score(sims: np.ndarray, mode: str) -> float:
+    return float(np.max(sims) if mode == "max" else np.mean(sims))
 
 
 def assemble(
@@ -171,28 +95,27 @@ def assemble(
     """Build the full fused context from per-layer hits and their vectors.
 
     Shared by routing and by confidence gating, so a gated context is
-    recomputed through exactly the same formulas as the original.
+    recomputed through exactly the same formulas as the original. Layers with
+    no hits score -inf and get routing weight zero.
     """
-    scores = np.full(depth, -np.inf)
-    for layer_no in range(1, depth + 1):
-        hits = layer_hits.get(layer_no, [])
-        if not hits:
-            continue
-        sims = np.array([h.sim for h in hits])
-        scores[layer_no - 1] = float(np.max(sims) if cfg.layer_score_mode == "max" else np.mean(sims))
+    sims = {
+        layer_no: np.array([h.sim for h in layer_hits.get(layer_no, [])])
+        for layer_no in range(1, depth + 1)
+    }
+    scores = np.array(
+        [_layer_score(s, cfg.layer_score_mode) if s.size else -np.inf for s in sims.values()]
+    )
     if not np.any(np.isfinite(scores)):
         raise RoutingError("no layer produced any hits")
     weights = routing_weights(scores, cfg.temperature)
     readouts = np.zeros((depth, dim))
     paths: list[RetrievalPath] = []
-    for layer_no in range(1, depth + 1):
-        hits = layer_hits.get(layer_no, [])
-        if not hits:
+    for layer_no, layer_sims in sims.items():
+        if not layer_sims.size:
             continue
-        sims = np.array([h.sim for h in hits])
-        within = _within_weights(sims)
+        within = routing_weights(layer_sims, 1.0)  # softmax over the layer's hit similarities
         readouts[layer_no - 1] = within @ hit_vectors[layer_no]
-        for hit, w in zip(hits, within):
+        for hit, w in zip(layer_hits[layer_no], within):
             paths.append(
                 RetrievalPath(
                     layer=layer_no,
@@ -204,10 +127,13 @@ def assemble(
                 )
             )
     paths.sort(key=lambda p: (-p.path_confidence, p.layer, p.unit_id))
-    return fuse(
-        weights,
-        readouts,
+    c = weights @ readouts
+    if not np.all(np.isfinite(c)):
+        raise ValueError("fused context has non-finite components")
+    return FusedContext(
+        c=c,
         paths=paths,
+        weights=weights,
         scores=scores,
         layer_hits=layer_hits,
         hit_vectors=hit_vectors,
@@ -217,17 +143,17 @@ def assemble(
 
 def route(hier: MemoryHierarchy, query_text: str, cfg: RouterConfig = RouterConfig()) -> FusedContext:
     """Encode a query per layer, search, weight, and fuse into one context."""
-    encodings = np.stack(
-        [embed(query_text, layer_no, hier.embedder_spec) for layer_no in range(1, hier.depth + 1)]
-    )
-    _, hits_by_layer = layer_scores(hier, encodings, cfg)
-    hit_vectors = {
-        layer_no: hier.layer(layer_no).vectors[[h.row for h in hits]]
-        for layer_no, hits in hits_by_layer.items()
-        if hits
+    layers = range(1, hier.depth + 1)
+    encodings = np.stack([embed(query_text, layer_no, hier.embedder_spec) for layer_no in layers])
+    hits = {
+        layer_no: search_layer(hier.layer(layer_no), encodings[layer_no - 1], cfg.k_per_layer)
+        for layer_no in layers
     }
-    return assemble(hits_by_layer, hit_vectors, hier.depth, hier.dim, cfg)
-
-
-def copy_with_bypass(ctx: FusedContext) -> FusedContext:
-    return replace(ctx, gate_bypassed=True)
+    hit_vectors = {
+        layer_no: hier.layer(layer_no).vectors[[h.row for h in layer_hits]]
+        for layer_no, layer_hits in hits.items()
+        if layer_hits
+    }
+    ctx = assemble(hits, hit_vectors, hier.depth, hier.dim, cfg)
+    ctx.encodings = encodings
+    return ctx

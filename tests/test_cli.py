@@ -158,6 +158,17 @@ def test_eval_stdout_is_pure_json(index_path):
     json.loads(proc.stdout)
 
 
+def test_eval_warns_on_qrels_for_unindexed_documents(index_path, tmp_path):
+    qrels = tmp_path / "dangling.rel"
+    qrels.write_text(QRELS.read_text() + "1 9001 0 0.0\n2 9002 0 0.0\n", encoding="utf-8")
+    proc = run_cli("eval", "--index", index_path, "--queries", QUERIES, "--qrels", qrels)
+    assert proc.returncode == 0, proc.stderr
+    assert "2 qrels pairs point at documents not in the index" in proc.stderr
+    json.loads(proc.stdout)
+    clean = run_cli("eval", "--index", index_path, "--queries", QUERIES, "--qrels", QRELS)
+    assert "not in the index" not in clean.stderr
+
+
 def test_eval_reruns_identically_apart_from_timestamp(index_path):
     a = json.loads(run_cli("eval", "--index", index_path, "--queries", QUERIES,
                            "--qrels", QRELS).stdout)
@@ -188,6 +199,17 @@ def test_bad_config_file_is_a_usage_error(index_path, tmp_path):
                    "--config", config)
     assert proc.returncode == 2
     assert "bad.cfg" in proc.stderr
+
+
+def test_unknown_config_key_is_a_usage_error(index_path, tmp_path):
+    config = tmp_path / "typo.cfg"
+    config.write_text("temprature = 9\n", encoding="utf-8")
+    proc = run_cli("eval", "--index", index_path, "--queries", QUERIES, "--qrels", QRELS,
+                   "--config", config)
+    assert proc.returncode == 2
+    assert "temprature" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # --- sweep --------------------------------------------------------------------------
@@ -223,6 +245,21 @@ def test_sweep_csv_to_stdout_and_json_sidecar(tmp_path):
     assert len(lines) == 5
     grid = json.loads(out_json.read_text())
     assert len(grid["rows"]) == 4
+
+
+def test_sweep_exits_1_when_cells_fail_but_still_writes_outputs(tmp_path):
+    qrels = tmp_path / "none.rel"
+    qrels.write_text("999 1 0 0.0\n", encoding="utf-8")  # judges no query in the file
+    out_csv, out_json = tmp_path / "grid.csv", tmp_path / "grid.json"
+    proc = run_cli("sweep", "--corpus", DOCS, "--queries", QUERIES, "--qrels", qrels,
+                   "--depths", "1,2", "--temperatures", "1.0", "--dim", "48",
+                   "--out-csv", out_csv, "--out-json", out_json)
+    assert proc.returncode == 1
+    assert "2 failed" in proc.stderr
+    lines = out_csv.read_text().splitlines()
+    assert lines[1:] == ["1,1,0,nan,nan,nan,nan,nan", "2,1,0,nan,nan,nan,nan,nan"]
+    rows = json.loads(out_json.read_text())["rows"]
+    assert all("EvalError" in row["error"] for row in rows)
 
 
 def test_sweep_rejects_bad_axis(tmp_path):

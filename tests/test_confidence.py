@@ -5,20 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mgrag.confidence import (
-    GateConfig,
-    combined_objective,
-    ensemble_variance,
-    entropy,
-    filter_paths,
-    intra_variance,
-    validate_distribution,
-)
+from mgrag.confidence import GateConfig, entropy, filter_paths, validate_distribution
 from mgrag.corpus import DEFAULT_SEGMENTATION
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError
-from mgrag.memory import BuildManifest, LayerMemory, MemoryHierarchy
-from mgrag.router import RouterConfig, readout, route
+from mgrag.generator import GeneratorParams, TrainConfig, build_toy_qa, init_params, total_loss
+from mgrag.memory import BuildManifest, LayerMemory, MemoryHierarchy, build, search_layer
+from mgrag.router import RouterConfig, assemble, route
 
 DIM = 8
 
@@ -63,70 +56,102 @@ def test_invalid_distributions_rejected(bad, message):
         validate_distribution(bad)
 
 
-# --- variance --------------------------------------------------------------------
+# --- variance and the joint objective, as total_loss computes them -------------------
 
 
-def test_identical_passes_have_zero_variance():
-    p = np.array([0.2, 0.3, 0.5])
-    assert ensemble_variance(np.tile(p, (5, 1))) == 0.0
+@pytest.fixture(scope="module")
+def toy():
+    docs, examples = build_toy_qa(n_classes=2, n_per_class=1, seed=4)
+    return build(docs, EmbedderSpec(dim=16), depth=2), examples[0]
 
 
-def test_two_opposed_passes_hand_value():
-    # each column holds {0, 1}: population variance 0.25, mean over columns 0.25
-    samples = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert ensemble_variance(samples) == pytest.approx(0.25, abs=1e-15)
+ROUTER = RouterConfig(k_per_layer=3)
+
+
+def _report(toy, params, **gate):
+    hier, example = toy
+    return total_loss(params, example, hier, TrainConfig(gate=GateConfig(**gate), router=ROUTER))[1]
+
+
+def _bias_only(b):
+    return GeneratorParams(W=np.zeros((len(b), 32)), b=np.array(b, dtype=np.float64))
+
+
+def test_identical_passes_have_zero_variance(toy):
+    # no weight on the features: every perturbed pass predicts the same distribution
+    params = _bias_only([0.3, -1.2])
+    assert _report(toy, params, ensemble_K=2, noise_sigma=0.5).variance == 0.0
+
+
+def test_two_opposed_passes_hand_value(toy):
+    # W sends perturbed pass 0 to class 0 and pass 1 to class 1, each by a logit margin of
+    # 1e4: each class column holds {0, 1}, population variance 0.25, mean over columns 0.25
+    hier, example = toy
+    sigma = 0.05
+    c = route(hier, example.query.text, ROUTER).c
+    n0, n1 = (
+        np.random.default_rng([0, example.query.query_id, k]).standard_normal(hier.dim) for k in (0, 1)
+    )
+    d = n0 - n1
+    scale = 2e4 / (sigma * (d @ d))
+    W = np.zeros((2, 2 * hier.dim))
+    W[0, hier.dim :] = scale * d
+    b = np.array([-scale * d @ (c + sigma * (n0 + n1) / 2), 0.0])
+    report = _report(toy, GeneratorParams(W=W, b=b), ensemble_K=2, noise_sigma=sigma, seed=0)
+    assert report.variance == pytest.approx(0.25, abs=1e-15)
 
 
 def test_ensemble_variance_needs_two_passes():
-    with pytest.raises(ConfigError, match="K >= 2"):
-        ensemble_variance(np.array([[0.5, 0.5]]))
+    with pytest.raises(ConfigError, match="ensemble_K"):
+        GateConfig(ensemble_K=1)
 
 
-def test_ensemble_variance_rejects_flat_input():
-    with pytest.raises(ValueError, match=r"\(K, V\)"):
-        ensemble_variance(np.array([0.5, 0.5]))
+def test_ensemble_variance_is_nonnegative(toy):
+    for seed in range(20):
+        params = init_params(2, 16, seed=seed, scale=3.0)
+        assert _report(toy, params, ensemble_K=3, noise_sigma=0.5, seed=seed).variance >= 0.0
 
 
-def test_ensemble_variance_is_nonnegative():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        samples = rng.dirichlet(np.ones(4), size=3)
-        assert ensemble_variance(samples) >= 0.0
+def test_intra_variance_of_uniform_is_zero(toy):
+    assert _report(toy, _bias_only([0.0, 0.0]), var_mode="intra").variance == 0.0
 
 
-def test_intra_variance_of_uniform_is_zero():
-    assert intra_variance(np.full(5, 0.2)) == 0.0
+def test_intra_variance_hand_value(toy):
+    # a bias margin of 1000 makes the prediction exactly one-hot over 2 classes:
+    # mean of (1-1/2)^2 and (0-1/2)^2
+    assert _report(toy, _bias_only([1000.0, 0.0]), var_mode="intra").variance == pytest.approx(
+        0.25, abs=1e-15
+    )
 
 
-def test_intra_variance_hand_value():
-    # one-hot over 2 classes: mean of (1-1/2)^2 and (0-1/2)^2
-    assert intra_variance(np.array([1.0, 0.0])) == pytest.approx(0.25, abs=1e-15)
+def test_combined_objective_hand_value(toy):
+    params = init_params(2, 16, seed=1, scale=2.0)
+    r = _report(toy, params, lambda1=0.1, lambda2=0.3, noise_sigma=0.5)
+    assert r.variance > 0
+    assert r.total == pytest.approx(r.l_gen + 0.1 * r.entropy + 0.3 * r.variance, abs=1e-15)
 
 
-# --- combined objective ------------------------------------------------------------
-
-
-def test_combined_objective_hand_value():
-    cfg = GateConfig(lambda1=0.1, lambda2=0.3)
-    assert combined_objective(1.0, 0.5, 0.2, cfg) == pytest.approx(1.11, abs=1e-15)
-
-
-def test_objective_is_affine_in_each_coefficient():
-    base = dict(l_gen=0.7, h=1.3, var=0.02)
+def test_objective_is_affine_in_each_coefficient(toy):
+    params = init_params(2, 16, seed=2, scale=2.0)
+    base = _report(toy, params, noise_sigma=0.5)
     for d in (0.5, 2.0):
-        low = combined_objective(**base, cfg=GateConfig(lambda1=0.0, lambda2=0.4))
-        high = combined_objective(**base, cfg=GateConfig(lambda1=d, lambda2=0.4))
-        assert high - low == pytest.approx(d * base["h"], abs=1e-12)
-        low = combined_objective(**base, cfg=GateConfig(lambda1=0.2, lambda2=0.0))
-        high = combined_objective(**base, cfg=GateConfig(lambda1=0.2, lambda2=d))
-        assert high - low == pytest.approx(d * base["var"], abs=1e-12)
+        low = _report(toy, params, lambda1=0.0, lambda2=0.4, noise_sigma=0.5).total
+        high = _report(toy, params, lambda1=d, lambda2=0.4, noise_sigma=0.5).total
+        assert high - low == pytest.approx(d * base.entropy, abs=1e-12)
+        low = _report(toy, params, lambda1=0.2, lambda2=0.0, noise_sigma=0.5).total
+        high = _report(toy, params, lambda1=0.2, lambda2=d, noise_sigma=0.5).total
+        assert high - low == pytest.approx(d * base.variance, abs=1e-12)
 
 
-def test_objective_rejects_non_finite_terms():
-    with pytest.raises(ValueError, match="not finite"):
-        combined_objective(float("nan"), 0.0, 0.0, GateConfig())
-    with pytest.raises(ValueError, match="not finite"):
-        combined_objective(0.0, float("inf"), 0.0, GateConfig())
+def test_objective_rejects_non_finite_terms(toy):
+    # finite weights whose logits overflow: the objective is NaN and must not pass silently
+    hier, example = toy
+    ctx = route(hier, example.query.text, ROUTER)
+    x = np.concatenate([ctx.encodings[0], ctx.c])
+    w = np.stack([1e308 * np.sign(x), -1e308 * np.sign(x)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            _report(toy, GeneratorParams(W=w, b=np.zeros(2)))
 
 
 def test_gate_config_validation():
@@ -176,15 +201,17 @@ def _two_layer_hier():
 
 
 def _route_basis(hier, cfg):
-    from mgrag.router import assemble, layer_scores
-
-    encodings = np.stack([_basis(0)] * hier.depth)
-    _, hits = layer_scores(hier, encodings, cfg)
-    vectors = {
-        l: np.stack([hier.layer(l).vectors[h.row] for h in hs]) if hs else np.zeros((0, DIM))
-        for l, hs in hits.items()
-    }
+    # route() for a query whose encoding is e1 at every layer
+    hits = {l: search_layer(hier.layer(l), _basis(0), cfg.k_per_layer) for l in range(1, hier.depth + 1)}
+    vectors = {l: hier.layer(l).vectors[[h.row for h in hs]] for l, hs in hits.items() if hs}
     return assemble(hits, vectors, hier.depth, DIM, cfg)
+
+
+def _readout(hits, mem):
+    # oracle: similarity-softmax-weighted mean of the hits' stored vectors
+    sims = np.array([h.sim for h in hits])
+    w = np.exp(sims - sims.max())
+    return (w / w.sum()) @ mem.vectors[[h.row for h in hits]]
 
 
 def test_tau_zero_returns_the_same_object():
@@ -249,7 +276,8 @@ def test_gated_fusion_recomputes_through_readout():
     manual = np.zeros(DIM)
     for layer_no in (1, 2):
         hits = gated.layer_hits.get(layer_no, [])
-        manual += gated.weights[layer_no - 1] * readout(hits, hier.layer(layer_no))
+        if hits:
+            manual += gated.weights[layer_no - 1] * _readout(hits, hier.layer(layer_no))
     assert np.max(np.abs(gated.c - manual)) < 1e-12
 
 
@@ -273,7 +301,6 @@ def test_kept_set_shrinks_monotonically_in_tau():
 
 def test_gated_weights_stay_on_simplex_for_real_routes():
     from mgrag.corpus import keyword_eval_suite
-    from mgrag.memory import build
 
     docs, queries, _ = keyword_eval_suite(n_queries=6, seed=2)
     hier = build(docs, EmbedderSpec(dim=64), depth=3)

@@ -12,9 +12,8 @@ from mgrag.embedder import (
     embed_layers,
     is_degenerate,
     layer_salt,
-    load_external_vectors,
 )
-from mgrag.errors import ConfigError, ParseError
+from mgrag.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "data" / "golden_vectors.txt"
 
@@ -123,32 +122,3 @@ def test_embed_rejects_bad_layer():
     with pytest.raises(ValueError, match="layer"):
         embed("text", 0, EmbedderSpec(dim=16))
 
-
-# --- external vector files ---------------------------------------------------
-
-
-def test_external_vectors_load_and_normalize(tmp_path):
-    path = tmp_path / "vecs.txt"
-    path.write_text("u1 3 0 0 0\nu2 0 0.5 0 0\n\n")
-    vecs = load_external_vectors(path)
-    assert set(vecs) == {"u1", "u2"}
-    assert np.allclose(vecs["u1"], [1, 0, 0, 0])
-    assert np.allclose(vecs["u2"], [0, 1, 0, 0])
-
-
-@pytest.mark.parametrize(
-    "content,message",
-    [
-        ("u1\n", "no components"),
-        ("u1 1 x\n", "non-numeric"),
-        ("u1 1 0\nu2 1 0 0\n", "line 2: expected 2 components, got 3"),
-        ("u1 inf 0\n", "non-finite"),
-        ("u1 0 0\n", "zero vector"),
-        ("u1 1 0\nu1 0 1\n", "line 2: duplicate unit id"),
-    ],
-)
-def test_external_vector_errors(tmp_path, content, message):
-    path = tmp_path / "vecs.txt"
-    path.write_text(content)
-    with pytest.raises(ParseError, match=message):
-        load_external_vectors(path)

@@ -218,6 +218,29 @@ def test_saturated_model_has_vanishing_gradient(toy):
     assert np.max(np.abs(db)) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [dict(var_mode="ensemble", noise_sigma=0.05), dict(var_mode="intra")],
+    ids=["ensemble", "intra"],
+)
+def test_one_epoch_steps_by_the_checked_gradient(toy, gate):
+    # train's update is -lr times the mean of the per-example gradients that
+    # gradient_check verifies against finite differences
+    hier, examples = toy
+    cfg = TrainConfig(
+        lr=0.3, epochs=1, router=RouterConfig(k_per_layer=3),
+        gate=GateConfig(lambda1=0.3, lambda2=0.7, ensemble_K=3, seed=0, **gate),
+    )
+    params = init_params(4, DIM, seed=11, scale=0.5)
+    grads = [grad(params, ex, hier, cfg) for ex in examples]
+    step_w = cfg.lr * np.mean([g[0] for g in grads], axis=0)
+    step_b = cfg.lr * np.mean([g[1] for g in grads], axis=0)
+    result = train(examples, hier, cfg, params=params)
+    assert np.max(np.abs(result.params.W - (params.W - step_w))) < 1e-12
+    assert np.max(np.abs(result.params.b - (params.b - step_b))) < 1e-12
+    assert gradient_check(params, examples[0], hier, cfg) < 1e-4
+
+
 # --- training ----------------------------------------------------------------------
 
 

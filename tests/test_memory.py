@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from mgrag.cli import main
 from mgrag.corpus import Document, corpus_sha256, keyword_eval_suite, synthesize_corpus
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import BuildError, IndexFormatError
@@ -104,13 +107,6 @@ def test_sim_is_symmetric_for_equal_vectors():
 def test_layer_memory_rejects_mismatched_lengths():
     with pytest.raises(ValueError, match="agree"):
         LayerMemory(layer=1, unit_ids=["a"], doc_ids=np.array([1, 2]), vectors=np.eye(2))
-
-
-def test_doc_of_lookup():
-    mem = _toy_memory(np.eye(3))
-    assert mem.doc_of("00000002:1:00000") == 2
-    with pytest.raises(KeyError):
-        mem.doc_of("missing")
 
 
 # --- build -------------------------------------------------------------------
@@ -261,6 +257,36 @@ def test_load_rejects_version_bump(tmp_path):
     path.write_bytes(mutated)
     with pytest.raises(IndexFormatError, match="version"):
         load(path)
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    (n,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + n])
+    edit(header)
+    body = json.dumps(header).encode()
+    return raw[:4] + struct.pack("<I", len(body)) + body + raw[8 + n :]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda raw: _rewrite_header(raw, lambda h: h.pop("dim")), "KeyError: 'dim'"),
+        (lambda raw: raw[:-8] + struct.pack("<d", math.nan), "non-finite"),
+        (lambda raw: raw + b"\0", "1 bytes after the last vector block"),
+    ],
+    ids=["missing-header-key", "nan-row", "trailing-bytes"],
+)
+def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
+    hier, _ = _sample_hier(depth=1)
+    path = tmp_path / "index.bin"
+    save(hier, path)
+    path.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(IndexFormatError, match=message):
+        load(path)
+    # the CLI turns it into exit 1 with a one-line error, never a traceback
+    assert main(["query", "--index", str(path), "--text", "report"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_load_warns_on_corpus_hash_mismatch(tmp_path, caplog):

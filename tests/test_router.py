@@ -9,15 +9,8 @@ from mgrag.confidence import entropy
 from mgrag.corpus import DEFAULT_SEGMENTATION, keyword_eval_suite
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError, RoutingError
-from mgrag.memory import BuildManifest, LayerMemory, MemoryHierarchy, build
-from mgrag.router import (
-    RouterConfig,
-    fuse,
-    layer_scores,
-    readout,
-    route,
-    routing_weights,
-)
+from mgrag.memory import BuildManifest, LayerMemory, MemoryHierarchy, build, search_layer
+from mgrag.router import RouterConfig, assemble, route, routing_weights
 
 DIM = 8
 
@@ -66,45 +59,54 @@ def _at_sim(target, axis=0, other=1):
     return v
 
 
+def _assemble(hier, encodings, cfg):
+    # route() with the query encodings given instead of embedded from text
+    hits = {
+        l: search_layer(hier.layer(l), encodings[l - 1], cfg.k_per_layer)
+        for l in range(1, hier.depth + 1)
+    }
+    vectors = {l: hier.layer(l).vectors[[h.row for h in hs]] for l, hs in hits.items() if hs}
+    return assemble(hits, vectors, hier.depth, DIM, cfg)
+
+
+def _readout(hits, mem):
+    # oracle: similarity-softmax-weighted mean of the hits' stored vectors
+    if not hits:
+        return np.zeros(mem.vectors.shape[1])
+    sims = np.array([h.sim for h in hits])
+    w = np.exp(sims - sims.max())
+    return (w / w.sum()) @ mem.vectors[[h.row for h in hits]]
+
+
 # --- layer scores -------------------------------------------------------------
 
 
 def test_mean_topk_score_is_mean_of_hit_sims():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
-    scores, hits = layer_scores(hier, _basis(0)[None, :], RouterConfig(k_per_layer=2))
-    assert scores[0] == pytest.approx(0.8, abs=1e-12)
-    assert [h.sim for h in hits[1]] == [pytest.approx(0.9), pytest.approx(0.7)]
+    ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
+    assert ctx.scores[0] == pytest.approx(0.8, abs=1e-12)
+    assert [h.sim for h in ctx.layer_hits[1]] == [pytest.approx(0.9), pytest.approx(0.7)]
 
 
 def test_max_score_mode():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
-    scores, _ = layer_scores(
-        hier, _basis(0)[None, :], RouterConfig(k_per_layer=2, layer_score_mode="max")
-    )
-    assert scores[0] == pytest.approx(0.9, abs=1e-15)
+    ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2, layer_score_mode="max"))
+    assert ctx.scores[0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_empty_layer_gets_sentinel_and_zero_weight():
     hier = _hier([[_basis(0)], np.zeros((0, DIM))])
-    encodings = np.stack([_basis(0), _basis(0)])
-    scores, hits = layer_scores(hier, encodings, RouterConfig())
-    assert scores[1] == -np.inf
-    assert hits[2] == []
-    weights = routing_weights(scores, 1.0)
-    assert weights[1] == 0.0
-    assert weights[0] == pytest.approx(1.0, abs=1e-15)
+    ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig())
+    assert ctx.scores[1] == -np.inf
+    assert ctx.layer_hits[2] == []
+    assert ctx.weights[1] == 0.0
+    assert ctx.weights[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_all_layers_empty_raises():
     hier = _hier([np.zeros((0, DIM)), np.zeros((0, DIM))])
     with pytest.raises(RoutingError, match="no layer"):
-        layer_scores(hier, np.stack([_basis(0), _basis(1)]), RouterConfig())
-
-
-def test_layer_scores_wants_one_encoding_per_layer():
-    hier = _hier([[_basis(0)], [_basis(1)]])
-    with pytest.raises(ValueError, match="encodings"):
-        layer_scores(hier, _basis(0)[None, :], RouterConfig())
+        _assemble(hier, [_basis(0), _basis(1)], RouterConfig())
 
 
 # --- routing weights ------------------------------------------------------------
@@ -188,91 +190,82 @@ def test_router_config_validation():
         RouterConfig(layer_score_mode="median")
 
 
-# --- readout -------------------------------------------------------------------
-
-
-def _hits_for(mem, query, k):
-    from mgrag.memory import search_layer
-
-    return search_layer(mem, query, k)
+# --- readout and fusion ----------------------------------------------------------
 
 
 def test_single_hit_readout_is_that_vector():
-    mem = _mem([_at_sim(0.6)])
-    hits = _hits_for(mem, _basis(0), 1)
-    assert np.array_equal(readout(hits, mem), mem.vectors[0])
+    hier = _hier([[_at_sim(0.6)]])
+    ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=1))
+    assert np.array_equal(ctx.c, hier.layer(1).vectors[0])
 
 
 def test_equal_sim_readout_is_plain_mean():
-    mem = _mem([_basis(0), _basis(1)])
-    query = (_basis(0) + _basis(1)) / math.sqrt(2)
-    hits = _hits_for(mem, query, 2)
-    result = readout(hits, mem)
-    assert result[0] == pytest.approx(0.5, abs=1e-12)
-    assert result[1] == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(result[2:], 0)
+    hier = _hier([[_basis(0), _basis(1)]])
+    ctx = _assemble(hier, [(_basis(0) + _basis(1)) / math.sqrt(2)], RouterConfig(k_per_layer=2))
+    assert ctx.c[0] == pytest.approx(0.5, abs=1e-12)
+    assert ctx.c[1] == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(ctx.c[2:], 0)
 
 
 def test_readout_weights_follow_sim_softmax():
     # sims 1 and 0 give softmax weights e/(e+1) and 1/(e+1)
-    mem = _mem([_basis(0), _basis(1)])
-    hits = _hits_for(mem, _basis(0), 2)
-    result = readout(hits, mem)
+    hier = _hier([[_basis(0), _basis(1)]])
+    ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
     e = math.exp(1.0)
-    assert result[0] == pytest.approx(e / (e + 1), abs=1e-12)
-    assert result[1] == pytest.approx(1 / (e + 1), abs=1e-12)
+    assert ctx.c[0] == pytest.approx(e / (e + 1), abs=1e-12)
+    assert ctx.c[1] == pytest.approx(1 / (e + 1), abs=1e-12)
+    assert [p.within_layer_weight for p in ctx.paths] == pytest.approx([e / (e + 1), 1 / (e + 1)])
 
 
 def test_readout_of_no_hits_is_zero_vector():
-    mem = _mem(np.zeros((0, DIM)))
-    assert np.array_equal(readout([], mem), np.zeros(DIM))
+    # a layer without hits adds nothing: the context is the other layer's readout
+    hier = _hier([[_at_sim(0.6)], np.zeros((0, DIM))])
+    ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig())
+    assert np.array_equal(ctx.c, hier.layer(1).vectors[0])
 
 
 def test_readout_is_not_renormalized():
     # opposing vectors: the weighted mean shrinks, and stays shrunk
-    mem = _mem([_at_sim(0.5, other=1), -_at_sim(0.5, other=2)])
-    hits = _hits_for(mem, _basis(0), 2)
-    result = readout(hits, mem)
-    assert np.linalg.norm(result) < 1.0
-
-
-# --- fuse ----------------------------------------------------------------------
+    hier = _hier([[_at_sim(0.5, other=1), -_at_sim(0.5, other=2)]])
+    ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
+    assert np.linalg.norm(ctx.c) < 1.0
 
 
 def test_fuse_single_layer_is_identity():
-    r = np.arange(DIM, dtype=np.float64)[None, :]
-    ctx = fuse(np.array([1.0]), r)
-    assert np.array_equal(ctx.c, r[0])
+    hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
+    ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
+    assert ctx.weights.tolist() == [1.0]
+    assert np.array_equal(ctx.c, _readout(ctx.layer_hits[1], hier.layer(1)))
 
 
 def test_fuse_zero_weight_drops_layer_exactly():
-    readouts = np.stack([np.arange(DIM, dtype=np.float64), np.ones(DIM) * 7])
-    ctx = fuse(np.array([1.0, 0.0]), readouts)
-    assert np.array_equal(ctx.c, readouts[0])
+    # at a near-zero temperature the weaker layer's weight underflows to exactly 0
+    hier = _hier([[_at_sim(0.9, other=1)], [_at_sim(0.2, other=2)]])
+    ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig(temperature=1e-4))
+    assert ctx.weights.tolist() == [1.0, 0.0]
+    assert np.array_equal(ctx.c, hier.layer(1).vectors[0])
 
 
 def test_fuse_hand_sum():
-    readouts = np.stack([_basis(0), _basis(1)])
-    ctx = fuse(np.array([0.5, 0.5]), readouts)
-    assert ctx.c[0] == pytest.approx(0.5, abs=1e-15)
-    assert ctx.c[1] == pytest.approx(0.5, abs=1e-15)
+    hier = _hier([[_at_sim(0.6, other=1)], [_at_sim(0.6, other=2)]])
+    ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig())
+    assert ctx.weights == pytest.approx([0.5, 0.5], abs=1e-15)
+    hand = 0.5 * hier.layer(1).vectors[0] + 0.5 * hier.layer(2).vectors[0]
+    assert np.max(np.abs(ctx.c - hand)) < 1e-15
 
 
-def test_fuse_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="one readout per layer"):
-        fuse(np.array([1.0, 0.0]), np.ones((3, DIM)))
-
-
-def test_fuse_is_linear_in_weights():
+def test_fuse_is_linear_in_weights(suite_hier):
+    # readouts do not depend on the temperature, so contexts mix as their weights do
+    hier, queries, _ = suite_hier
     rng = np.random.default_rng(3)
-    readouts = rng.standard_normal((3, DIM))
-    for _ in range(50):
-        w1 = routing_weights(rng.standard_normal(3), 1.0)
-        w2 = routing_weights(rng.standard_normal(3), 1.0)
+    for q in queries[:4]:
+        t1, t2 = rng.uniform(0.2, 4.0, size=2)
+        c1 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t1))
+        c2 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t2))
+        readouts = np.stack([_readout(c1.layer_hits[l], hier.layer(l)) for l in (1, 2, 3)])
         alpha = float(rng.uniform())
-        mixed = fuse(alpha * w1 + (1 - alpha) * w2, readouts).c
-        parts = alpha * fuse(w1, readouts).c + (1 - alpha) * fuse(w2, readouts).c
-        assert np.max(np.abs(mixed - parts)) < 1e-12
+        mixed = alpha * c1.c + (1 - alpha) * c2.c
+        assert np.max(np.abs(mixed - (alpha * c1.weights + (1 - alpha) * c2.weights) @ readouts)) < 1e-12
 
 
 # --- route end to end ------------------------------------------------------------
@@ -311,7 +304,7 @@ def test_route_context_matches_manual_fusion(suite_hier):
     manual = np.zeros(hier.dim)
     for layer_no in range(1, hier.depth + 1):
         hits = ctx.layer_hits.get(layer_no, [])
-        manual += ctx.weights[layer_no - 1] * readout(hits, hier.layer(layer_no))
+        manual += ctx.weights[layer_no - 1] * _readout(hits, hier.layer(layer_no))
     assert np.max(np.abs(ctx.c - manual)) < 1e-12
 
 
