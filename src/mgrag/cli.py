@@ -5,6 +5,9 @@ by flags; human logs go to standard error. Every command is deterministic
 for a fixed seed; the default seed is 0, never the clock. Exit codes:
 0 success, 1 runtime failure (including a sweep with failed cells), 2 usage
 or validation error.
+
+Each option, its type and its default are declared once, in ``build_parser``;
+a ``--config`` file sets the same options under their underscored names.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from .confidence import GateConfig, entropy, filter_paths
-from .corpus import MAX_DEPTH
+from .confidence import VAR_MODES, GateConfig, entropy, filter_paths
 from .embedder import EmbedderSpec
 from .errors import ConfigError, MgragError, ParseError
 from .evaluation import EvalConfig, SweepGrid, evaluate, sweep
@@ -56,34 +60,49 @@ def _read_config_file(path: str) -> dict[str, str]:
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _coerce(key: str, raw: str, kind: type):
-    if kind is bool:
+def _file_value(path: str, key: str, raw: str, action: argparse.Action):
+    """Convert one config-file value the way its flag's own ``type`` and ``choices`` would."""
+    if action.nargs == 0:  # a store-true flag
         if raw.lower() not in _BOOL_STRINGS:
-            raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
+            raise ConfigError(f"{path}: config key {key}: expected a boolean, got {raw!r}")
         return _BOOL_STRINGS[raw.lower()]
     try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key}: expected {kind.__name__}, got {raw!r}")
+        value = action.type(raw) if action.type else raw
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ConfigError(f"{path}: config key {key}: invalid value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{path}: config key {key}: {raw!r} is not one of {list(action.choices)}")
+    return value
 
 
-class Options:
-    """Flag > config file > default, resolved per key."""
+def parse_args(
+    parser: argparse.ArgumentParser, argv: list[str] | None = None
+) -> argparse.Namespace:
+    """Parse ``argv``: flag > ``--config`` file > the flag's default.
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(self.file_cfg) - (set(vars(args)) - {"command", "func"}))
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown config key {', '.join(unknown)} for {args.command}")
-
-    def get(self, key: str, default, kind: type | None = None):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_cfg:
-            return _coerce(key, self.file_cfg[key], kind or type(default))
-        return default
+    The file's values become the subcommand's defaults and ``argv`` is parsed
+    again. A key must name an optional flag of the subcommand (underscored).
+    """
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    # argparse has no public accessor for a subcommand's parser or its actions
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices[args.command]
+    settable = {
+        action.dest: action
+        for action in command._actions
+        if action.option_strings and not action.required and action.dest not in ("help", "config")
+    }
+    file_cfg = _read_config_file(args.config)
+    unknown = sorted(set(file_cfg) - set(settable))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config key {', '.join(unknown)} for "
+                          f"{args.command} (keys are its optional flags, underscored)")
+    command.set_defaults(**{
+        key: _file_value(args.config, key, raw, settable[key]) for key, raw in file_cfg.items()
+    })
+    return parser.parse_args(argv)
 
 
 def _read(kind: str, path: str, fmt: str):
@@ -104,31 +123,37 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _gate_from(opts: Options) -> GateConfig:
-    return GateConfig(
-        tau_path=opts.get("tau", 0.0),
-        lambda1=opts.get("lambda1", 0.0),
-        lambda2=opts.get("lambda2", 0.0),
-        ensemble_K=opts.get("ensemble_k", 8),
-        noise_sigma=opts.get("sigma", 0.05),
-        seed=opts.get("seed", 0),
-        var_mode=opts.get("var_mode", "ensemble"),
-    )
+# gate flag -> GateConfig field
+_GATE_FIELDS = {"tau": "tau_path", "lambda1": "lambda1", "lambda2": "lambda2", "seed": "seed",
+                "ensemble_k": "ensemble_K", "sigma": "noise_sigma", "var_mode": "var_mode"}
 
 
-def _router_from(opts: Options) -> RouterConfig:
-    return RouterConfig(
-        k_per_layer=opts.get("k", 5),
-        temperature=opts.get("temperature", 1.0),
-        layer_score_mode=opts.get("layer_score_mode", "mean_topk"),
-    )
+def _gate_from(args: argparse.Namespace, **fixed) -> GateConfig:
+    """Gate settings from the command's gate flags, then ``fixed``; other fields keep defaults."""
+    flags = {f: getattr(args, dest) for dest, f in _GATE_FIELDS.items() if hasattr(args, dest)}
+    return GateConfig(**{**flags, **fixed})
+
+
+def _router_from(args: argparse.Namespace) -> RouterConfig:
+    return RouterConfig(k_per_layer=args.k, temperature=args.temperature,
+                        layer_score_mode=args.layer_score_mode)
+
+
+def _embedder_from(args: argparse.Namespace) -> EmbedderSpec:
+    """A field the command has no flag for (gradcheck has only ``--dim``) keeps its default."""
+    fields = ("dim", "hash_seed", "shared_phi")
+    return EmbedderSpec(**{name: getattr(args, name) for name in fields if hasattr(args, name)})
+
+
+def _eval_from(args: argparse.Namespace) -> EvalConfig:
+    return EvalConfig(k=args.eval_k, router=_router_from(args), gate=_gate_from(args),
+                      agg_mode=args.agg_mode)
 
 
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    Options(args)  # rejects a config file with unknown keys
     if args.cisi_docs:
         docs = _read("documents", args.cisi_docs, "cisi")
     else:
@@ -141,17 +166,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    depth = opts.get("depth", 3)
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ConfigError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
-    spec = EmbedderSpec(
-        dim=opts.get("dim", 256),
-        hash_seed=opts.get("hash_seed", 0),
-        shared_phi=opts.get("shared_phi", False),
-    )
+    spec = _embedder_from(args)
     docs = _read("documents", args.corpus, args.format)
-    hier = build(docs, spec, depth)
+    hier = build(docs, spec, args.depth)  # rejects a depth outside [1, MAX_DEPTH]
     save(hier, args.out)
     log.info("wrote index %s", args.out)
     print(json.dumps(hier.manifest.to_dict(), sort_keys=True, indent=2))
@@ -159,13 +176,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    opts = Options(args)
     hier = load(args.index)
-    ctx = route(hier, args.text, _router_from(opts))
-    gated = filter_paths(ctx, opts.get("tau", 0.0))
+    ctx = route(hier, args.text, _router_from(args))
+    gated = filter_paths(ctx, args.tau)
     dropped = 0 if gated.gate_bypassed else len(ctx.paths) - len(gated.paths)
     payload = {
-        "query_id": opts.get("query_id", 0),
+        "query_id": args.query_id,
         "weights": [float(w) for w in gated.weights],
         "paths": [
             {
@@ -190,7 +206,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    opts = Options(args)
     hier = load(args.index)
     queries = _read("queries", args.queries, args.format)
     qrels = _read("qrels", args.qrels, args.format)
@@ -198,13 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dangling = corpus_mod.validate_qrels(qrels, indexed)
     if dangling:
         log.warning("%d qrels pairs point at documents not in the index", len(dangling))
-    cfg = EvalConfig(
-        k=opts.get("eval_k", 5),
-        router=_router_from(opts),
-        gate=_gate_from(opts),
-        agg_mode=opts.get("agg_mode", "max"),
-    )
-    report = evaluate(hier, queries, qrels, cfg)
+    report = evaluate(hier, queries, qrels, _eval_from(args))
     log.info(
         "evaluated %d queries (skipped %d): recall@%d %.4f ndcg@%d %.4f map %.4f",
         report.n_evaluated,
@@ -219,46 +228,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_axis(raw: str, kind: type) -> tuple:
-    try:
-        return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse axis value {raw!r} as {kind.__name__} list")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    grid = SweepGrid(
-        depths=_parse_axis(opts.get("depths", "1,2,3,4,5"), int),
-        temperatures=_parse_axis(opts.get("temperatures", "0.5,1.0,1.2,2.0"), float),
-        mix_ratios=_parse_axis(opts.get("mix_ratios", "0.0"), float),
-    )
+    grid = SweepGrid(depths=args.depths, temperatures=args.temperatures, mix_ratios=args.mix_ratios)
     corpus_a = _read("documents", args.corpus, args.format)
     corpus_b = _read("documents", args.corpus_b, args.format) if args.corpus_b else None
     queries = _read("queries", args.queries, args.format)
     qrels = _read("qrels", args.qrels, args.format)
-    base = EvalConfig(
-        k=opts.get("eval_k", 5),
-        router=_router_from(opts),
-        gate=_gate_from(opts),
-        agg_mode=opts.get("agg_mode", "max"),
-    )
-    spec = EmbedderSpec(
-        dim=opts.get("dim", 256),
-        hash_seed=opts.get("hash_seed", 0),
-        shared_phi=opts.get("shared_phi", False),
-    )
-    result = sweep(
-        grid,
-        corpus_a,
-        queries,
-        qrels,
-        base=base,
-        corpus_b=corpus_b,
-        mix_size=opts.get("mix_size", None, int),
-        seed=opts.get("seed", 0),
-        embedder_spec=spec,
-    )
+    result = sweep(grid, corpus_a, queries, qrels, base=_eval_from(args), corpus_b=corpus_b,
+                   mix_size=args.mix_size, seed=args.seed, embedder_spec=_embedder_from(args))
     failures = [row for row in result.rows if "error" in row]
     log.info("swept %d cells (%d failed)", len(result.rows), len(failures))
     for row in failures:
@@ -277,17 +254,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_train_gen(args: argparse.Namespace) -> int:
-    opts = Options(args)
     hier = load(args.index)
     dataset = read_jsonl_qa(args.qa)
     if not dataset:
         raise ConfigError(f"{args.qa}: no examples")
-    cfg = TrainConfig(
-        lr=opts.get("lr", 0.1),
-        epochs=opts.get("epochs", 200),
-        gate=_gate_from(opts),
-        router=_router_from(opts),
-    )
+    cfg = TrainConfig(lr=args.lr, epochs=args.epochs, gate=_gate_from(args),
+                      router=_router_from(args))
     result = train(dataset, hier, cfg)
     accuracy = qa_accuracy(result.params, dataset, hier, cfg)
     if args.out_params:
@@ -310,66 +282,94 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    seed = opts.get("seed", 0)
-    n_classes = opts.get("classes", 4)
-    dim = opts.get("dim", 8)
-    tol = opts.get("tol", 1e-4)
-    docs, examples = build_toy_qa(n_classes=n_classes, n_per_class=1, seed=seed)
-    hier = build(docs, EmbedderSpec(dim=dim), depth=2)
-    params = init_params(n_classes, dim, seed=seed)
-    grid = _parse_axis(opts.get("lambda_grid", "0,0.1,1.0"), float)
+    docs, examples = build_toy_qa(n_classes=args.classes, n_per_class=1, seed=args.seed)
+    hier = build(docs, _embedder_from(args), depth=2)
+    params = init_params(args.classes, args.dim, seed=args.seed)
     worst = 0.0
-    for lam1 in grid:
-        for lam2 in grid:
-            cfg = TrainConfig(
-                gate=GateConfig(
-                    lambda1=lam1,
-                    lambda2=lam2,
-                    ensemble_K=opts.get("ensemble_k", 8),
-                    noise_sigma=opts.get("sigma", 0.05),
-                    seed=seed,
-                ),
-                router=_router_from(opts),
-            )
-            err = gradient_check(params, examples[0], hier, cfg)
-            log.info("lambda1=%g lambda2=%g max_rel_err=%.3e", lam1, lam2, err)
-            worst = max(worst, err)
-    if worst < tol:
-        print(f"PASS max_rel_err={worst:.3e} (< {tol:g})")
+    for var_mode, lam1, lam2 in product(VAR_MODES, args.lambda_grid, args.lambda_grid):
+        gate = _gate_from(args, lambda1=lam1, lambda2=lam2, var_mode=var_mode)
+        cfg = TrainConfig(gate=gate, router=_router_from(args))
+        err = gradient_check(params, examples[0], hier, cfg)
+        log.info("var_mode=%s lambda1=%g lambda2=%g max_rel_err=%.3e", var_mode, lam1, lam2, err)
+        worst = max(worst, err)
+    if worst < args.tol:
+        print(f"PASS max_rel_err={worst:.3e} (< {args.tol:g})")
         return 0
-    print(f"FAIL max_rel_err={worst:.3e} (>= {tol:g})")
+    print(f"FAIL max_rel_err={worst:.3e} (>= {args.tol:g})")
     return 1
 
 
 # --- parser -----------------------------------------------------------------
+# Help shows every default; an option set shared by commands is one helper.
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value file; flags override it")
-    p.add_argument("--seed", type=int, help="deterministic seed (default 0)")
+def _axis(kind: type, raw: str) -> tuple:
+    """argparse ``type`` (with ``kind`` bound by ``partial``) for a comma list such as ``1,2,3``."""
+    try:
+        return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {raw!r} as a {kind.__name__} list")
+
+
+def _add_config_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="'key = value' file of optional flags (underscored); flags win")
+
+
+def _add_format_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=["auto", "cisi", "jsonl"], default="auto",
+                   help="input format (default %(default)s: .jsonl files are JSONL)")
 
 
 def _add_router_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="hits per layer (default 5)")
-    p.add_argument("--temperature", type=float, help="routing temperature (default 1.0)")
-    p.add_argument("--layer-score-mode", dest="layer_score_mode", choices=["mean_topk", "max"])
+    p.add_argument("--k", type=int, default=5, help="hits per layer (default %(default)s)")
+    p.add_argument("--temperature", type=float, default=1.0,
+                   help="routing temperature (default %(default)s)")
+    p.add_argument("--layer-score-mode", dest="layer_score_mode", choices=["mean_topk", "max"],
+                   default="mean_topk", help="layer evidence score (default %(default)s)")
+
+
+def _add_tau_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tau", type=float, default=0.0,
+                   help="path confidence threshold (default %(default)s: off)")
+
+
+def _add_noise_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="deterministic seed (default %(default)s)")
+    p.add_argument("--ensemble-k", dest="ensemble_k", type=int, default=8,
+                   help="perturbed passes (default %(default)s)")
+    p.add_argument("--sigma", type=float, default=0.05,
+                   help="perturbation scale (default %(default)s)")
 
 
 def _add_gate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, help="path confidence threshold (default 0: off)")
-    p.add_argument("--lambda1", type=float, help="entropy coefficient (default 0)")
-    p.add_argument("--lambda2", type=float, help="variance coefficient (default 0)")
-    p.add_argument("--ensemble-k", dest="ensemble_k", type=int, help="perturbed passes (default 8)")
-    p.add_argument("--sigma", type=float, help="perturbation scale (default 0.05)")
-    p.add_argument("--var-mode", dest="var_mode", choices=["ensemble", "intra"])
+    _add_tau_flag(p)
+    p.add_argument("--lambda1", type=float, default=0.0,
+                   help="entropy coefficient (default %(default)s)")
+    p.add_argument("--lambda2", type=float, default=0.0,
+                   help="variance coefficient (default %(default)s)")
+    p.add_argument("--var-mode", dest="var_mode", choices=VAR_MODES, default="ensemble",
+                   help="variance estimate (default %(default)s)")
+    _add_noise_flags(p)
+
+
+def _add_embedder_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dim", type=int, default=256, help="embedding dimension (default %(default)s)")
+    p.add_argument("--hash-seed", dest="hash_seed", type=int, default=0,
+                   help="feature hash seed (default %(default)s)")
+    p.add_argument("--shared-phi", dest="shared_phi", action="store_true",
+                   help="share one encoder across layers")
+
+
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eval-k", dest="eval_k", type=int, default=5,
+                   help="ranking cutoff (default %(default)s)")
+    p.add_argument("--agg-mode", dest="agg_mode", choices=["max", "sum"], default="max",
+                   help="per-document score aggregation (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mgrag",
-        description="Multi-granularity retrieval with confidence-gated generation.",
-    )
+        prog="mgrag", description="Multi-granularity retrieval with confidence-gated generation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="normalize a corpus to canonical JSONL")
@@ -377,42 +377,38 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--cisi-docs", help="marker-format document file")
     src.add_argument("--jsonl", help="JSONL document file")
     p.add_argument("--out", required=True, help="output JSONL path")
-    _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build", help="segment, embed, and index a corpus")
     p.add_argument("--corpus", required=True, help="document file")
-    p.add_argument("--format", choices=["auto", "cisi", "jsonl"], default="auto")
-    p.add_argument("--depth", type=int, help="granularity layers (default 3)")
-    p.add_argument("--dim", type=int, help="embedding dimension (default 256)")
-    p.add_argument("--hash-seed", dest="hash_seed", type=int, help="feature hash seed (default 0)")
-    p.add_argument("--shared-phi", dest="shared_phi", action="store_const", const=True,
-                   help="share one encoder across layers")
+    _add_format_flag(p)
+    p.add_argument("--depth", type=int, default=3, help="granularity layers (default %(default)s)")
+    _add_embedder_flags(p)
     p.add_argument("--out", required=True, help="output index path")
-    _add_common(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("query", help="route one query and print its paths")
     p.add_argument("--index", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--query-id", dest="query_id", type=int)
+    p.add_argument("--query-id", dest="query_id", type=int, default=0,
+                   help="id echoed in the output (default %(default)s)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     _add_router_flags(p)
-    p.add_argument("--tau", type=float, help="path confidence threshold (default 0: off)")
-    _add_common(p)
+    _add_tau_flag(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("eval", help="score retrieval on queries with judgments")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--format", choices=["auto", "cisi", "jsonl"], default="auto")
-    p.add_argument("--eval-k", dest="eval_k", type=int, help="ranking cutoff (default 5)")
-    p.add_argument("--agg-mode", dest="agg_mode", choices=["max", "sum"])
+    _add_format_flag(p)
+    _add_eval_flags(p)
     p.add_argument("--out", help="write report JSON here instead of stdout")
     _add_router_flags(p)
     _add_gate_flags(p)
-    _add_common(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid over depth, temperature, mixing ratio")
@@ -420,44 +416,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-b", dest="corpus_b", help="second corpus source for mixing")
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--format", choices=["auto", "cisi", "jsonl"], default="auto")
-    p.add_argument("--depths", help="comma list, e.g. 1,2,3,4,5")
-    p.add_argument("--temperatures", help="comma list, e.g. 0.5,1.0,1.2,2.0")
-    p.add_argument("--mix-ratios", dest="mix_ratios", help="comma list, e.g. 0.0,0.5,1.0")
-    p.add_argument("--mix-size", dest="mix_size", type=int, help="mixed corpus size")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--hash-seed", dest="hash_seed", type=int)
-    p.add_argument("--shared-phi", dest="shared_phi", action="store_const", const=True)
-    p.add_argument("--eval-k", dest="eval_k", type=int)
-    p.add_argument("--agg-mode", dest="agg_mode", choices=["max", "sum"])
+    _add_format_flag(p)
+    p.add_argument("--depths", type=partial(_axis, int), default="1,2,3,4,5",
+                   help="comma list (default %(default)s)")
+    p.add_argument("--temperatures", type=partial(_axis, float), default="0.5,1.0,1.2,2.0",
+                   help="comma list (default %(default)s)")
+    p.add_argument("--mix-ratios", dest="mix_ratios", type=partial(_axis, float), default="0.0",
+                   help="comma list, e.g. 0,0.5,1 (default %(default)s)")
+    p.add_argument("--mix-size", dest="mix_size", type=int,
+                   help="mixed corpus size (default: the smaller corpus size)")
+    _add_embedder_flags(p)
+    _add_eval_flags(p)
     p.add_argument("--out-csv", dest="out_csv", help="write CSV here instead of stdout")
     p.add_argument("--out-json", dest="out_json", help="also write the full JSON grid here")
     _add_router_flags(p)
     _add_gate_flags(p)
-    _add_common(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train-gen", help="train the answer model on QA examples")
     p.add_argument("--index", required=True)
     p.add_argument("--qa", required=True, help="JSONL: {query_id, text, gold}")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.1)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 200)")
+    p.add_argument("--lr", type=float, default=0.1, help="learning rate (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=200, help="training epochs (default %(default)s)")
     p.add_argument("--out-params", dest="out_params", help="write trained parameters JSON here")
     p.add_argument("--out", help="write history JSON here instead of stdout")
     _add_router_flags(p)
     _add_gate_flags(p)
-    _add_common(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_train_gen)
 
     p = sub.add_parser("gradcheck", help="compare analytic and numeric gradients")
-    p.add_argument("--classes", type=int, help="answer classes (default 4)")
-    p.add_argument("--dim", type=int, help="embedding dimension (default 8)")
-    p.add_argument("--lambda-grid", dest="lambda_grid", help="comma list (default 0,0.1,1.0)")
-    p.add_argument("--tol", type=float, help="failure threshold (default 1e-4)")
-    p.add_argument("--ensemble-k", dest="ensemble_k", type=int)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--classes", type=int, default=4, help="answer classes (default %(default)s)")
+    p.add_argument("--dim", type=int, default=8, help="embedding dimension (default %(default)s)")
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=partial(_axis, float),
+                   default="0,0.1,1.0", help="lambda1 and lambda2 values; every pair is checked "
+                   "in both variance modes (default %(default)s)")
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="failure threshold (default %(default)s)")
+    _add_noise_flags(p)
     _add_router_flags(p)
-    _add_common(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -465,13 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = parse_args(build_parser(), argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help or a usage error
+        return int(exc.code) if exc.code is not None else 0
     except (ConfigError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -463,6 +463,14 @@ def _word(rng: np.random.Generator, n_syllables: int = 3) -> str:
     return "".join(_SYLLABLES[rng.integers(len(_SYLLABLES))] for _ in range(n_syllables))
 
 
+def _distinct_words(rng: np.random.Generator, n: int) -> list[str]:
+    """Draw four-syllable words until ``n`` are distinct; first-drawn order."""
+    words: dict[str, None] = {}
+    while len(words) < n:
+        words.setdefault(_word(rng, 4))
+    return list(words)
+
+
 def synthesize_corpus(
     n_docs: int,
     seed: int = 0,
@@ -507,13 +515,7 @@ def keyword_eval_suite(
     working retriever scores perfect recall on this suite.
     """
     rng = np.random.default_rng(seed)
-    keywords = []
-    used = set()
-    while len(keywords) < n_queries:
-        word = _word(rng, 4)
-        if word not in used:
-            used.add(word)
-            keywords.append(word)
+    keywords = _distinct_words(rng, n_queries)
     docs = []
     queries = []
     qrels: dict[int, set[int]] = {}

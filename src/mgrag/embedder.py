@@ -89,8 +89,3 @@ def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndar
 def is_degenerate(vec: np.ndarray) -> bool:
     return not np.any(vec)
 
-
-def embed_layers(text: str, depth: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndarray:
-    """Stack the per-layer embeddings of one text into a (depth, dim) array."""
-    return np.stack([embed(text, layer, spec) for layer in range(1, depth + 1)])
-

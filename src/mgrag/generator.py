@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .confidence import ConfidenceReport, GateConfig, filter_paths
-from .corpus import Document, Query
+from .corpus import Document, Query, _distinct_words, _jsonl_rows, _word
 from .errors import ConfigError, ParseError
 from .memory import MemoryHierarchy
 from .router import FusedContext, RouterConfig, route
@@ -402,16 +402,8 @@ def build_toy_qa(
     mention it, so a linear model over query+context features can reach full
     training accuracy.
     """
-    from .corpus import _word  # same syllable inventory as the synthetic corpus
-
     rng = np.random.default_rng(seed)
-    keywords: list[str] = []
-    used = set()
-    while len(keywords) < n_classes:
-        word = _word(rng, 4)
-        if word not in used:
-            used.add(word)
-            keywords.append(word)
+    keywords = _distinct_words(rng, n_classes)
     docs = []
     examples = []
     query_id = 1
@@ -450,21 +442,18 @@ def qa_to_jsonl(examples: list[QAExample]) -> str:
 
 def parse_jsonl_qa(text: str) -> list[QAExample]:
     examples = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            row = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON ({exc})", line=line_no)
+    for line_no, row in _jsonl_rows(text):
         for key in ("query_id", "text", "gold"):
             if key not in row:
                 raise ParseError(f"missing field {key!r}", line=line_no)
-        if not isinstance(row["query_id"], int) or not isinstance(row["gold"], int):
-            raise ParseError("query_id and gold must be integers", line=line_no)
-        examples.append(
-            QAExample(query=Query(query_id=row["query_id"], text=str(row["text"])), gold=row["gold"])
-        )
+        query_id, text_value, gold = row["query_id"], row["text"], row["gold"]
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (query_id, gold)):
+            raise ParseError(
+                f"query_id and gold must be integers, got {query_id!r} and {gold!r}", line=line_no
+            )
+        if not isinstance(text_value, str):
+            raise ParseError(f"'text' must be a string, got {text_value!r}", line=line_no)
+        examples.append(QAExample(query=Query(query_id=query_id, text=text_value), gold=gold))
     return examples
 
 

@@ -222,14 +222,8 @@ def save(hier: MemoryHierarchy, path: str | Path) -> None:
             handle.write(np.ascontiguousarray(mem.vectors, dtype="<f8").tobytes())
 
 
-def load(path: str | Path, expect_corpus_sha256: str | None = None) -> MemoryHierarchy:
-    """Read an index file; search results after load are bit-identical to save time.
-
-    A corpus-hash mismatch (when the caller knows the expected hash) logs a
-    warning instead of failing, so stale indexes stay usable but visible.
-    """
-    import logging
-
+def load(path: str | Path) -> MemoryHierarchy:
+    """Read an index file; search results after load are bit-identical to save time."""
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != _MAGIC:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")
@@ -276,13 +270,6 @@ def load(path: str | Path, expect_corpus_sha256: str | None = None) -> MemoryHie
         raise IndexFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     if offset != len(raw):
         raise IndexFormatError(f"{path}: {len(raw) - offset} bytes after the last vector block")
-    if expect_corpus_sha256 is not None and expect_corpus_sha256 != manifest.corpus_sha256:
-        logging.getLogger(__name__).warning(
-            "%s: index corpus hash %s does not match expected %s",
-            path,
-            manifest.corpus_sha256[:12],
-            expect_corpus_sha256[:12],
-        )
     return MemoryHierarchy(
         depth=depth,
         layers=layers,

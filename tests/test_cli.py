@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mgrag.cli import build_parser, main, parse_args
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "data" / "cisi_sample.all"
@@ -212,6 +215,87 @@ def test_unknown_config_key_is_a_usage_error(index_path, tmp_path):
     assert proc.stdout == ""
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def _other_value(action: argparse.Action) -> str:
+    """A command-line spelling of a value that differs from the flag's default."""
+    if action.choices is not None:
+        return next(c for c in action.choices if c != action.default)
+    return {int: "7", float: "0.5", None: "elsewhere.out"}.get(action.type, "2,3")
+
+
+def test_every_optional_flag_can_come_from_the_config_file(tmp_path):
+    checked = 0
+    for name, command in _subcommands().items():
+        options = {a.dest: a for a in command._actions if a.option_strings}
+        if "config" not in options:
+            assert name == "ingest"  # its only options are its input and output
+            continue
+        base = [name]
+        for action in options.values():
+            if action.required:
+                base += [action.option_strings[0], "x"]
+        plain = vars(parse_args(build_parser(), base))
+        for dest, action in options.items():
+            if action.required or dest in ("help", "config"):
+                continue
+            config = tmp_path / f"{name}-{dest}.cfg"
+            if action.nargs == 0:  # store-true
+                flag = [action.option_strings[0]]
+                config.write_text(f"{dest} = yes\n", encoding="utf-8")
+            else:
+                value = _other_value(action)
+                flag = [action.option_strings[0], value]
+                config.write_text(f"{dest} = {value}\n", encoding="utf-8")
+            via_flag = vars(parse_args(build_parser(), base + flag))
+            via_file = vars(parse_args(build_parser(), base + ["--config", str(config)]))
+            via_file.pop("config")
+            via_flag.pop("config")
+            assert via_file == via_flag, (name, dest)
+            assert via_file[dest] != plain[dest], (name, dest)
+            checked += 1
+    assert checked > 60
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, named",
+    [
+        ("index = other.mgix\n", [], "index"),  # required inputs are flags only
+        ("seed = 1\n", [], "seed"),  # query has no seed
+        ("", ["--seed", "1"], "--seed"),
+        ("k = five\n", [], "k"),
+        ("config = other.cfg\n", [], "config"),
+    ],
+)
+def test_config_key_or_flag_the_command_lacks_is_a_usage_error(tmp_path, capsys, config_text,
+                                                               flags, named):
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    argv = ["query", "--index", str(tmp_path / "absent.mgix"), "--text", "x",
+            "--config", str(config), *flags]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_config_file_outputs_are_written(index_path, tmp_path):
+    out = tmp_path / "q.json"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out = {out}\n", encoding="utf-8")
+    proc = run_cli("query", "--index", index_path, "--text", "library catalogs",
+                   "--config", config)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    direct = run_cli("query", "--index", index_path, "--text", "library catalogs")
+    assert json.loads(out.read_text()) == json.loads(direct.stdout)
+
+
 # --- sweep --------------------------------------------------------------------------
 
 
@@ -307,10 +391,22 @@ def test_train_gen_is_deterministic(qa_env):
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+def test_train_gen_rejects_a_mistyped_qa_row(qa_env, tmp_path):
+    root, idx = qa_env
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text((root / "qa.jsonl").read_text().splitlines()[0] + "\n5\n", encoding="utf-8")
+    proc = run_cli("train-gen", "--index", idx, "--qa", qa, "--epochs", "1")
+    assert proc.returncode == 2
+    assert "line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_gradcheck_passes_and_reports(qa_env):
     proc = run_cli("gradcheck", "--classes", "3", "--lambda-grid", "0,0.5")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("PASS max_rel_err=")
+    for var_mode in ("ensemble", "intra"):
+        assert f"var_mode={var_mode} lambda1=0.5 lambda2=0.5 max_rel_err=" in proc.stderr
 
 
 def test_gradcheck_fails_on_impossible_tolerance():

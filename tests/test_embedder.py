@@ -9,7 +9,6 @@ import pytest
 from mgrag.embedder import (
     EmbedderSpec,
     embed,
-    embed_layers,
     is_degenerate,
     layer_salt,
 )
@@ -50,7 +49,7 @@ def test_embedding_is_deterministic():
 def test_layers_use_distinct_encodings():
     spec = EmbedderSpec(dim=64)
     text = "identical text for every layer"
-    vecs = embed_layers(text, 5, spec)
+    vecs = [embed(text, layer, spec) for layer in range(1, 6)]
     for i in range(5):
         for j in range(i + 1, 5):
             assert not np.array_equal(vecs[i], vecs[j])
@@ -58,7 +57,7 @@ def test_layers_use_distinct_encodings():
 
 def test_shared_phi_collapses_layers():
     spec = EmbedderSpec(dim=64, shared_phi=True)
-    vecs = embed_layers("identical text for every layer", 5, spec)
+    vecs = [embed("identical text for every layer", layer, spec) for layer in range(1, 6)]
     for layer in range(1, 5):
         assert np.array_equal(vecs[0], vecs[layer])
     assert layer_salt(1, spec) == layer_salt(5, spec) == 0
@@ -95,11 +94,6 @@ def test_degenerate_inputs_give_zero_vector():
 def test_single_character_embeds():
     vec = embed("a", 3, EmbedderSpec(dim=16))
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-
-
-def test_embed_layers_shape():
-    vecs = embed_layers("text", 4, EmbedderSpec(dim=32))
-    assert vecs.shape == (4, 32)
 
 
 def test_spec_validation():

@@ -395,12 +395,31 @@ def test_qa_jsonl_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("{broken", "not valid JSON"),
+        ("{broken", "invalid JSON"),
         ('{"query_id": 1, "text": "x"}', "missing field"),
         ('{"query_id": "one", "text": "x", "gold": 0}', "must be integers"),
     ],
 )
 def test_qa_jsonl_parse_errors_carry_line_numbers(line, message):
+    good = '{"gold": 0, "query_id": 1, "text": "fine"}'
+    with pytest.raises(ParseError, match="line 2") as exc_info:
+        parse_jsonl_qa(good + "\n" + line)
+    assert message in str(exc_info.value)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("5", "must hold an object"),
+        ('["query_id", "text", "gold"]', "must hold an object"),
+        ('{"query_id": true, "text": "x", "gold": 0}', "must be integers"),
+        ('{"query_id": 1, "text": "x", "gold": false}', "must be integers"),
+        ('{"query_id": 1, "text": "x", "gold": 1.0}', "must be integers"),
+        ('{"query_id": 1, "text": ["a"], "gold": 0}', "'text' must be a string"),
+        ('{"query_id": 1, "text": null, "gold": 0}', "'text' must be a string"),
+    ],
+)
+def test_qa_jsonl_rejects_mistyped_rows(line, message):
     good = '{"gold": 0, "query_id": 1, "text": "fine"}'
     with pytest.raises(ParseError, match="line 2") as exc_info:
         parse_jsonl_qa(good + "\n" + line)

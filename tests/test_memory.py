@@ -287,16 +287,3 @@ def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
     assert main(["query", "--index", str(path), "--text", "report"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-
-
-def test_load_warns_on_corpus_hash_mismatch(tmp_path, caplog):
-    hier, _ = _sample_hier(depth=1)
-    path = tmp_path / "index.bin"
-    save(hier, path)
-    with caplog.at_level("WARNING"):
-        load(path, expect_corpus_sha256="0" * 64)
-    assert any("does not match" in rec.message for rec in caplog.records)
-    caplog.clear()
-    with caplog.at_level("WARNING"):
-        load(path, expect_corpus_sha256=hier.manifest.corpus_sha256)
-    assert not caplog.records
