@@ -9,7 +9,7 @@ back out exactly. Run from the repo root:
 
 from pathlib import Path
 
-from mgrag.corpus import DEFAULT_SEGMENTATION, read_cisi_documents, segment
+from mgrag.corpus import read_cisi_documents, segment
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -25,7 +25,7 @@ def main() -> None:
     names = {1: "whole document", 2: "paragraphs", 3: "sentences",
              4: "16-token windows", 5: "8-token windows"}
     for layer in range(1, 6):
-        units = segment(doc, layer, DEFAULT_SEGMENTATION)
+        units = segment(doc, layer)
         print(f"\nlayer {layer} ({names[layer]}): {len(units)} units")
         for unit in units[:3]:
             snippet = unit.text[:64].replace("\n", " ")

@@ -10,7 +10,6 @@ entropy and predictive-variance penalties.
 
 from .confidence import GateConfig, entropy, filter_paths
 from .corpus import (
-    DEFAULT_SEGMENTATION,
     keyword_eval_suite,
     read_cisi_documents,
     read_cisi_qrels,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildError",
     "ConfigError",
-    "DEFAULT_SEGMENTATION",
     "EmbedderSpec",
     "EvalConfig",
     "EvalError",

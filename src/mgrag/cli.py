@@ -135,8 +135,9 @@ def _gate_from(args: argparse.Namespace, **fixed) -> GateConfig:
 
 
 def _router_from(args: argparse.Namespace) -> RouterConfig:
-    return RouterConfig(k_per_layer=args.k, temperature=args.temperature,
-                        layer_score_mode=args.layer_score_mode)
+    """``sweep`` has no ``--temperature`` (its axis sets each cell's): the default stays."""
+    return RouterConfig(k_per_layer=args.k, layer_score_mode=args.layer_score_mode,
+                        temperature=getattr(args, "temperature", RouterConfig.temperature))
 
 
 def _embedder_from(args: argparse.Namespace) -> EmbedderSpec:
@@ -146,7 +147,8 @@ def _embedder_from(args: argparse.Namespace) -> EmbedderSpec:
 
 
 def _eval_from(args: argparse.Namespace) -> EvalConfig:
-    return EvalConfig(k=args.eval_k, router=_router_from(args), gate=_gate_from(args),
+    """Evaluation reads only the gate's threshold; sweep's ``--seed`` is its mixing seed."""
+    return EvalConfig(k=args.eval_k, router=_router_from(args), gate=GateConfig(tau_path=args.tau),
                       agg_mode=args.agg_mode)
 
 
@@ -322,10 +324,13 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_router_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=5, help="hits per layer (default %(default)s)")
-    p.add_argument("--temperature", type=float, default=1.0,
-                   help="routing temperature (default %(default)s)")
     p.add_argument("--layer-score-mode", dest="layer_score_mode", choices=["mean_topk", "max"],
                    default="mean_topk", help="layer evidence score (default %(default)s)")
+
+
+def _add_temperature_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--temperature", type=float, default=1.0,
+                   help="routing temperature (default %(default)s)")
 
 
 def _add_tau_flag(p: argparse.ArgumentParser) -> None:
@@ -339,17 +344,6 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
                    help="perturbed passes (default %(default)s)")
     p.add_argument("--sigma", type=float, default=0.05,
                    help="perturbation scale (default %(default)s)")
-
-
-def _add_gate_flags(p: argparse.ArgumentParser) -> None:
-    _add_tau_flag(p)
-    p.add_argument("--lambda1", type=float, default=0.0,
-                   help="entropy coefficient (default %(default)s)")
-    p.add_argument("--lambda2", type=float, default=0.0,
-                   help="variance coefficient (default %(default)s)")
-    p.add_argument("--var-mode", dest="var_mode", choices=VAR_MODES, default="ensemble",
-                   help="variance estimate (default %(default)s)")
-    _add_noise_flags(p)
 
 
 def _add_embedder_flags(p: argparse.ArgumentParser) -> None:
@@ -368,18 +362,21 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: `sweep --temperature` must not pass for `--temperatures`
     parser = argparse.ArgumentParser(
-        prog="mgrag", description="Multi-granularity retrieval with confidence-gated generation.")
-    sub = parser.add_subparsers(dest="command", required=True)
+        prog="mgrag", description="Multi-granularity retrieval with confidence-gated generation.",
+        allow_abbrev=False)
+    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                         allow_abbrev=False)
 
-    p = sub.add_parser("ingest", help="normalize a corpus to canonical JSONL")
+    p = add_parser("ingest", help="normalize a corpus to canonical JSONL")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--cisi-docs", help="marker-format document file")
     src.add_argument("--jsonl", help="JSONL document file")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("build", help="segment, embed, and index a corpus")
+    p = add_parser("build", help="segment, embed, and index a corpus")
     p.add_argument("--corpus", required=True, help="document file")
     _add_format_flag(p)
     p.add_argument("--depth", type=int, default=3, help="granularity layers (default %(default)s)")
@@ -388,18 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("query", help="route one query and print its paths")
+    p = add_parser("query", help="route one query and print its paths")
     p.add_argument("--index", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--query-id", dest="query_id", type=int, default=0,
                    help="id echoed in the output (default %(default)s)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     _add_router_flags(p)
+    _add_temperature_flag(p)
     _add_tau_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("eval", help="score retrieval on queries with judgments")
+    p = add_parser("eval", help="score retrieval on queries with judgments")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
@@ -407,11 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_flags(p)
     p.add_argument("--out", help="write report JSON here instead of stdout")
     _add_router_flags(p)
-    _add_gate_flags(p)
+    _add_temperature_flag(p)
+    _add_tau_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="grid over depth, temperature, mixing ratio")
+    p = add_parser("sweep", help="grid over depth, temperature, mixing ratio")
     p.add_argument("--corpus", required=True, help="first corpus source")
     p.add_argument("--corpus-b", dest="corpus_b", help="second corpus source for mixing")
     p.add_argument("--queries", required=True)
@@ -424,17 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix-ratios", dest="mix_ratios", type=partial(_axis, float), default="0.0",
                    help="comma list, e.g. 0,0.5,1 (default %(default)s)")
     p.add_argument("--mix-size", dest="mix_size", type=int,
-                   help="mixed corpus size (default: the smaller corpus size)")
+                   help="mixed corpus size; needs --corpus-b (default: the smaller corpus size)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="mixing seed, read with --corpus-b (default %(default)s)")
     _add_embedder_flags(p)
     _add_eval_flags(p)
     p.add_argument("--out-csv", dest="out_csv", help="write CSV here instead of stdout")
     p.add_argument("--out-json", dest="out_json", help="also write the full JSON grid here")
     _add_router_flags(p)
-    _add_gate_flags(p)
+    _add_tau_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("train-gen", help="train the answer model on QA examples")
+    p = add_parser("train-gen", help="train the answer model on QA examples")
     p.add_argument("--index", required=True)
     p.add_argument("--qa", required=True, help="JSONL: {query_id, text, gold}")
     p.add_argument("--lr", type=float, default=0.1, help="learning rate (default %(default)s)")
@@ -442,11 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-params", dest="out_params", help="write trained parameters JSON here")
     p.add_argument("--out", help="write history JSON here instead of stdout")
     _add_router_flags(p)
-    _add_gate_flags(p)
+    _add_temperature_flag(p)
+    _add_tau_flag(p)
+    p.add_argument("--lambda1", type=float, default=0.0,
+                   help="entropy coefficient (default %(default)s)")
+    p.add_argument("--lambda2", type=float, default=0.0,
+                   help="variance coefficient (default %(default)s)")
+    p.add_argument("--var-mode", dest="var_mode", choices=VAR_MODES, default="ensemble",
+                   help="variance estimate (default %(default)s)")
+    _add_noise_flags(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_train_gen)
 
-    p = sub.add_parser("gradcheck", help="compare analytic and numeric gradients")
+    p = add_parser("gradcheck", help="compare analytic and numeric gradients")
     p.add_argument("--classes", type=int, default=4, help="answer classes (default %(default)s)")
     p.add_argument("--dim", type=int, default=8, help="embedding dimension (default %(default)s)")
     p.add_argument("--lambda-grid", dest="lambda_grid", type=partial(_axis, float),
@@ -456,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="failure threshold (default %(default)s)")
     _add_noise_flags(p)
     _add_router_flags(p)
+    _add_temperature_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -58,24 +58,18 @@ class GranularUnit:
     char_span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SegmentationSpec:
-    """Per-layer segmentation rules.
-
-    Layer 1 is the whole document.  Layer 2 splits on blank lines, falling
-    back to fixed token windows when the body has none.  Layer 3 splits on
-    sentence terminators followed by whitespace; fragments with fewer than
-    ``sentence_min_chars`` non-space characters merge into the next fragment.
-    Layers 4 and 5 are sliding token windows with 50% overlap.
-    """
-
-    paragraph_fallback_tokens: int = 64
-    sentence_min_chars: int = 2
-    window_tokens_l4: int = 16
-    window_tokens_l5: int = 8
-
-
-DEFAULT_SEGMENTATION = SegmentationSpec()
+# Segmentation rules, the same for every index. Layer 1 is the whole document.
+# Layer 2 splits on blank lines, or cuts PARAGRAPH_FALLBACK_TOKENS-token windows
+# when the body has none. Layer 3 splits after sentence terminators; a fragment
+# with fewer than SENTENCE_MIN_CHARS non-space characters merges into the next.
+# Layers 4 and 5 slide WINDOW_TOKENS[layer]-token windows with 50% overlap.
+PARAGRAPH_FALLBACK_TOKENS = 64
+SENTENCE_MIN_CHARS = 2
+WINDOW_TOKENS = {4: 16, 5: 8}
+# the rules as index headers and the config hash record them
+SEGMENTATION_RULES = {"paragraph_fallback_tokens": PARAGRAPH_FALLBACK_TOKENS,
+                      "sentence_min_chars": SENTENCE_MIN_CHARS,
+                      "window_tokens_l4": WINDOW_TOKENS[4], "window_tokens_l5": WINDOW_TOKENS[5]}
 
 _MARKER_RE = re.compile(r"^\.([A-Z])(\s+(.*))?$")
 _TOKEN_RE = re.compile(r"\S+")
@@ -329,10 +323,10 @@ def _trim_span(body: str, start: int, end: int) -> tuple[int, int] | None:
     return (start, end) if start < end else None
 
 
-def _paragraph_spans(body: str, spec: SegmentationSpec) -> list[tuple[int, int]]:
+def _paragraph_spans(body: str) -> list[tuple[int, int]]:
     blank = re.compile(r"\n[ \t]*\n")
     if not blank.search(body):
-        return _window_spans(body, spec.paragraph_fallback_tokens, overlap=False)
+        return _window_spans(body, PARAGRAPH_FALLBACK_TOKENS, overlap=False)
     spans = []
     pos = 0
     for m in blank.finditer(body):
@@ -343,7 +337,7 @@ def _paragraph_spans(body: str, spec: SegmentationSpec) -> list[tuple[int, int]]
     return [span for span in trimmed if span is not None]
 
 
-def _sentence_spans(body: str, spec: SegmentationSpec) -> list[tuple[int, int]]:
+def _sentence_spans(body: str) -> list[tuple[int, int]]:
     cuts = [m.end() for m in _SENT_END_RE.finditer(body)]
     if not cuts or cuts[-1] < len(body):
         cuts.append(len(body))
@@ -362,7 +356,7 @@ def _sentence_spans(body: str, spec: SegmentationSpec) -> list[tuple[int, int]]:
             start = carry
             carry = None
         non_space = sum(1 for ch in body[start:end] if not ch.isspace())
-        if non_space < spec.sentence_min_chars:
+        if non_space < SENTENCE_MIN_CHARS:
             carry = start
         else:
             merged.append((start, end))
@@ -390,9 +384,7 @@ def _window_spans(body: str, width: int, overlap: bool) -> list[tuple[int, int]]
     return spans
 
 
-def segment(
-    doc: Document, layer: int, spec: SegmentationSpec = DEFAULT_SEGMENTATION
-) -> list[GranularUnit]:
+def segment(doc: Document, layer: int) -> list[GranularUnit]:
     """Split one document into layer-``layer`` units with exact char spans."""
     if not 1 <= layer <= MAX_DEPTH:
         raise ValueError(f"layer must be in [1, {MAX_DEPTH}], got {layer}")
@@ -402,13 +394,11 @@ def segment(
     if layer == 1:
         spans = [(0, len(doc.body))]
     elif layer == 2:
-        spans = _paragraph_spans(doc.body, spec)
+        spans = _paragraph_spans(doc.body)
     elif layer == 3:
-        spans = _sentence_spans(doc.body, spec)
-    elif layer == 4:
-        spans = _window_spans(doc.body, spec.window_tokens_l4, overlap=True)
+        spans = _sentence_spans(doc.body)
     else:
-        spans = _window_spans(doc.body, spec.window_tokens_l5, overlap=True)
+        spans = _window_spans(doc.body, WINDOW_TOKENS[layer], overlap=True)
     return [_unit(doc, layer, seq, start, end) for seq, (start, end) in enumerate(spans)]
 
 

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .confidence import GateConfig, entropy, filter_paths
-from .corpus import DEFAULT_SEGMENTATION, Document, Query, SegmentationSpec, mix_corpora
+from .corpus import Document, Query, mix_corpora
 from .embedder import EmbedderSpec
 from .errors import ConfigError, EvalError
 from .generator import QAExample, TrainConfig, qa_accuracy, train
@@ -276,7 +276,6 @@ def sweep(
     mix_size: int | None = None,
     seed: int = 0,
     embedder_spec: EmbedderSpec = EmbedderSpec(),
-    seg_spec: SegmentationSpec = DEFAULT_SEGMENTATION,
     qa_dataset: list[QAExample] | None = None,
     qa_train: TrainConfig | None = None,
 ) -> SweepResult:
@@ -286,8 +285,8 @@ def sweep(
     Mixing uses a fixed seed so every cell at the same ratio sees the same
     corpus. A failing cell records its error and the sweep continues.
     """
-    if any(r > 0 for r in grid.mix_ratios) and corpus_b is None:
-        raise ConfigError("mix ratios above 0 need a second corpus")
+    if corpus_b is None and (mix_size is not None or any(r > 0 for r in grid.mix_ratios)):
+        raise ConfigError("mix ratios above 0 and mix_size need a second corpus")
     hier_cache: dict[tuple[int, float], MemoryHierarchy] = {}
     rows = []
     for depth, temp, ratio in grid.cells():
@@ -311,7 +310,7 @@ def sweep(
                     corpus = mix_corpora(
                         [(corpus_a, "source-a"), (corpus_b, "source-b")], ratio, size, seed
                     )
-                hier_cache[key] = build(corpus, embedder_spec, depth, seg_spec)
+                hier_cache[key] = build(corpus, embedder_spec, depth)
             hier = hier_cache[key]
             cfg = replace(base, router=replace(base.router, temperature=temp))
             report = evaluate(hier, queries, qrels, cfg)

@@ -451,6 +451,8 @@ def parse_jsonl_qa(text: str) -> list[QAExample]:
             raise ParseError(
                 f"query_id and gold must be integers, got {query_id!r} and {gold!r}", line=line_no
             )
+        if gold < 0:
+            raise ParseError(f"gold must be >= 0, got {gold}", line=line_no)
         if not isinstance(text_value, str):
             raise ParseError(f"'text' must be a string, got {text_value!r}", line=line_no)
         examples.append(QAExample(query=Query(query_id=query_id, text=text_value), gold=gold))

@@ -9,13 +9,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import MAX_DEPTH, Document, SegmentationSpec, DEFAULT_SEGMENTATION, corpus_sha256, segment
+from .corpus import MAX_DEPTH, SEGMENTATION_RULES, Document, corpus_sha256, segment
 from .embedder import EmbedderSpec, embed, is_degenerate
 from .errors import BuildError, ConfigError, IndexFormatError
 
@@ -81,11 +81,13 @@ class BuildManifest:
 
 @dataclass
 class MemoryHierarchy:
-    depth: int
     layers: list[LayerMemory]  # layers[0] is layer 1
     embedder_spec: EmbedderSpec
-    seg_spec: SegmentationSpec
     manifest: BuildManifest
+
+    @property
+    def depth(self) -> int:
+        return len(self.layers)
 
     def layer(self, layer: int) -> LayerMemory:
         if not 1 <= layer <= self.depth:
@@ -97,11 +99,11 @@ class MemoryHierarchy:
         return self.embedder_spec.dim
 
 
-def _config_sha256(spec: EmbedderSpec, seg: SegmentationSpec, depth: int) -> str:
+def _config_sha256(spec: EmbedderSpec, depth: int) -> str:
     payload = json.dumps(
         {
             "embedder": spec.to_dict(),
-            "segmentation": asdict(seg),
+            "segmentation": SEGMENTATION_RULES,
             "depth": depth,
         },
         sort_keys=True,
@@ -113,7 +115,6 @@ def build(
     corpus: Sequence[Document],
     spec: EmbedderSpec = EmbedderSpec(),
     depth: int = 3,
-    seg_spec: SegmentationSpec = DEFAULT_SEGMENTATION,
 ) -> MemoryHierarchy:
     """Segment and embed every document at layers 1..depth.
 
@@ -133,7 +134,7 @@ def build(
         rows: list[np.ndarray] = []
         degenerate = 0
         for doc in corpus:
-            for unit in segment(doc, layer_no, seg_spec):
+            for unit in segment(doc, layer_no):
                 vec = embed(unit.text, layer_no, spec)
                 if is_degenerate(vec):
                     degenerate += 1
@@ -156,14 +157,12 @@ def build(
         raise BuildError("corpus produced zero indexable units")
     manifest = BuildManifest(
         corpus_sha256=corpus_sha256(corpus),
-        config_sha256=_config_sha256(spec, seg_spec, depth),
+        config_sha256=_config_sha256(spec, depth),
         n_documents=len(corpus),
         unit_counts=unit_counts,
         degenerate_counts=degenerate_counts,
     )
-    return MemoryHierarchy(
-        depth=depth, layers=layers, embedder_spec=spec, seg_spec=seg_spec, manifest=manifest
-    )
+    return MemoryHierarchy(layers=layers, embedder_spec=spec, manifest=manifest)
 
 
 def search_layer(mem: LayerMemory, query_vec: np.ndarray, k: int) -> list[Hit]:
@@ -201,7 +200,7 @@ def save(hier: MemoryHierarchy, path: str | Path) -> None:
         "dim": hier.dim,
         "depth": hier.depth,
         "embedder_spec": hier.embedder_spec.to_dict(),
-        "seg_spec": asdict(hier.seg_spec),
+        "seg_spec": SEGMENTATION_RULES,
         "manifest": hier.manifest.to_dict(),
         "layers": [
             {
@@ -264,16 +263,16 @@ def load(path: str | Path) -> MemoryHierarchy:
             )
         manifest = BuildManifest.from_dict(header["manifest"])
         embedder_spec = EmbedderSpec.from_dict(header["embedder_spec"])
-        seg_spec = SegmentationSpec(**header["seg_spec"])
-        depth = header["depth"]
+        depth, numbers = header["depth"], [mem.layer for mem in layers]
+        if not 1 <= depth <= MAX_DEPTH or numbers != list(range(1, depth + 1)):
+            raise IndexFormatError(f"{path}: header depth {depth} but layers numbered {numbers}")
+        if dim != embedder_spec.dim:
+            raise IndexFormatError(f"{path}: header dim {dim} but embedder dim {embedder_spec.dim}")
+        if header["seg_spec"] != SEGMENTATION_RULES:
+            raise IndexFormatError(f"{path}: segmentation rules {header['seg_spec']} differ from "
+                                   f"the fixed rules {SEGMENTATION_RULES}")
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise IndexFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     if offset != len(raw):
         raise IndexFormatError(f"{path}: {len(raw) - offset} bytes after the last vector block")
-    return MemoryHierarchy(
-        depth=depth,
-        layers=layers,
-        embedder_spec=embedder_spec,
-        seg_spec=seg_spec,
-        manifest=manifest,
-    )
+    return MemoryHierarchy(layers=layers, embedder_spec=embedder_spec, manifest=manifest)

@@ -1,6 +1,17 @@
-"""Prints a one-line verdict per release criterion after the run."""
+"""Prints a one-line verdict per release criterion after the run.
+
+Also moves hypothesis's caches into pytest's cache directory: hypothesis
+otherwise writes them to ./.hypothesis at collection time.
+"""
+
+from hypothesis.configuration import set_hypothesis_home_dir
 
 _acceptance_results: list[tuple[str, str]] = []
+
+
+def pytest_configure(config):
+    if hasattr(config, "cache"):  # absent under -p no:cacheprovider
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def pytest_runtest_logreport(report):

@@ -258,7 +258,7 @@ def test_every_optional_flag_can_come_from_the_config_file(tmp_path):
             assert via_file == via_flag, (name, dest)
             assert via_file[dest] != plain[dest], (name, dest)
             checked += 1
-    assert checked > 60
+    assert checked == 60
 
 
 @pytest.mark.parametrize(
@@ -277,6 +277,35 @@ def test_config_key_or_flag_the_command_lacks_is_a_usage_error(tmp_path, capsys,
     config.write_text(config_text, encoding="utf-8")
     argv = ["query", "--index", str(tmp_path / "absent.mgix"), "--text", "x",
             "--config", str(config), *flags]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "verb, flags, config_text, named",
+    [
+        ("eval", ["--lambda1", "0.3"], None, "--lambda1"),
+        # without allow_abbrev=False this parsed as --temperatures and replaced the axis
+        ("sweep", ["--temperature", "0.3"], None, "--temperature"),
+        ("sweep", ["--sigma", "0.1"], None, "--sigma"),
+        ("eval", [], "seed = 1\n", "seed"),
+        ("sweep", ["--mix-size", "3"], None, "mix_size"),  # no --corpus-b to mix with
+    ],
+    ids=["eval-lambda1", "sweep-temperature", "sweep-sigma", "eval-config-seed",
+         "sweep-mix-size-alone"],
+)
+def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, verb, flags,
+                                                             config_text, named):
+    inputs = {"eval": ["--index", str(tmp_path / "absent.mgix")],
+              "sweep": ["--corpus", str(DOCS)]}[verb]
+    argv = [verb, *inputs, "--queries", str(QUERIES), "--qrels", str(QRELS), *flags]
+    if config_text is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        argv += ["--config", str(config)]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert named in err

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mgrag.confidence import GateConfig, entropy, filter_paths, validate_distribution
-from mgrag.corpus import DEFAULT_SEGMENTATION
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError
 from mgrag.generator import GeneratorParams, TrainConfig, build_toy_qa, init_params, total_loss
@@ -197,7 +196,7 @@ def _two_layer_hier():
         LayerMemory(2, ["00000003:2:00000"], np.array([3], dtype=np.int64), l2),
     ]
     manifest = BuildManifest("0" * 64, "0" * 64, 3, {1: 2, 2: 1}, {})
-    return MemoryHierarchy(2, layers, EmbedderSpec(dim=DIM), DEFAULT_SEGMENTATION, manifest)
+    return MemoryHierarchy(layers, EmbedderSpec(dim=DIM), manifest)
 
 
 def _route_basis(hier, cfg):

@@ -8,7 +8,6 @@ import pytest
 
 from mgrag.corpus import (
     Document,
-    SegmentationSpec,
     corpus_sha256,
     documents_to_jsonl,
     keyword_eval_suite,
@@ -221,7 +220,7 @@ def test_paragraphs_split_on_blank_lines_and_trim():
 
 def test_paragraph_fallback_windows_when_no_blank_lines():
     words = " ".join(f"w{i}" for i in range(150))
-    units = segment(_doc(words), 2, SegmentationSpec(paragraph_fallback_tokens=64))
+    units = segment(_doc(words), 2)
     # 150 tokens at width 64, no overlap: windows of 64, 64, 22
     assert len(units) == 3
     assert units[0].text.split()[:2] == ["w0", "w1"]
@@ -229,9 +228,9 @@ def test_paragraph_fallback_windows_when_no_blank_lines():
 
 
 def test_short_sentence_fragments_merge_forward():
-    units = segment(_doc("A. Proper sentence here. Done."), 3, SegmentationSpec(sentence_min_chars=3))
-    # "A." has two non-space chars, below the floor of 3: it merges into the next
-    assert [u.text for u in units] == ["A. Proper sentence here.", "Done."]
+    units = segment(_doc("! Proper sentence here. Done."), 3)
+    # "!" has one non-space char, below the floor of 2: it merges into the next
+    assert [u.text for u in units] == ["! Proper sentence here.", "Done."]
 
 
 def test_minimal_sentences_survive_at_default_floor():
@@ -240,7 +239,7 @@ def test_minimal_sentences_survive_at_default_floor():
 
 
 def test_trailing_short_fragment_merges_backward():
-    units = segment(_doc("Proper sentence here. A"), 3, SegmentationSpec(sentence_min_chars=3))
+    units = segment(_doc("Proper sentence here. A"), 3)
     assert [u.text for u in units] == ["Proper sentence here. A"]
 
 

@@ -417,6 +417,7 @@ def test_qa_jsonl_parse_errors_carry_line_numbers(line, message):
         ('{"query_id": 1, "text": "x", "gold": 1.0}', "must be integers"),
         ('{"query_id": 1, "text": ["a"], "gold": 0}', "'text' must be a string"),
         ('{"query_id": 1, "text": null, "gold": 0}', "'text' must be a string"),
+        ('{"query_id": 1, "text": "x", "gold": -1}', "gold must be >= 0, got -1"),
     ],
 )
 def test_qa_jsonl_rejects_mistyped_rows(line, message):

@@ -195,7 +195,6 @@ def test_save_load_round_trip_preserves_search(tmp_path):
     assert again.depth == hier.depth
     assert again.manifest == hier.manifest
     assert again.embedder_spec == hier.embedder_spec
-    assert again.seg_spec == hier.seg_spec
     from mgrag.embedder import embed
 
     query = embed("find the report", 2, hier.embedder_spec)
@@ -273,11 +272,22 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
         (lambda raw: _rewrite_header(raw, lambda h: h.pop("dim")), "KeyError: 'dim'"),
         (lambda raw: raw[:-8] + struct.pack("<d", math.nan), "non-finite"),
         (lambda raw: raw + b"\0", "1 bytes after the last vector block"),
+        (lambda raw: _rewrite_header(raw, lambda h: h.update(depth=5)),
+         r"depth 5 but layers numbered \[1, 2\]"),
+        (lambda raw: _rewrite_header(raw, lambda h: h.update(depth=1)),
+         r"depth 1 but layers numbered \[1, 2\]"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["layers"][1].update(layer=7)),
+         r"depth 2 but layers numbered \[1, 7\]"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(dim=32)),
+         "header dim 16 but embedder dim 32"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["seg_spec"].update(window_tokens_l4=32)),
+         "segmentation rules"),
     ],
-    ids=["missing-header-key", "nan-row", "trailing-bytes"],
+    ids=["missing-header-key", "nan-row", "trailing-bytes", "depth-above-layers",
+         "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed"],
 )
 def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
-    hier, _ = _sample_hier(depth=1)
+    hier, _ = _sample_hier(depth=2)
     path = tmp_path / "index.bin"
     save(hier, path)
     path.write_bytes(mutate(path.read_bytes()))

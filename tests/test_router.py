@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mgrag.confidence import entropy
-from mgrag.corpus import DEFAULT_SEGMENTATION, keyword_eval_suite
+from mgrag.corpus import keyword_eval_suite
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError, RoutingError
 from mgrag.memory import BuildManifest, LayerMemory, MemoryHierarchy, build, search_layer
@@ -36,13 +36,7 @@ def _hier(layer_vectors):
         unit_counts=counts,
         degenerate_counts={},
     )
-    return MemoryHierarchy(
-        depth=len(layers),
-        layers=layers,
-        embedder_spec=EmbedderSpec(dim=DIM),
-        seg_spec=DEFAULT_SEGMENTATION,
-        manifest=manifest,
-    )
+    return MemoryHierarchy(layers=layers, embedder_spec=EmbedderSpec(dim=DIM), manifest=manifest)
 
 
 def _basis(i):
