@@ -16,7 +16,6 @@ from mgrag.generator import (
     build_toy_qa,
     gradient_check,
     init_params,
-    qa_accuracy,
     train,
 )
 from mgrag.memory import build
@@ -39,9 +38,8 @@ def main() -> None:
         )
         result = train(examples, hier, cfg)
         runs[lambda1] = result
-        acc = qa_accuracy(result.params, examples, hier, cfg)
         print(f"\nlambda1={lambda1}: trained {len(result.history)} epochs, "
-              f"accuracy {acc:.2%}")
+              f"accuracy {result.accuracy:.2%}")
         for row in result.history[::50] + [result.history[-1]]:
             print(f"  epoch {row['epoch']:>3}  loss {row['loss']:.4f}  "
                   f"nll {row['nll']:.4f}  entropy {row['entropy']:.4f}")

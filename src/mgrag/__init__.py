@@ -28,7 +28,7 @@ from .errors import (
     RoutingError,
 )
 from .evaluation import EvalConfig, SweepGrid, evaluate, sweep
-from .generator import TrainConfig, build_toy_qa, gradient_check, init_params, qa_accuracy, train
+from .generator import TrainConfig, build_toy_qa, gradient_check, init_params, train
 from .memory import build, search_layer
 from .router import RouterConfig, route, routing_weights
 
@@ -58,7 +58,6 @@ __all__ = [
     "gradient_check",
     "init_params",
     "keyword_eval_suite",
-    "qa_accuracy",
     "read_cisi_documents",
     "read_cisi_qrels",
     "read_cisi_queries",

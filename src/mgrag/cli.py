@@ -32,7 +32,6 @@ from .generator import (
     build_toy_qa,
     gradient_check,
     init_params,
-    qa_accuracy,
     read_jsonl_qa,
     save_params,
     train,
@@ -263,14 +262,13 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, gate=_gate_from(args),
                       router=_router_from(args))
     result = train(dataset, hier, cfg)
-    accuracy = qa_accuracy(result.params, dataset, hier, cfg)
     if args.out_params:
         save_params(result.params, args.out_params)
         log.info("wrote %s", args.out_params)
     payload = {
         "epochs_run": len(result.history),
         "diverged": result.diverged,
-        "final_train_accuracy": accuracy,
+        "final_train_accuracy": result.accuracy,
         "history": result.history,
         "config": {
             "lr": cfg.lr,
@@ -424,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, e.g. 0,0.5,1 (default %(default)s)")
     p.add_argument("--mix-size", dest="mix_size", type=int,
                    help="mixed corpus size; needs --corpus-b (default: the smaller corpus size)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="mixing seed, read with --corpus-b (default %(default)s)")
+    p.add_argument("--seed", type=int,
+                   help="mixing seed; needs --corpus-b (default 0 with --corpus-b)")
     _add_embedder_flags(p)
     _add_eval_flags(p)
     p.add_argument("--out-csv", dest="out_csv", help="write CSV here instead of stdout")

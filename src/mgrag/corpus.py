@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,8 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError
-
-log = logging.getLogger(__name__)
 
 MAX_DEPTH = 5
 # unit ids zero-pad doc ids to 8 digits so lexicographic order == numeric order
@@ -188,8 +185,8 @@ def _jsonl_rows(text: str) -> Iterable[tuple[int, dict]]:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no)
+        except (RecursionError, ValueError) as exc:  # bad syntax, too deep nesting, a huge integer
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_no) from None
         if not isinstance(row, dict):
             raise ParseError("each JSONL line must hold an object", line=line_no)
         yield line_no, row
@@ -389,7 +386,6 @@ def segment(doc: Document, layer: int) -> list[GranularUnit]:
     if not 1 <= layer <= MAX_DEPTH:
         raise ValueError(f"layer must be in [1, {MAX_DEPTH}], got {layer}")
     if not doc.body.strip():
-        log.warning("document %d has an empty body; skipped", doc.doc_id)
         return []
     if layer == 1:
         spans = [(0, len(doc.body))]

@@ -19,13 +19,15 @@ from .confidence import GateConfig, entropy, filter_paths
 from .corpus import Document, Query, mix_corpora
 from .embedder import EmbedderSpec
 from .errors import ConfigError, EvalError
-from .generator import QAExample, TrainConfig, qa_accuracy, train
+from .generator import QAExample, TrainConfig, train
 from .memory import MemoryHierarchy, build
 from .router import FusedContext, RouterConfig, route
 
 SCHEMA_VERSION = 1
 AGG_MODES = ("max", "sum")
-SWEEP_CSV_HEADER = "depth,temperature,mix_ratio,recall_at_k,ndcg_at_k,map,qa_accuracy,routing_entropy"
+SWEEP_COLUMNS = ("depth", "temperature", "mix_ratio", "recall_at_k", "ndcg_at_k", "map",
+                 "qa_accuracy", "routing_entropy")
+SWEEP_CSV_HEADER = ",".join(SWEEP_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -237,21 +239,7 @@ class SweepResult:
     def to_csv(self) -> str:
         lines = [SWEEP_CSV_HEADER]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    _csv_num(row[col])
-                    for col in (
-                        "depth",
-                        "temperature",
-                        "mix_ratio",
-                        "recall_at_k",
-                        "ndcg_at_k",
-                        "map",
-                        "qa_accuracy",
-                        "routing_entropy",
-                    )
-                )
-            )
+            lines.append(",".join(_csv_num(row[col]) for col in SWEEP_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -274,7 +262,7 @@ def sweep(
     base: EvalConfig = EvalConfig(),
     corpus_b: list[Document] | None = None,
     mix_size: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
     embedder_spec: EmbedderSpec = EmbedderSpec(),
     qa_dataset: list[QAExample] | None = None,
     qa_train: TrainConfig | None = None,
@@ -282,24 +270,19 @@ def sweep(
     """One evaluation per (depth, temperature, mix_ratio) cell.
 
     The index is rebuilt per (depth, ratio) and cached across temperatures.
-    Mixing uses a fixed seed so every cell at the same ratio sees the same
-    corpus. A failing cell records its error and the sweep continues.
+    Mixing uses a fixed seed (0 unless given) so every cell at the same ratio
+    sees the same corpus. Each QA example is routed once per cell, by
+    ``train``. A failing cell records its error and the sweep continues.
     """
-    if corpus_b is None and (mix_size is not None or any(r > 0 for r in grid.mix_ratios)):
-        raise ConfigError("mix ratios above 0 and mix_size need a second corpus")
+    if corpus_b is None and (
+        mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
+    ):
+        raise ConfigError("mix ratios above 0, mix_size and seed need a second corpus")
     hier_cache: dict[tuple[int, float], MemoryHierarchy] = {}
     rows = []
     for depth, temp, ratio in grid.cells():
-        row = {
-            "depth": depth,
-            "temperature": temp,
-            "mix_ratio": ratio,
-            "recall_at_k": None,
-            "ndcg_at_k": None,
-            "map": None,
-            "qa_accuracy": None,
-            "routing_entropy": None,
-        }
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row.update(depth=depth, temperature=temp, mix_ratio=ratio)
         try:
             key = (depth, ratio)
             if key not in hier_cache:
@@ -307,9 +290,8 @@ def sweep(
                     corpus = corpus_a
                 else:
                     size = mix_size if mix_size is not None else min(len(corpus_a), len(corpus_b))
-                    corpus = mix_corpora(
-                        [(corpus_a, "source-a"), (corpus_b, "source-b")], ratio, size, seed
-                    )
+                    corpus = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")],
+                                         ratio, size, 0 if seed is None else seed)
                 hier_cache[key] = build(corpus, embedder_spec, depth)
             hier = hier_cache[key]
             cfg = replace(base, router=replace(base.router, temperature=temp))
@@ -320,8 +302,7 @@ def sweep(
             row["routing_entropy"] = report.routing_entropy_mean
             if qa_dataset is not None and qa_train is not None:
                 tcfg = replace(qa_train, router=replace(qa_train.router, temperature=temp))
-                result = train(qa_dataset, hier, tcfg)
-                row["qa_accuracy"] = qa_accuracy(result.params, qa_dataset, hier, tcfg)
+                row["qa_accuracy"] = train(qa_dataset, hier, tcfg).accuracy
         except Exception as exc:  # record and continue; one bad cell must not kill the sweep
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

@@ -20,7 +20,7 @@ from .confidence import ConfidenceReport, GateConfig, filter_paths
 from .corpus import Document, Query, _distinct_words, _jsonl_rows, _word
 from .errors import ConfigError, ParseError
 from .memory import MemoryHierarchy
-from .router import FusedContext, RouterConfig, route
+from .router import FusedContext, RouterConfig, _softmax, route
 
 PARAMS_FORMAT_VERSION = 1
 _P_FLOOR = 1e-300
@@ -78,8 +78,8 @@ def save_params(params: GeneratorParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> GeneratorParams:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})")
+    except (RecursionError, ValueError) as exc:  # bad syntax, too deep nesting, a huge integer
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
     return GeneratorParams.from_dict(data)
 
 
@@ -105,12 +105,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def predict(params: GeneratorParams, query_vec: np.ndarray, ctx: FusedContext) -> np.ndarray:
@@ -219,16 +213,23 @@ def _loss_and_grad(
     return _Objective(p, nll_vals, h_vals, var_vals, loss_vals, dW, db)
 
 
-def _example_objective(
+def _example_rows(
     params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
-) -> tuple[_Objective, FusedContext, int]:
-    """The objective of one example: the N=1 call of ``_loss_and_grad``."""
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, FusedContext, int]:
+    """One example routed once, as the N=1 (X, XS, golds) of ``_loss_and_grad``."""
     if example.gold >= params.vocab_size:
         raise ValueError(f"gold {example.gold} out of range for vocabulary {params.vocab_size}")
     x, xs, ctx, dropped = _prepare_features(example, hier, cfg)
     XS = None if xs is None else xs[None]
-    obj = _loss_and_grad(params, x[None], XS, np.array([example.gold]), cfg.gate)
-    return obj, ctx, dropped
+    return x[None], XS, np.array([example.gold]), ctx, dropped
+
+
+def _example_objective(
+    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
+) -> tuple[_Objective, FusedContext, int]:
+    """The objective of one example: the N=1 call of ``_loss_and_grad``."""
+    X, XS, golds, ctx, dropped = _example_rows(params, example, hier, cfg)
+    return _loss_and_grad(params, X, XS, golds, cfg.gate), ctx, dropped
 
 
 def total_loss(
@@ -259,33 +260,6 @@ def grad(
     return obj.dW, obj.db
 
 
-def finite_difference_grad(
-    params: GeneratorParams,
-    example: QAExample,
-    hier: MemoryHierarchy,
-    cfg: TrainConfig,
-    step: float = 1e-5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient over every parameter entry."""
-
-    def loss_at(w: np.ndarray, b: np.ndarray) -> float:
-        return total_loss(GeneratorParams(W=w, b=b), example, hier, cfg)[0]
-
-    dW = np.zeros_like(params.W)
-    for idx in np.ndindex(params.W.shape):
-        w_plus, w_minus = params.W.copy(), params.W.copy()
-        w_plus[idx] += step
-        w_minus[idx] -= step
-        dW[idx] = (loss_at(w_plus, params.b) - loss_at(w_minus, params.b)) / (2 * step)
-    db = np.zeros_like(params.b)
-    for i in range(params.b.shape[0]):
-        b_plus, b_minus = params.b.copy(), params.b.copy()
-        b_plus[i] += step
-        b_minus[i] -= step
-        db[i] = (loss_at(params.W, b_plus) - loss_at(params.W, b_minus)) / (2 * step)
-    return dW, db
-
-
 def gradient_check(
     params: GeneratorParams,
     example: QAExample,
@@ -293,24 +267,48 @@ def gradient_check(
     cfg: TrainConfig,
     step: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and finite-difference gradients.
+    """Max relative error between analytic and central-difference gradients.
 
-    The denominator is floored at 1e-4 so near-zero entries compare
-    absolutely instead of amplifying rounding noise.
+    The example is routed once: every difference re-evaluates the objective
+    on those fixed features, over the flat vector [W.ravel(); b]. The
+    denominator is floored at 1e-4 so near-zero entries compare absolutely
+    instead of amplifying rounding noise. A non-finite objective or gradient
+    raises instead of returning NaN.
     """
-    a_w, a_b = grad(params, example, hier, cfg)
-    f_w, f_b = finite_difference_grad(params, example, hier, cfg, step=step)
-    analytic = np.concatenate([a_w.ravel(), a_b])
-    numeric = np.concatenate([f_w.ravel(), f_b])
+    X, XS, golds = _example_rows(params, example, hier, cfg)[:3]
+    n_w = params.W.size
+
+    def loss_at(theta: np.ndarray) -> float:
+        at = GeneratorParams(W=theta[:n_w].reshape(params.W.shape), b=theta[n_w:])
+        return float(_loss_and_grad(at, X, XS, golds, cfg.gate).loss[0])
+
+    obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
+    analytic = np.concatenate([obj.dW.ravel(), obj.db])
+    theta = np.concatenate([params.W.ravel(), params.b])
+    numeric = np.zeros_like(theta)
+    for i in range(theta.size):
+        plus, minus = theta.copy(), theta.copy()
+        plus[i] += step
+        minus[i] -= step
+        numeric[i] = (loss_at(plus) - loss_at(minus)) / (2 * step)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    err = float(np.max(np.abs(analytic - numeric) / denom))
+    if not np.isfinite(err):
+        raise ValueError(f"objective or its gradient is not finite (max relative error {err})")
+    return err
 
 
 @dataclass
 class TrainResult:
     params: GeneratorParams
     history: list[dict]
+    accuracy: float  # training accuracy of ``params``, the returned parameters
     diverged: bool = False
+
+
+def _accuracy(p: np.ndarray, golds: np.ndarray) -> float:
+    """Share of rows whose argmax class is the gold one."""
+    return float(np.mean(np.argmax(p, axis=1) == golds))
 
 
 def train(
@@ -321,9 +319,10 @@ def train(
 ) -> TrainResult:
     """Full-batch gradient descent; deterministic for a fixed config.
 
-    Retrieval features never change across epochs, so they are computed once
-    up front. History rows record the metrics at the start of each epoch,
-    before that epoch's update.
+    Retrieval features never change across epochs, so each example is routed
+    once, up front. History rows record the metrics at the start of each
+    epoch, before that epoch's update; ``accuracy`` is that of the returned
+    parameters, after the last update.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -352,7 +351,7 @@ def train(
                 "nll": float(np.mean(obj.nll)),
                 "entropy": float(np.mean(obj.entropy)),
                 "variance": float(np.mean(obj.variance)),
-                "accuracy": float(np.mean(np.argmax(obj.p, axis=1) == golds)),
+                "accuracy": _accuracy(obj.p, golds),
             }
         )
         if not (np.all(np.isfinite(obj.dW)) and np.all(np.isfinite(obj.db))):
@@ -360,25 +359,8 @@ def train(
             break
         params.W -= cfg.lr * obj.dW
         params.b -= cfg.lr * obj.db
-    return TrainResult(params=params, history=history, diverged=diverged)
-
-
-def qa_accuracy(
-    params: GeneratorParams,
-    dataset: list[QAExample],
-    hier: MemoryHierarchy,
-    cfg: TrainConfig,
-) -> float:
-    """Fraction of examples whose argmax prediction hits the gold class."""
-    if not dataset:
-        raise ValueError("dataset is empty")
-    correct = 0
-    for ex in dataset:
-        x = _prepare_features(ex, hier, cfg)[0]
-        p = _softmax(params.W @ x + params.b)
-        if int(np.argmax(p)) == ex.gold:
-            correct += 1
-    return correct / len(dataset)
+    accuracy = _accuracy(_softmax(X @ params.W.T + params.b), golds)
+    return TrainResult(params=params, history=history, accuracy=accuracy, diverged=diverged)
 
 
 _QA_TEMPLATES = (

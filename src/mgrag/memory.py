@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,8 @@ import numpy as np
 from .corpus import MAX_DEPTH, SEGMENTATION_RULES, Document, corpus_sha256, segment
 from .embedder import EmbedderSpec, embed, is_degenerate
 from .errors import BuildError, ConfigError, IndexFormatError
+
+log = logging.getLogger(__name__)
 
 _MAGIC = b"MGIX"
 FORMAT_VERSION = 1
@@ -119,12 +122,16 @@ def build(
     """Segment and embed every document at layers 1..depth.
 
     Zero-feature (degenerate) units are counted in the manifest and left out
-    of the index.
+    of the index. A document with an empty body yields no units at any layer
+    and is reported once.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
     if not corpus:
         raise BuildError("corpus is empty")
+    for doc in corpus:
+        if not doc.body.strip():
+            log.warning("document %d has an empty body; skipped", doc.doc_id)
     layers = []
     unit_counts: dict[int, int] = {}
     degenerate_counts: dict[int, int] = {}
@@ -231,8 +238,8 @@ def load(path: str | Path) -> MemoryHierarchy:
         raise IndexFormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IndexFormatError(f"{path}: unreadable header ({exc})")
+    except (RecursionError, ValueError) as exc:  # bad UTF-8 or JSON, deep nesting, a huge int
+        raise IndexFormatError(f"{path}: unreadable header ({exc})") from None
     offset = 8 + header_len
     try:
         version = header.get("format_version")

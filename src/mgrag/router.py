@@ -68,17 +68,24 @@ class FusedContext:
         return len(self.weights)
 
 
+def _softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Temperature softmax over the last axis; a -inf entry gets probability 0.
+
+    The one softmax of the package: layer routing, within-layer readout
+    weights and the answer model's distribution all go through it.
+    """
+    e = np.exp((z - z.max(axis=-1, keepdims=True)) / temperature)  # exp(-inf) -> 0
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def routing_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax over layer scores; -inf scores map to weight 0."""
     if not temperature > 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     scores = np.asarray(scores, dtype=np.float64)
-    finite = np.isfinite(scores)
-    if not finite.any():
+    if not np.isfinite(scores).any():
         raise RoutingError("all layer scores are -inf")
-    shifted = (scores - scores[finite].max()) / temperature
-    exps = np.exp(shifted)  # exp(-inf) -> 0 handles the sentinels
-    return exps / exps.sum()
+    return _softmax(scores, temperature)
 
 
 def _layer_score(sims: np.ndarray, mode: str) -> float:

@@ -40,7 +40,6 @@ from mgrag.generator import (
     init_params,
     nll,
     predict,
-    qa_accuracy,
     total_loss,
     train,
 )
@@ -240,7 +239,14 @@ def test_07_keyword_corpus_is_solved_and_toy_answerer_converges():
                       router=RouterConfig(k_per_layer=3))
     result = train(qa_examples, qa_hier, cfg)
     assert not result.diverged
-    assert qa_accuracy(result.params, qa_examples, qa_hier, cfg) == 1.0
+    assert result.accuracy == 1.0
+    # recount through predict, so the gate does not rest on train's own report
+    hits = 0
+    for ex in qa_examples:
+        ctx = filter_paths(route(qa_hier, ex.query.text, cfg.router), cfg.gate.tau_path)
+        p = predict(result.params, ctx.encodings[0], ctx)
+        hits += int(np.argmax(p)) == ex.gold
+    assert hits == len(qa_examples)
 
 
 # --- 8: the depth-by-temperature sweep on mixed-domain data ----------------------------------

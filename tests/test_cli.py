@@ -75,6 +75,20 @@ def test_ingest_is_idempotent_on_jsonl(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["[" * 100_000, '{"id": ' + "9" * 5_000 + ', "body": "b"}'],
+    ids=["deep-nesting", "huge-int"],
+)
+def test_ingest_rejects_undecodable_json_lines(tmp_path, capsys, line):
+    source = tmp_path / "docs.jsonl"
+    source.write_text('{"id": 1, "body": "fine"}\n' + line + "\n", encoding="utf-8")
+    assert main(["ingest", "--jsonl", str(source), "--out", str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2: invalid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_ingest_missing_file_fails_cleanly(tmp_path):
     proc = run_cli("ingest", "--cisi-docs", tmp_path / "absent.all", "--out", tmp_path / "x")
     assert proc.returncode == 1
@@ -293,9 +307,11 @@ def test_config_key_or_flag_the_command_lacks_is_a_usage_error(tmp_path, capsys,
         ("sweep", ["--sigma", "0.1"], None, "--sigma"),
         ("eval", [], "seed = 1\n", "seed"),
         ("sweep", ["--mix-size", "3"], None, "mix_size"),  # no --corpus-b to mix with
+        ("sweep", ["--seed", "5"], None, "seed"),  # the mixing seed, with nothing to mix
+        ("sweep", [], "seed = 5\n", "seed"),
     ],
     ids=["eval-lambda1", "sweep-temperature", "sweep-sigma", "eval-config-seed",
-         "sweep-mix-size-alone"],
+         "sweep-mix-size-alone", "sweep-seed-alone", "sweep-config-seed-alone"],
 )
 def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, verb, flags,
                                                              config_text, named):

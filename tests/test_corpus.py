@@ -146,6 +146,9 @@ def test_jsonl_queries_and_qrels_round_trip():
         ('{"id": 0, "body": "b"}', "must be in"),
         ("not json", "invalid JSON"),
         ("[1, 2]", "must hold an object"),
+        pytest.param("[" * 100_000, "line 1: invalid JSON", id="deep-nesting"),
+        pytest.param('{"id": ' + "9" * 5_000 + ', "body": "b"}', "line 1: invalid JSON",
+                     id="huge-int"),
     ],
 )
 def test_jsonl_document_errors(line, message):

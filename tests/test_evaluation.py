@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mgrag.generator
 from mgrag.confidence import GateConfig
 from mgrag.corpus import keyword_eval_suite, synthesize_corpus
 from mgrag.embedder import EmbedderSpec, embed
@@ -22,6 +24,7 @@ from mgrag.evaluation import (
     recall_at_k,
     sweep,
 )
+from mgrag.generator import TrainConfig, build_toy_qa
 from mgrag.memory import build
 from mgrag.router import FusedContext, RetrievalPath, RouterConfig, route
 
@@ -329,6 +332,26 @@ def test_sweep_mixing_requires_second_corpus():
     grid = SweepGrid(depths=(1,), temperatures=(1.0,), mix_ratios=(0.5,))
     with pytest.raises(ConfigError, match="second corpus"):
         sweep(grid, docs, queries, qrels)
+    # the mixing seed alone would be read by nothing
+    with pytest.raises(ConfigError, match="seed need a second corpus"):
+        sweep(replace(grid, mix_ratios=(0.0,)), docs, queries, qrels, seed=5)
+
+
+def test_qa_sweep_routes_each_qa_example_once_per_cell(monkeypatch):
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=12)
+    qa_docs, qa = build_toy_qa(n_classes=3, n_per_class=2, seed=4)
+    texts = []
+
+    def counted(*args, **kwargs):
+        texts.append(args[1])
+        return route(*args, **kwargs)
+
+    monkeypatch.setattr(mgrag.generator, "route", counted)
+    grid = SweepGrid(depths=(1, 2), temperatures=(0.5, 2.0), mix_ratios=(0.0,))
+    result = sweep(grid, docs + qa_docs, queries, qrels, embedder_spec=EmbedderSpec(dim=32),
+                   qa_dataset=qa, qa_train=TrainConfig(epochs=3))
+    assert all(row["qa_accuracy"] is not None for row in result.rows)
+    assert texts == [ex.query.text for ex in qa] * len(grid.cells())
 
 
 def test_sweep_with_domain_mixing_runs_end_to_end():

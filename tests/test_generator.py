@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mgrag.generator
 from mgrag.confidence import GateConfig, filter_paths
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import ConfigError, ParseError
@@ -20,7 +21,6 @@ from mgrag.generator import (
     nll,
     parse_jsonl_qa,
     predict,
-    qa_accuracy,
     qa_to_jsonl,
     read_jsonl_qa,
     save_params,
@@ -193,6 +193,34 @@ def test_builtin_gradient_check_passes(toy):
     assert gradient_check(params, examples[0], hier, _cfg(lambda1=0.5, lambda2=0.5)) < 1e-4
 
 
+def test_gradient_check_routes_its_example_once(toy, monkeypatch):
+    # retrieval is constant in the parameters: the differences reuse one routing
+    hier, examples = toy
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return route(*args, **kwargs)
+
+    monkeypatch.setattr(mgrag.generator, "route", counted)
+    params = init_params(4, DIM, seed=7, scale=0.3)
+    assert gradient_check(params, examples[0], hier, _cfg(lambda1=0.5, lambda2=0.5)) < 1e-4
+    assert calls == [examples[0].query.text]
+
+
+def test_gradient_check_raises_on_a_non_finite_objective(toy):
+    # a NaN error would pass `max(worst, err)` in the CLI as if the check held
+    hier, examples = toy
+    ex = QAExample(query=examples[0].query, gold=0)
+    cfg = _cfg(lambda1=0.0, lambda2=0.0)
+    ctx = route(hier, ex.query.text, cfg.router)
+    x = np.concatenate([ctx.encodings[0], ctx.c])
+    w = np.stack([1e308 * np.sign(x), -1e308 * np.sign(x)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            gradient_check(GeneratorParams(W=w, b=np.zeros(2)), ex, hier, cfg)
+
+
 def test_bias_gradient_is_residual_without_penalties(toy):
     hier, examples = toy
     params = init_params(4, DIM, seed=3, scale=0.2)
@@ -251,7 +279,22 @@ def test_training_separates_the_toy_set(toy):
     )
     result = train(examples, hier, cfg)
     assert not result.diverged
-    assert qa_accuracy(result.params, examples, hier, cfg) == 1.0
+    assert result.accuracy == 1.0
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 20])
+@pytest.mark.parametrize("tau", [0.0, 0.04])
+def test_train_accuracy_is_that_of_the_returned_params(toy, epochs, tau):
+    # recount through predict, example by example, with the gated context
+    hier, examples = toy
+    cfg = TrainConfig(lr=0.5, epochs=epochs, router=RouterConfig(k_per_layer=3),
+                      gate=GateConfig(ensemble_K=2, lambda1=0.1, lambda2=0.1, tau_path=tau))
+    result = train(examples, hier, cfg, params=init_params(4, DIM, seed=5))
+    hits = 0
+    for ex in examples:
+        ctx = filter_paths(route(hier, ex.query.text, cfg.router), cfg.gate.tau_path)
+        hits += int(np.argmax(predict(result.params, ctx.encodings[0], ctx))) == ex.gold
+    assert result.accuracy == hits / len(examples)
 
 
 def test_entropy_penalty_sharpens_predictions(toy):
@@ -333,13 +376,11 @@ def test_train_rejects_out_of_range_gold(toy):
 
 
 def test_qa_accuracy_bounds_and_empty(toy):
+    # the empty dataset is test_train_rejects_empty_dataset's case
     hier, examples = toy
-    cfg = TrainConfig(gate=GateConfig(), router=RouterConfig())
-    params = init_params(4, DIM, seed=0)
-    acc = qa_accuracy(params, examples, hier, cfg)
+    cfg = TrainConfig(epochs=0, gate=GateConfig(), router=RouterConfig())
+    acc = train(examples, hier, cfg, params=init_params(4, DIM, seed=0)).accuracy
     assert 0.0 <= acc <= 1.0
-    with pytest.raises(ValueError, match="empty"):
-        qa_accuracy(params, [], hier, cfg)
 
 
 # --- params and datasets on disk --------------------------------------------------------
@@ -356,9 +397,11 @@ def test_params_round_trip_bit_exact(tmp_path):
 
 def test_load_params_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ParseError, match="not valid JSON"):
-        load_params(path)
+    # bad syntax, nesting too deep to decode, an integer too long to convert
+    for text in ("{not json", "[" * 100_000, '{"format_version": ' + "9" * 5_000 + "}"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="not valid JSON"):
+            load_params(path)
 
 
 def test_params_validation():
@@ -398,6 +441,8 @@ def test_qa_jsonl_round_trip(tmp_path):
         ("{broken", "invalid JSON"),
         ('{"query_id": 1, "text": "x"}', "missing field"),
         ('{"query_id": "one", "text": "x", "gold": 0}', "must be integers"),
+        pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
+        pytest.param('{"query_id": ' + "9" * 5_000 + "}", "invalid JSON", id="huge-int"),
     ],
 )
 def test_qa_jsonl_parse_errors_carry_line_numbers(line, message):

@@ -135,6 +135,20 @@ def test_build_counts_and_skips_degenerate_units():
     assert hier.manifest.n_documents == 2
 
 
+def test_build_warns_once_per_empty_document(caplog):
+    docs = [
+        Document(doc_id=1, title="", body="real words here"),
+        Document(doc_id=2, title="", body="  \n "),
+        Document(doc_id=3, title="", body=""),
+    ]
+    with caplog.at_level("WARNING", logger="mgrag"):
+        hier = build(docs, EmbedderSpec(dim=16), depth=5)
+    warned = [r.getMessage() for r in caplog.records if "empty body" in r.getMessage()]
+    assert warned == ["document 2 has an empty body; skipped",
+                      "document 3 has an empty body; skipped"]
+    assert set(hier.layer(5).doc_ids.tolist()) == {1}
+
+
 def test_build_fails_on_zero_indexable_units():
     with pytest.raises(BuildError, match="zero indexable"):
         build([Document(doc_id=1, title="", body="!!!")], EmbedderSpec(dim=16), depth=1)
@@ -282,9 +296,11 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
          "header dim 16 but embedder dim 32"),
         (lambda raw: _rewrite_header(raw, lambda h: h["seg_spec"].update(window_tokens_l4=32)),
          "segmentation rules"),
+        (lambda raw: raw[:4] + struct.pack("<I", 100_000) + b"[" * 100_000, "unreadable header"),
     ],
     ids=["missing-header-key", "nan-row", "trailing-bytes", "depth-above-layers",
-         "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed"],
+         "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed",
+         "deep-header"],
 )
 def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
     hier, _ = _sample_hier(depth=2)

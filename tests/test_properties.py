@@ -1,4 +1,4 @@
-"""Property tests against brute-force oracles.
+"""Property tests against brute-force oracles, and typed errors on arbitrary input.
 
 Examples are derandomized (seeded from each test) and no example database is
 written; conftest.py keeps hypothesis's caches in pytest's cache directory.
@@ -6,12 +6,19 @@ written; conftest.py keeps hypothesis's caches in pytest's cache directory.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mgrag import corpus
 from mgrag.corpus import Document, segment
-from mgrag.memory import LayerMemory, search_layer
+from mgrag.embedder import EmbedderSpec
+from mgrag.errors import MgragError
+from mgrag.generator import parse_jsonl_qa
+from mgrag.memory import LayerMemory, build, load, save, search_layer
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -69,3 +76,71 @@ def test_segment_spans_are_exact_trimmed_and_cover_every_character(body):
         assert set(covered) == visible, layer
         if layer in (2, 3):  # paragraphs and sentences partition the text
             assert len(covered) == len(visible), layer
+
+
+# --- parsers and the index loader fail only with their typed errors ---------------------
+
+DEEP = "[" * 100_000  # nests past the recursion limit of the json decoder
+HUGE_INT = "9" * 5_000  # past the default limit of int() on a digit string
+PARSERS = [
+    *(getattr(corpus, f"parse_{fmt}_{kind}")
+      for fmt in ("cisi", "jsonl") for kind in ("documents", "queries", "qrels")),
+    parse_jsonl_qa,
+]
+_pieces = st.sampled_from([
+    "{", "}", "[", "]", ":", ",", '"', '"id"', '"body"', '"text"', '"query_id"', '"doc_id"',
+    '"gold"', '"title"', "0", "1", "-1", "1.5", "1e999", "true", "null", '"x"', HUGE_INT, DEEP,
+    ".I", ".W", ".T", ".X", " ", "\t", "\n", "99999999999", "\x00", "\ud800",
+])
+_inputs = st.one_of(
+    st.text(), st.lists(st.one_of(_pieces, st.text(max_size=3)), max_size=24).map("".join)
+)
+
+
+@deterministic
+@given(_inputs)
+@example(DEEP)
+@example('{"id": ' + HUGE_INT + ', "body": "b"}')
+def test_parsers_raise_only_typed_errors_on_arbitrary_text(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except MgragError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def small_index(tmp_path_factory):
+    docs = [Document(doc_id=1, title="", body="Alpha beta.\n\nGamma delta epsilon."),
+            Document(doc_id=2, title="", body="Zeta eta theta.")]
+    path = tmp_path_factory.mktemp("index") / "small.mgix"
+    save(build(docs, EmbedderSpec(dim=8), depth=2), path)
+    return path
+
+
+_edits = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete"]), st.floats(0, 1),
+              st.binary(min_size=1, max_size=4)),
+    min_size=1, max_size=4,
+)
+
+
+@deterministic
+@given(_edits)
+@example([("set", 0.0, b"MGIX" + struct.pack("<I", len(DEEP)) + DEEP.encode())])
+def test_load_raises_only_typed_errors_on_mutated_bytes(small_index, edits):
+    raw = bytearray(small_index.read_bytes())
+    for op, where, data in edits:
+        at = int(where * len(raw))
+        if op == "set":
+            raw[at : at + len(data)] = data
+        elif op == "insert":
+            raw[at:at] = data
+        else:
+            del raw[at : at + len(data)]
+    mutated = small_index.with_name("mutated.mgix")
+    mutated.write_bytes(bytes(raw))
+    try:
+        load(mutated)
+    except MgragError:
+        pass
