@@ -255,12 +255,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_train_gen(args: argparse.Namespace) -> int:
+    cfg = TrainConfig(lr=args.lr, epochs=args.epochs, gate=_gate_from(args),
+                      router=_router_from(args))
     hier = load(args.index)
     dataset = read_jsonl_qa(args.qa)
     if not dataset:
         raise ConfigError(f"{args.qa}: no examples")
-    cfg = TrainConfig(lr=args.lr, epochs=args.epochs, gate=_gate_from(args),
-                      router=_router_from(args))
     result = train(dataset, hier, cfg)
     if args.out_params:
         save_params(result.params, args.out_params)
@@ -282,6 +282,7 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    _gate_from(args)  # a bad seed, pass count or sigma is a usage error before the seed draws
     docs, examples = build_toy_qa(n_classes=args.classes, n_per_class=1, seed=args.seed)
     hier = build(docs, _embedder_from(args), depth=2)
     params = init_params(args.classes, args.dim, seed=args.seed)

@@ -59,6 +59,8 @@ class GateConfig:
             raise ConfigError(f"ensemble_K must be >= 2, got {self.ensemble_K}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.var_mode not in VAR_MODES:
             raise ConfigError(f"var_mode must be one of {VAR_MODES}, got {self.var_mode!r}")
 
@@ -75,9 +77,6 @@ class ConfidenceReport:
     kept_paths: int
     dropped_paths: int
     gate_bypassed: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:

@@ -152,6 +152,8 @@ def parse_cisi_qrels(text: str) -> dict[int, set[int]]:
             doc_id = int(cols[1])
         except ValueError:
             raise ParseError(f"non-integer id in {cols[:2]}", line=line_no)
+        _check_id_range("query id", query_id, line_no)
+        _check_id_range("doc id", doc_id, line_no)
         qrels.setdefault(query_id, set()).add(doc_id)
     return qrels
 
@@ -192,12 +194,16 @@ def _jsonl_rows(text: str) -> Iterable[tuple[int, dict]]:
         yield line_no, row
 
 
+def _check_id_range(name: str, value: int, line_no: int) -> None:
+    if value <= 0 or value > MAX_DOC_ID:
+        raise ParseError(f"{name} must be in [1, {MAX_DOC_ID}], got {value}", line=line_no)
+
+
 def _require_int(row: dict, key: str, line_no: int) -> int:
     value = row.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{key!r} must be an integer, got {value!r}", line=line_no)
-    if value <= 0 or value > MAX_DOC_ID:
-        raise ParseError(f"{key!r} must be in [1, {MAX_DOC_ID}], got {value}", line=line_no)
+    _check_id_range(repr(key), value, line_no)
     return value
 
 
@@ -252,22 +258,6 @@ def documents_to_jsonl(docs: Sequence[Document]) -> str:
     for doc in docs:
         row = {"id": doc.doc_id, "title": doc.title, "body": doc.body, "domain": doc.domain_tag}
         lines.append(json.dumps(row, ensure_ascii=False, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def queries_to_jsonl(queries: Sequence[Query]) -> str:
-    lines = [
-        json.dumps({"id": q.query_id, "text": q.text}, ensure_ascii=False, sort_keys=True)
-        for q in queries
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def qrels_to_jsonl(qrels: dict[int, set[int]]) -> str:
-    lines = []
-    for query_id in sorted(qrels):
-        for doc_id in sorted(qrels[query_id]):
-            lines.append(json.dumps({"doc_id": doc_id, "query_id": query_id}, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -129,7 +129,6 @@ class EvalReport:
     config: dict
     corpus_sha256: str
     timestamp: str
-    qa_accuracy: float | None = None
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -234,7 +233,6 @@ class SweepGrid:
 @dataclass
 class SweepResult:
     rows: list[dict]
-    grid: SweepGrid
 
     def to_csv(self) -> str:
         lines = [SWEEP_CSV_HEADER]
@@ -278,6 +276,10 @@ def sweep(
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
     ):
         raise ConfigError("mix ratios above 0, mix_size and seed need a second corpus")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if mix_size is not None and mix_size < 1:
+        raise ConfigError(f"mix_size must be >= 1, got {mix_size}")
     hier_cache: dict[tuple[int, float], MemoryHierarchy] = {}
     rows = []
     for depth, temp, ratio in grid.cells():
@@ -306,4 +308,4 @@ def sweep(
         except Exception as exc:  # record and continue; one bad cell must not kill the sweep
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-    return SweepResult(rows=rows, grid=grid)
+    return SweepResult(rows=rows)

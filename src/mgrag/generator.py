@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .confidence import ConfidenceReport, GateConfig, filter_paths
-from .corpus import Document, Query, _distinct_words, _jsonl_rows, _word
+from .corpus import Document, Query, _distinct_words, _jsonl_rows, _require_int, _word
 from .errors import ConfigError, ParseError
 from .memory import MemoryHierarchy
 from .router import FusedContext, RouterConfig, _softmax, route
@@ -57,10 +57,18 @@ class GeneratorParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
+        if not isinstance(data, dict):
+            raise ParseError(f"params must be a JSON object, got {type(data).__name__}")
         version = data.get("format_version")
         if version != PARAMS_FORMAT_VERSION:
             raise ParseError(f"params format version {version} unsupported")
-        return cls(W=np.array(data["W"], dtype=np.float64), b=np.array(data["b"], dtype=np.float64))
+        try:
+            return cls(W=np.array(data["W"], dtype=np.float64),
+                       b=np.array(data["b"], dtype=np.float64))
+        except KeyError as exc:
+            raise ParseError(f"params lack key {exc}") from None
+        except (TypeError, ValueError) as exc:  # ragged, non-numeric or mismatched W and b
+            raise ParseError(f"bad params: {exc}") from None
 
 
 def init_params(vocab_size: int, dim: int, seed: int = 0, scale: float = 0.01) -> GeneratorParams:
@@ -80,7 +88,10 @@ def load_params(path: str | Path) -> GeneratorParams:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (RecursionError, ValueError) as exc:  # bad syntax, too deep nesting, a huge integer
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
-    return GeneratorParams.from_dict(data)
+    try:
+        return GeneratorParams.from_dict(data)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -137,21 +148,32 @@ def _uses_ensemble(gate: GateConfig) -> bool:
     return gate.var_mode == "ensemble" and gate.noise_sigma > 0
 
 
-def _prepare_features(
-    example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray | None, FusedContext, int]:
-    """Retrieval side of the forward pass; constant with respect to params."""
-    ctx0 = route(hier, example.query.text, cfg.router)
-    ctx = filter_paths(ctx0, cfg.gate.tau_path)
-    dropped = 0 if ctx.gate_bypassed else len(ctx0.paths) - len(ctx.paths)
-    h = ctx0.encodings[0]  # layer-1 query encoding
-    x = np.concatenate([h, ctx.c])
-    xs = None
-    if _uses_ensemble(cfg.gate):
-        noise = _perturbations(cfg.gate, example.query.query_id, hier.dim)
-        cs = ctx.c + cfg.gate.noise_sigma * noise  # (K, dim)
-        xs = np.concatenate([np.tile(h, (cfg.gate.ensemble_K, 1)), cs], axis=1)
-    return x, xs, ctx, dropped
+def _features(
+    dataset: list[QAExample], hier: MemoryHierarchy, cfg: TrainConfig, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[tuple[FusedContext, int]]]:
+    """Retrieval side of the forward pass, each example routed and gated once.
+
+    The only builder of answer-model features, constant in the parameters.
+    Returns the (N, 2d) rows [layer-1 query encoding ; gated context], the
+    (N, K, 2d) perturbed rows when ``_uses_ensemble`` (else None), the golds,
+    and per example its gated context with its dropped-path count.
+    """
+    golds = np.array([ex.gold for ex in dataset])
+    if golds.max() >= vocab_size:
+        raise ValueError(f"gold {golds.max()} out of range for vocabulary {vocab_size}")
+    ensemble = _uses_ensemble(cfg.gate)
+    rows, perturbed, gated = [], [], []
+    for ex in dataset:
+        ctx0 = route(hier, ex.query.text, cfg.router)
+        ctx = filter_paths(ctx0, cfg.gate.tau_path)
+        gated.append((ctx, 0 if ctx.gate_bypassed else len(ctx0.paths) - len(ctx.paths)))
+        h = ctx0.encodings[0]  # layer-1 query encoding
+        rows.append(np.concatenate([h, ctx.c]))
+        if ensemble:
+            noise = _perturbations(cfg.gate, ex.query.query_id, hier.dim)
+            cs = ctx.c + cfg.gate.noise_sigma * noise  # (K, dim)
+            perturbed.append(np.concatenate([np.tile(h, (cfg.gate.ensemble_K, 1)), cs], axis=1))
+    return np.stack(rows), np.stack(perturbed) if ensemble else None, golds, gated
 
 
 class _Objective(NamedTuple):
@@ -213,30 +235,12 @@ def _loss_and_grad(
     return _Objective(p, nll_vals, h_vals, var_vals, loss_vals, dW, db)
 
 
-def _example_rows(
-    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, FusedContext, int]:
-    """One example routed once, as the N=1 (X, XS, golds) of ``_loss_and_grad``."""
-    if example.gold >= params.vocab_size:
-        raise ValueError(f"gold {example.gold} out of range for vocabulary {params.vocab_size}")
-    x, xs, ctx, dropped = _prepare_features(example, hier, cfg)
-    XS = None if xs is None else xs[None]
-    return x[None], XS, np.array([example.gold]), ctx, dropped
-
-
-def _example_objective(
-    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
-) -> tuple[_Objective, FusedContext, int]:
-    """The objective of one example: the N=1 call of ``_loss_and_grad``."""
-    X, XS, golds, ctx, dropped = _example_rows(params, example, hier, cfg)
-    return _loss_and_grad(params, X, XS, golds, cfg.gate), ctx, dropped
-
-
 def total_loss(
     params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
 ) -> tuple[float, ConfidenceReport]:
     """Joint objective of one example with its confidence report; a non-finite value raises."""
-    obj, ctx, dropped = _example_objective(params, example, hier, cfg)
+    X, XS, golds, [(ctx, dropped)] = _features([example], hier, cfg, params.vocab_size)
+    obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
     total = float(obj.loss[0])
     if not np.isfinite(total):
         raise ValueError(f"objective is not finite: {total}")
@@ -256,7 +260,8 @@ def grad(
     params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dW, db) of the joint objective for one example."""
-    obj = _example_objective(params, example, hier, cfg)[0]
+    X, XS, golds, _ = _features([example], hier, cfg, params.vocab_size)
+    obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
     return obj.dW, obj.db
 
 
@@ -275,7 +280,7 @@ def gradient_check(
     instead of amplifying rounding noise. A non-finite objective or gradient
     raises instead of returning NaN.
     """
-    X, XS, golds = _example_rows(params, example, hier, cfg)[:3]
+    X, XS, golds, _ = _features([example], hier, cfg, params.vocab_size)
     n_w = params.W.size
 
     def loss_at(theta: np.ndarray) -> float:
@@ -330,12 +335,7 @@ def train(
         vocab = max(ex.gold for ex in dataset) + 1
         params = init_params(max(vocab, 2), hier.dim, seed=cfg.gate.seed)
     params = params.copy()
-    golds = np.array([ex.gold for ex in dataset])
-    if golds.max() >= params.vocab_size:
-        raise ValueError(f"gold {golds.max()} out of range for vocabulary {params.vocab_size}")
-    feats = [_prepare_features(ex, hier, cfg) for ex in dataset]
-    X = np.stack([f[0] for f in feats])  # (N, 2d)
-    XS = np.stack([f[1] for f in feats]) if _uses_ensemble(cfg.gate) else None  # (N, K, 2d)
+    X, XS, golds, _ = _features(dataset, hier, cfg, params.vocab_size)
     history: list[dict] = []
     diverged = False
     for epoch in range(cfg.epochs):
@@ -411,17 +411,6 @@ def build_toy_qa(
     return docs, examples
 
 
-def qa_to_jsonl(examples: list[QAExample]) -> str:
-    lines = [
-        json.dumps(
-            {"query_id": ex.query.query_id, "text": ex.query.text, "gold": ex.gold},
-            sort_keys=True,
-        )
-        for ex in examples
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def parse_jsonl_qa(text: str) -> list[QAExample]:
     examples = []
     for line_no, row in _jsonl_rows(text):
@@ -435,6 +424,7 @@ def parse_jsonl_qa(text: str) -> list[QAExample]:
             )
         if gold < 0:
             raise ParseError(f"gold must be >= 0, got {gold}", line=line_no)
+        _require_int(row, "query_id", line_no)  # the id range of query files
         if not isinstance(text_value, str):
             raise ParseError(f"'text' must be a string, got {text_value!r}", line=line_no)
         examples.append(QAExample(query=Query(query_id=query_id, text=text_value), gold=gold))

@@ -6,6 +6,7 @@ at the end of the run.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -318,7 +319,6 @@ def _without_timestamp(text: str) -> str:
 
 def test_10_every_command_reruns_byte_identically(tmp_path):
     from mgrag.corpus import documents_to_jsonl
-    from mgrag.generator import qa_to_jsonl
 
     docs_path = DATA / "cisi_sample.all"
     queries_path = DATA / "cisi_sample.qry"
@@ -353,7 +353,10 @@ def test_10_every_command_reruns_byte_identically(tmp_path):
 
     toy_docs, toy_examples = build_toy_qa(n_classes=3, n_per_class=2, seed=2)
     (tmp_path / "docs.jsonl").write_text(documents_to_jsonl(toy_docs), encoding="utf-8")
-    (tmp_path / "qa.jsonl").write_text(qa_to_jsonl(toy_examples), encoding="utf-8")
+    qa_rows = [{"query_id": ex.query.query_id, "text": ex.query.text, "gold": ex.gold}
+               for ex in toy_examples]
+    (tmp_path / "qa.jsonl").write_text("".join(json.dumps(row) + "\n" for row in qa_rows),
+                                       encoding="utf-8")
     toy_idx = tmp_path / "toy.mgix"
     _run("build", "--corpus", tmp_path / "docs.jsonl", "--depth", "2", "--dim", "32",
          "--out", toy_idx)

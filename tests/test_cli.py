@@ -329,6 +329,31 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "verb, flags, named",
+    [
+        ("train-gen", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("gradcheck", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("sweep", ["--corpus-b", str(DOCS), "--seed", "-1"], "seed must be >= 0, got -1"),
+        ("sweep", ["--corpus-b", str(DOCS), "--mix-size", "0"], "mix_size must be >= 1, got 0"),
+    ],
+    ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size"],
+)
+def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, flags, named):
+    # rejected up front, by name, before any seeded draw or sweep cell runs
+    inputs = {
+        "train-gen": ["--index", str(tmp_path / "absent.mgix"), "--qa", str(tmp_path / "qa.jsonl")],
+        "gradcheck": [],
+        "sweep": ["--corpus", str(DOCS), "--queries", str(QUERIES), "--qrels", str(QRELS),
+                  "--mix-ratios", "0.5"],
+    }[verb]
+    assert main([verb, *inputs, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_config_file_outputs_are_written(index_path, tmp_path):
     out = tmp_path / "q.json"
     config = tmp_path / "run.cfg"
@@ -403,12 +428,15 @@ def test_sweep_rejects_bad_axis(tmp_path):
 @pytest.fixture(scope="module")
 def qa_env(tmp_path_factory):
     from mgrag.corpus import documents_to_jsonl
-    from mgrag.generator import build_toy_qa, qa_to_jsonl
+    from mgrag.generator import build_toy_qa
 
     root = tmp_path_factory.mktemp("qa")
     docs, examples = build_toy_qa(n_classes=3, n_per_class=2, seed=2)
     (root / "docs.jsonl").write_text(documents_to_jsonl(docs), encoding="utf-8")
-    (root / "qa.jsonl").write_text(qa_to_jsonl(examples), encoding="utf-8")
+    qa_rows = [{"query_id": ex.query.query_id, "text": ex.query.text, "gold": ex.gold}
+               for ex in examples]
+    (root / "qa.jsonl").write_text("".join(json.dumps(row) + "\n" for row in qa_rows),
+                                   encoding="utf-8")
     idx = root / "toy.mgix"
     proc = run_cli("build", "--corpus", root / "docs.jsonl", "--depth", "2", "--dim", "32",
                    "--out", idx)

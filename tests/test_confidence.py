@@ -164,6 +164,8 @@ def test_gate_config_validation():
         GateConfig(noise_sigma=-1.0)
     with pytest.raises(ConfigError, match="var_mode"):
         GateConfig(var_mode="both")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        GateConfig(seed=-1)
 
 
 def test_gate_config_round_trips_through_dict():

@@ -18,8 +18,6 @@ from mgrag.corpus import (
     parse_jsonl_documents,
     parse_jsonl_qrels,
     parse_jsonl_queries,
-    qrels_to_jsonl,
-    queries_to_jsonl,
     read_cisi_documents,
     read_cisi_qrels,
     read_cisi_queries,
@@ -102,6 +100,22 @@ def test_qrels_non_integer_rejected():
         parse_cisi_qrels("1 abc\n")
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0 5", "query id must be in [1, 99999999], got 0"),
+        ("-3 2", "query id must be in [1, 99999999], got -3"),
+        ("4 0", "doc id must be in [1, 99999999], got 0"),
+        ("4 100000000", "doc id must be in [1, 99999999], got 100000000"),
+    ],
+)
+def test_qrels_ids_out_of_range_rejected_with_line(row, message):
+    # the range JSONL qrels apply through _require_int
+    with pytest.raises(ParseError) as exc_info:
+        parse_cisi_qrels(f"1 2\n{row}\n")
+    assert str(exc_info.value) == f"line 2: {message}"
+
+
 def test_bundled_sample_parses():
     docs = read_cisi_documents(DATA / "cisi_sample.all")
     queries = read_cisi_queries(DATA / "cisi_sample.qry")
@@ -133,9 +147,10 @@ def test_jsonl_serialization_is_canonical():
 def test_jsonl_queries_and_qrels_round_trip():
     queries = parse_jsonl_queries('{"id": 2, "text": "hello"}\n')
     assert queries[0].query_id == 2 and queries[0].text == "hello"
-    qrels = {2: {7, 9}, 5: {1}}
-    assert parse_jsonl_qrels(qrels_to_jsonl(qrels)) == qrels
-    assert parse_jsonl_queries(queries_to_jsonl(queries)) == queries
+    qrels_text = (
+        '{"query_id": 2, "doc_id": 7}\n{"doc_id": 9, "query_id": 2}\n{"query_id": 5, "doc_id": 1}\n'
+    )
+    assert parse_jsonl_qrels(qrels_text) == {2: {7, 9}, 5: {1}}
 
 
 @pytest.mark.parametrize(
@@ -367,5 +382,8 @@ def test_keyword_suite_plants_each_keyword_in_exactly_one_document():
 def test_keyword_suite_jsonl_round_trip():
     docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=0)
     assert parse_jsonl_documents(documents_to_jsonl(docs)) == docs
-    assert parse_jsonl_queries(queries_to_jsonl(queries)) == queries
-    assert parse_jsonl_qrels(qrels_to_jsonl(qrels)) == qrels
+    queries_text = "".join(json.dumps({"id": q.query_id, "text": q.text}) + "\n" for q in queries)
+    assert parse_jsonl_queries(queries_text) == queries
+    qrels_text = "".join(json.dumps({"query_id": q, "doc_id": d}) + "\n"
+                         for q in sorted(qrels) for d in sorted(qrels[q]))
+    assert parse_jsonl_qrels(qrels_text) == qrels

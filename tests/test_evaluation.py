@@ -225,7 +225,7 @@ def test_report_echoes_its_configuration(suite):
     assert payload["config"]["dim"] == hier.dim
     assert payload["corpus_sha256"] == hier.manifest.corpus_sha256
     assert payload["schema_version"] == 1
-    assert payload["qa_accuracy"] is None
+    assert "qa_accuracy" not in payload  # only sweep rows carry a QA accuracy
 
 
 def test_depth_one_ranking_equals_plain_cosine_retrieval():
@@ -335,6 +335,20 @@ def test_sweep_mixing_requires_second_corpus():
     # the mixing seed alone would be read by nothing
     with pytest.raises(ConfigError, match="seed need a second corpus"):
         sweep(replace(grid, mix_ratios=(0.0,)), docs, queries, qrels, seed=5)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"seed": -1}, "seed must be >= 0, got -1"), ({"mix_size": 0}, "mix_size must be >= 1, got 0")],
+    ids=["seed", "mix-size"],
+)
+def test_sweep_rejects_a_bad_mixing_setting_before_any_cell(kwargs, message):
+    # every cell would fail at run time with the same error
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=9)
+    other = synthesize_corpus(n_docs=4, seed=11, id_start=5_001, domain_tag="other")
+    grid = SweepGrid(depths=(1,), temperatures=(1.0,), mix_ratios=(0.5,))
+    with pytest.raises(ConfigError, match=message):
+        sweep(grid, docs, queries, qrels, corpus_b=other, **kwargs)
 
 
 def test_qa_sweep_routes_each_qa_example_once_per_cell(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from mgrag.generator import (
     nll,
     parse_jsonl_qa,
     predict,
-    qa_to_jsonl,
     read_jsonl_qa,
     save_params,
     total_loss,
@@ -402,6 +402,19 @@ def test_load_params_rejects_garbage(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="not valid JSON"):
             load_params(path)
+    # valid JSON that is not a params file names the file instead of a raw error
+    w = [[0.0, 1.0], [1.0, 0.0]]
+    for data, message in [
+        ([1], "must be a JSON object"),
+        ({"format_version": 1}, "lack key 'W'"),
+        ({"format_version": 1, "W": [[0.0, 1.0], [1.0]], "b": [0.0, 0.0]}, "bad params"),
+        ({"format_version": 1, "W": w, "b": [0.0, 0.0, 0.0]}, "shape mismatch"),
+        ({"format_version": 1, "W": [["a", "b"], [1.0, 0.0]], "b": [0.0, 0.0]}, "bad params"),
+    ]:
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as exc_info:
+            load_params(path)
+        assert str(exc_info.value).startswith(f"{path}: ")
 
 
 def test_params_validation():
@@ -428,7 +441,10 @@ def test_qa_example_rejects_negative_gold(toy):
 
 def test_qa_jsonl_round_trip(tmp_path):
     _, examples = build_toy_qa(n_classes=3, n_per_class=2, seed=5)
-    text = qa_to_jsonl(examples)
+    text = "".join(
+        json.dumps({"query_id": ex.query.query_id, "text": ex.query.text, "gold": ex.gold}) + "\n"
+        for ex in examples
+    )
     assert parse_jsonl_qa(text) == examples
     path = tmp_path / "qa.jsonl"
     path.write_text(text, encoding="utf-8")
@@ -463,6 +479,10 @@ def test_qa_jsonl_parse_errors_carry_line_numbers(line, message):
         ('{"query_id": 1, "text": ["a"], "gold": 0}', "'text' must be a string"),
         ('{"query_id": 1, "text": null, "gold": 0}', "'text' must be a string"),
         ('{"query_id": 1, "text": "x", "gold": -1}', "gold must be >= 0, got -1"),
+        # the id range of query files; the id also seeds the perturbation draws
+        ('{"query_id": -1, "text": "x", "gold": 0}', "'query_id' must be in [1, 99999999]"),
+        ('{"query_id": 0, "text": "x", "gold": 0}', "'query_id' must be in [1, 99999999]"),
+        ('{"query_id": 100000000, "text": "x", "gold": 0}', "'query_id' must be in [1, 99999999]"),
     ],
 )
 def test_qa_jsonl_rejects_mistyped_rows(line, message):

@@ -17,8 +17,10 @@ from mgrag import corpus
 from mgrag.corpus import Document, segment
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import MgragError
+from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
 from mgrag.generator import parse_jsonl_qa
 from mgrag.memory import LayerMemory, build, load, save, search_layer
+from mgrag.router import FusedContext, RetrievalPath, RouterConfig
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -56,6 +58,47 @@ def test_search_layer_matches_a_brute_force_sort_for_every_k(case):
             (i, mem.unit_ids[i], int(mem.doc_ids[i]), sims[i]) for i in ranked[:k]
         ]
 
+
+
+# confidences in eighths: sums are exact and equal scores are common
+_paths = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(0, 8)),  # doc, layer, 8 * conf
+    min_size=1, max_size=15,
+)
+
+
+@deterministic
+@given(_paths, st.sampled_from(["max", "sum"]))
+def test_aggregate_ranking_matches_a_brute_force_collapse(rows, mode):
+    paths = [
+        RetrievalPath(layer=layer, unit_id=f"{doc:08d}:{layer}:{i:05d}", doc_id=doc, sim=0.0,
+                      within_layer_weight=0.0, path_confidence=eighths / 8)
+        for i, (doc, layer, eighths) in enumerate(rows)
+    ]
+    ctx = FusedContext(c=np.zeros(DIM), paths=paths, weights=np.ones(1), scores=np.zeros(1),
+                       layer_hits={}, hit_vectors={}, config=RouterConfig())
+    combine = max if mode == "max" else sum
+    score = {d: combine(p.path_confidence for p in paths if p.doc_id == d)
+             for d in {p.doc_id for p in paths}}
+    ranked = sorted(score, key=lambda d: (-score[d], d))
+    ranking = aggregate_ranking(ctx, 7, mode)
+    assert ranking.query_id == 7
+    assert ranking.doc_ids == tuple(ranked)
+    assert ranking.scores == tuple(score[d] for d in ranked)
+
+
+@deterministic
+@given(st.permutations(range(1, 9)).flatmap(
+    lambda order: st.tuples(st.integers(1, 8).map(lambda n: tuple(order[:n])),
+                            st.sets(st.integers(1, 10), min_size=1))))
+def test_average_precision_matches_a_brute_force_reference(case):
+    doc_ids, relevant = case
+    ranking = DocRanking(query_id=1, doc_ids=doc_ids, scores=tuple(0.0 for _ in doc_ids))
+    # the mean over relevant documents of precision at each one's rank, 0 for the unranked
+    precisions = [len(set(doc_ids[: doc_ids.index(d) + 1]) & relevant) / (doc_ids.index(d) + 1)
+                  if d in doc_ids else 0.0 for d in sorted(relevant)]
+    assert average_precision(ranking, relevant) == pytest.approx(
+        sum(precisions) / len(relevant), rel=1e-12, abs=1e-15)
 
 _bodies = st.text(alphabet="ab.!? \t\n", max_size=80).filter(lambda s: s.strip())
 

@@ -1,0 +1,62 @@
+"""Every public function or class of mgrag has a reader outside its own definition.
+
+A public name counts as used when it appears as a word in the package's
+other source, the demos, the benchmark or the README. The package's
+``__init__`` re-exports do not count: exporting a name is not using it.
+A name may go unused only with a reason in EXEMPT.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "mgrag"
+
+EXEMPT = {
+    "predict": "test oracle: the objective is checked against predict and nll",
+    "nll": "test oracle, with predict",
+    "load_params": "API reader of the file `train-gen --out-params` writes",
+    "read_jsonl_documents": "cli._read calls read_{fmt}_{kind} by a name built at run time",
+    "read_jsonl_queries": "cli._read calls read_{fmt}_{kind} by a name built at run time",
+    "read_jsonl_qrels": "cli._read calls read_{fmt}_{kind} by a name built at run time",
+}
+
+
+def _public_definitions() -> list[tuple[Path, ast.stmt]]:
+    return [
+        (path, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def _readers() -> dict[Path, str]:
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(REPO / "demos").glob("*.py"), *(REPO / "bench").rglob("*.py"),
+              *(REPO / "bench").rglob("*.md"), REPO / "README.md"]
+    return {path: path.read_text(encoding="utf-8") for path in paths}
+
+
+def test_every_public_name_is_used_or_exempt():
+    readers = _readers()
+    unused = []
+    for path, node in _public_definitions():
+        word = re.compile(rf"\b{node.name}\b")
+        uses = 0
+        for reader, text in readers.items():
+            lines = text.splitlines()
+            if reader == path:  # the definition's own line is not a use
+                lines = lines[: node.lineno - 1] + lines[node.lineno :]
+            uses += sum(len(word.findall(line)) for line in lines)
+        if uses == 0 and node.name not in EXEMPT:
+            unused.append(f"{path.name}: {node.name}")
+    assert unused == [], "public names nothing uses: wire them in, delete them or exempt them"
+
+
+def test_every_exemption_names_a_public_definition():
+    defined = {node.name for _, node in _public_definitions()}
+    assert sorted(set(EXEMPT) - defined) == []
