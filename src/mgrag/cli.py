@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from functools import partial
 from itertools import product
@@ -282,16 +283,22 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    _gate_from(args)  # a bad seed, pass count or sigma is a usage error before the seed draws
+    if not args.lambda_grid:
+        raise ConfigError("--lambda-grid needs at least one value")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    # a bad seed, pass count, sigma or lambda is a usage error before the seed draws
+    gates = [_gate_from(args, lambda1=lam1, lambda2=lam2, var_mode=var_mode)
+             for var_mode, lam1, lam2 in product(VAR_MODES, args.lambda_grid, args.lambda_grid)]
     docs, examples = build_toy_qa(n_classes=args.classes, n_per_class=1, seed=args.seed)
     hier = build(docs, _embedder_from(args), depth=2)
     params = init_params(args.classes, args.dim, seed=args.seed)
     worst = 0.0
-    for var_mode, lam1, lam2 in product(VAR_MODES, args.lambda_grid, args.lambda_grid):
-        gate = _gate_from(args, lambda1=lam1, lambda2=lam2, var_mode=var_mode)
+    for gate in gates:
         cfg = TrainConfig(gate=gate, router=_router_from(args))
         err = gradient_check(params, examples[0], hier, cfg)
-        log.info("var_mode=%s lambda1=%g lambda2=%g max_rel_err=%.3e", var_mode, lam1, lam2, err)
+        log.info("var_mode=%s lambda1=%g lambda2=%g max_rel_err=%.3e",
+                 gate.var_mode, gate.lambda1, gate.lambda2, err)
         worst = max(worst, err)
     if worst < args.tol:
         print(f"PASS max_rel_err={worst:.3e} (< {args.tol:g})")

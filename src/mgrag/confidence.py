@@ -9,6 +9,7 @@ survivors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -53,12 +54,12 @@ class GateConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau_path <= 1.0:
             raise ConfigError(f"tau_path must be in [0, 1], got {self.tau_path}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("lambda1 and lambda2 must be >= 0")
+        for name in ("lambda1", "lambda2", "noise_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.ensemble_K < 2:
             raise ConfigError(f"ensemble_K must be >= 2, got {self.ensemble_K}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.var_mode not in VAR_MODES:

@@ -4,6 +4,13 @@ Features are lowercase word unigrams plus character n-grams; each feature is
 hashed with a layer-salted key to a signed slot, counts are accumulated, and
 the vector is L2-normalized.  No model weights, so every downstream number
 is reproducible from text alone.
+
+A feature's slot and sign are a pure function of the feature, the key and
+the dimension, so they are memoized: one table per (key, dim) maps a feature
+to ``2 * slot + sign_bit``.  A table is cleared when it reaches
+``_MEMO_CAP`` entries, which bounds its memory on text that rarely repeats a
+feature.  The counts are summed with one ``np.bincount``; integer counts are
+exact in float64, so the memo changes no bit of any vector.
 """
 
 from __future__ import annotations
@@ -55,14 +62,46 @@ def layer_salt(layer: int, spec: EmbedderSpec) -> int:
     return 0 if spec.shared_phi else (layer * _SALT_STRIDE) & _MASK64
 
 
-def _features(text: str, spec: EmbedderSpec):
-    words = _WORD_RE.findall(text.lower())
-    for word in words:
-        yield "w:" + word
-    joined = " ".join(words)
+def _features(text: str, spec: EmbedderSpec) -> list[bytes]:
+    """Word unigrams (``w:``) and character n-grams (``g:``), as ASCII bytes."""
+    # every matched character is [a-z0-9], so the joined words encode once as ASCII
+    joined = " ".join(_WORD_RE.findall(text.lower())).encode("ascii")
+    features = [b"w:" + word for word in joined.split()]
     for n in range(spec.ngram_min, spec.ngram_max + 1):
-        for i in range(len(joined) - n + 1):
-            yield "g:" + joined[i : i + n]
+        features += [b"g:" + joined[i : i + n] for i in range(len(joined) - n + 1)]
+    return features
+
+
+_MEMO_CAP = 8192  # entries per table; a full table is cleared
+_MEMO_TABLES = 64  # tables kept, one per (key, dim); all are dropped past this
+_memo: dict[tuple[bytes, int], tuple[dict[bytes, int], hashlib.blake2b]] = {}
+
+
+def _codes(features: list[bytes], key: bytes, dim: int) -> list[int]:
+    """``2 * slot + sign_bit`` for each feature, memoized per (key, dim)."""
+    table = _memo.get((key, dim))
+    if table is None:
+        if len(_memo) >= _MEMO_TABLES:
+            _memo.clear()
+        # the keyed state after the key block; copying it skips that block per hash
+        table = _memo[(key, dim)] = ({}, hashlib.blake2b(key=key, digest_size=8))
+    memo, base = table
+    codes = list(map(memo.get, features))
+    if None not in codes:
+        return codes
+    for i, code in enumerate(codes):
+        if code is None:
+            feature = features[i]
+            code = memo.get(feature)  # a repeat of a miss earlier in this text
+            if code is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                state = base.copy()
+                state.update(feature)
+                h = int.from_bytes(state.digest(), "little")
+                code = memo[feature] = ((h >> 1) % dim) * 2 + (h & 1)
+            codes[i] = code
+    return codes
 
 
 def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndarray:
@@ -73,13 +112,13 @@ def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndar
     """
     if layer < 1:
         raise ValueError(f"layer must be >= 1, got {layer}")
+    features = _features(text, spec)
+    if not features:
+        return np.zeros(spec.dim, dtype=np.float64)
     key = ((spec.hash_seed ^ layer_salt(layer, spec)) & _MASK64).to_bytes(8, "little")
-    vec = np.zeros(spec.dim, dtype=np.float64)
-    for feature in _features(text, spec):
-        digest = hashlib.blake2b(feature.encode("utf-8"), key=key, digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        sign = 1.0 if h & 1 else -1.0
-        vec[(h >> 1) % spec.dim] += sign
+    counts = np.bincount(_codes(features, key, spec.dim), minlength=2 * spec.dim)
+    # odd codes are the +1 features of a slot, even codes its -1 features
+    vec = (counts[1::2] - counts[0::2]).astype(np.float64)
     norm = math.sqrt(float(vec @ vec))
     if norm == 0.0:
         return vec

@@ -9,10 +9,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -24,6 +25,8 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"MGIX"
 FORMAT_VERSION = 1
+# up to this many units (at dim 256), one sort of every row is faster than selecting first
+_SORT_ALL_MAX_UNITS = 64
 
 
 @dataclass(frozen=True)
@@ -189,11 +192,20 @@ def search_layer(mem: LayerMemory, query_vec: np.ndarray, k: int) -> list[Hit]:
     if mem.n_units == 0 or not np.any(query_vec):
         return []
     sims = mem.vectors @ query_vec
+    neg = -sims
+    k = min(k, mem.n_units)
     # lexsort: primary descending sim, secondary ascending unit id
-    order = np.lexsort((np.asarray(mem.unit_ids), -sims))
+    if mem.n_units <= _SORT_ALL_MAX_UNITS:
+        order = np.lexsort((np.asarray(mem.unit_ids), neg))
+    else:
+        # sort only the rows at or above the k-th best sim, so ties across the cut stay in;
+        # ~(neg > kth) also keeps NaN rows, which sort last as a full sort would place them
+        kth = np.partition(neg, k - 1)[k - 1]
+        rows = np.flatnonzero(~(neg > kth))
+        order = rows[np.lexsort((np.asarray([mem.unit_ids[i] for i in rows]), neg[rows]))]
     return [
         Hit(unit_id=mem.unit_ids[i], doc_id=int(mem.doc_ids[i]), sim=float(sims[i]), row=int(i))
-        for i in order[: min(k, mem.n_units)]
+        for i in order[:k]
     ]
 
 
@@ -229,15 +241,25 @@ def save(hier: MemoryHierarchy, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> MemoryHierarchy:
-    """Read an index file; search results after load are bit-identical to save time."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != _MAGIC:
+    """Read an index file; search results after load are bit-identical to save time.
+
+    Each layer's vector block is read from the file straight into one aligned,
+    writable float64 array: one copy, with no whole-file buffer or slice.
+    """
+    with open(path, "rb") as handle:
+        return _read_index(handle, path)
+
+
+def _read_index(handle: BinaryIO, path: str | Path) -> MemoryHierarchy:
+    size = os.fstat(handle.fileno()).st_size
+    prefix = handle.read(8)
+    if len(prefix) < 8 or prefix[:4] != _MAGIC:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + header_len:
+    (header_len,) = struct.unpack("<I", prefix[4:])
+    if size < 8 + header_len:
         raise IndexFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(handle.read(header_len).decode("utf-8"))
     except (RecursionError, ValueError) as exc:  # bad UTF-8 or JSON, deep nesting, a huge int
         raise IndexFormatError(f"{path}: unreadable header ({exc})") from None
     offset = 8 + header_len
@@ -248,16 +270,20 @@ def load(path: str | Path) -> MemoryHierarchy:
                 f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
             )
         dim = header["dim"]
+        if type(dim) is not int or dim < 1:
+            raise IndexFormatError(f"{path}: header dim {dim!r} is not a positive integer")
         layers = []
         for meta in header["layers"]:
             n = meta["n_units"]
             if len(meta["unit_ids"]) != n or len(meta["doc_ids"]) != n:
                 raise IndexFormatError(f"{path}: layer {meta['layer']} metadata inconsistent")
-            nbytes = n * dim * 8
-            if len(raw) < offset + nbytes:
+            count = n * dim
+            if size < offset + 8 * count:
                 raise IndexFormatError(f"{path}: truncated vector block for layer {meta['layer']}")
-            block = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8")
-            offset += nbytes
+            block = np.fromfile(handle, dtype="<f8", count=count)
+            if block.size != count:  # the file shrank while it was read
+                raise IndexFormatError(f"{path}: truncated vector block for layer {meta['layer']}")
+            offset += 8 * count
             if not np.all(np.isfinite(block)):
                 raise IndexFormatError(f"{path}: layer {meta['layer']} has non-finite vector entries")
             layers.append(
@@ -265,7 +291,8 @@ def load(path: str | Path) -> MemoryHierarchy:
                     layer=meta["layer"],
                     unit_ids=list(meta["unit_ids"]),
                     doc_ids=np.asarray(meta["doc_ids"], dtype=np.int64),
-                    vectors=block.reshape(n, dim).astype(np.float64, copy=True),
+                    # already native float64 on a little-endian host, so no copy
+                    vectors=block.reshape(n, dim).astype(np.float64, copy=False),
                 )
             )
         manifest = BuildManifest.from_dict(header["manifest"])
@@ -280,6 +307,6 @@ def load(path: str | Path) -> MemoryHierarchy:
                                    f"the fixed rules {SEGMENTATION_RULES}")
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise IndexFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
-    if offset != len(raw):
-        raise IndexFormatError(f"{path}: {len(raw) - offset} bytes after the last vector block")
+    if offset != size:
+        raise IndexFormatError(f"{path}: {size - offset} bytes after the last vector block")
     return MemoryHierarchy(layers=layers, embedder_spec=embedder_spec, manifest=manifest)

@@ -336,8 +336,19 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
         ("gradcheck", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("sweep", ["--corpus-b", str(DOCS), "--seed", "-1"], "seed must be >= 0, got -1"),
         ("sweep", ["--corpus-b", str(DOCS), "--mix-size", "0"], "mix_size must be >= 1, got 0"),
+        ("gradcheck", ["--lambda-grid", ""], "--lambda-grid needs at least one value"),
+        ("gradcheck", ["--lambda-grid", "0,inf"], "lambda2 must be finite and >= 0, got inf"),
+        ("gradcheck", ["--lambda-grid", "nan"], "lambda1 must be finite and >= 0, got nan"),
+        ("gradcheck", ["--sigma", "inf"], "noise_sigma must be finite and >= 0, got inf"),
+        ("gradcheck", ["--tol", "nan"], "--tol must be positive and finite, got nan"),
+        ("gradcheck", ["--tol", "-1"], "--tol must be positive and finite, got -1.0"),
+        ("gradcheck", ["--tol", "0"], "--tol must be positive and finite, got 0.0"),
+        ("train-gen", ["--lambda1", "inf"], "lambda1 must be finite and >= 0, got inf"),
     ],
-    ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size"],
+    ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size",
+         "gradcheck-empty-lambda-grid", "gradcheck-inf-lambda", "gradcheck-nan-lambda",
+         "gradcheck-inf-sigma", "gradcheck-nan-tol", "gradcheck-negative-tol", "gradcheck-zero-tol",
+         "train-gen-inf-lambda1"],
 )
 def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, flags, named):
     # rejected up front, by name, before any seeded draw or sweep cell runs

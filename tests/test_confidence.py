@@ -162,6 +162,10 @@ def test_gate_config_validation():
         GateConfig(ensemble_K=1)
     with pytest.raises(ConfigError, match="noise_sigma"):
         GateConfig(noise_sigma=-1.0)
+    for field in ("lambda1", "lambda2", "noise_sigma"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0, got {value}"):
+                GateConfig(**{field: value})
     with pytest.raises(ConfigError, match="var_mode"):
         GateConfig(var_mode="both")
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):

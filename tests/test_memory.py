@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from mgrag import memory
 from mgrag.cli import main
 from mgrag.corpus import Document, corpus_sha256, keyword_eval_suite, synthesize_corpus
 from mgrag.embedder import EmbedderSpec
@@ -64,6 +65,22 @@ def test_search_ties_break_by_ascending_unit_id():
     hits = search_layer(mem, vec, 3)
     assert [h.unit_id for h in hits] == sorted(h.unit_id for h in hits)
     assert all(abs(h.sim - 1.0) < 1e-12 for h in hits)
+
+
+@pytest.mark.parametrize("sort_all_max", [memory._SORT_ALL_MAX_UNITS, 0],
+                         ids=["sort-all", "select-then-sort"])
+def test_search_keeps_every_tie_on_the_kth_score_and_orders_it_by_unit_id(monkeypatch,
+                                                                           sort_all_max):
+    monkeypatch.setattr(memory, "_SORT_ALL_MAX_UNITS", sort_all_max)
+    # rows 2..8 tie on the 3rd-best sim, with ids shuffled against row order
+    top, tied, low = np.eye(8)[0], np.eye(8)[0] * 0.5, np.eye(8)[0] * 0.25
+    vectors = np.stack([low, top, *[tied] * 7, low, top])
+    ids = ["u09", "u10", "u07", "u03", "u08", "u05", "u02", "u06", "u04", "u01", "u11"]
+    mem = LayerMemory(layer=1, unit_ids=ids, doc_ids=np.arange(11, dtype=np.int64),
+                      vectors=vectors)
+    by_k = {k: [h.unit_id for h in search_layer(mem, np.eye(8)[0], k)] for k in range(1, 12)}
+    ranked = ["u10", "u11", "u02", "u03", "u04", "u05", "u06", "u07", "u08", "u01", "u09"]
+    assert by_k == {k: ranked[:k] for k in range(1, 12)}
 
 
 def test_search_identity_case():
@@ -218,6 +235,24 @@ def test_save_load_round_trip_preserves_search(tmp_path):
     assert all(a.sim == b.sim for a, b in zip(before, after))  # bit-exact
 
 
+@pytest.mark.parametrize("pad", range(8))
+def test_load_gives_aligned_writable_float64_rows_at_any_block_offset(tmp_path, pad):
+    # trailing header whitespace moves the vector block to every offset modulo 8
+    hier, _ = _sample_hier(depth=2)
+    path = tmp_path / "index.bin"
+    save(hier, path)
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[4:8])
+    header = raw[8 : 8 + n] + b" " * ((pad - 8 - n) % 8)
+    path.write_bytes(raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + n :])
+    assert (8 + len(header)) % 8 == pad
+    for before, after in zip(hier.layers, load(path).layers):
+        flags = after.vectors.flags
+        assert flags.c_contiguous and flags.aligned and flags.writeable
+        assert after.vectors.dtype == np.float64
+        assert np.array_equal(after.vectors, before.vectors)
+
+
 def test_rebuild_and_save_is_byte_identical(tmp_path):
     docs, _, _ = keyword_eval_suite(n_queries=4, seed=2)
     paths = []
@@ -284,6 +319,8 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
     "mutate, message",
     [
         (lambda raw: _rewrite_header(raw, lambda h: h.pop("dim")), "KeyError: 'dim'"),
+        (lambda raw: _rewrite_header(raw, lambda h: h.update(dim=-16)),
+         "header dim -16 is not a positive integer"),
         (lambda raw: raw[:-8] + struct.pack("<d", math.nan), "non-finite"),
         (lambda raw: raw + b"\0", "1 bytes after the last vector block"),
         (lambda raw: _rewrite_header(raw, lambda h: h.update(depth=5)),
@@ -298,7 +335,7 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
          "segmentation rules"),
         (lambda raw: raw[:4] + struct.pack("<I", 100_000) + b"[" * 100_000, "unreadable header"),
     ],
-    ids=["missing-header-key", "nan-row", "trailing-bytes", "depth-above-layers",
+    ids=["missing-header-key", "negative-dim", "nan-row", "trailing-bytes", "depth-above-layers",
          "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed",
          "deep-header"],
 )
