@@ -10,10 +10,11 @@ import hashlib
 import json
 import logging
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +26,6 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"MGIX"
 FORMAT_VERSION = 1
-# up to this many units (at dim 256), one sort of every row is faster than selecting first
-_SORT_ALL_MAX_UNITS = 64
 
 
 @dataclass(frozen=True)
@@ -194,15 +193,12 @@ def search_layer(mem: LayerMemory, query_vec: np.ndarray, k: int) -> list[Hit]:
     sims = mem.vectors @ query_vec
     neg = -sims
     k = min(k, mem.n_units)
+    # sort only the rows at or above the k-th best sim, so ties across the cut stay in;
+    # ~(neg > kth) also keeps NaN rows, which sort last as a full sort would place them
+    kth = np.partition(neg, k - 1)[k - 1]
+    rows = np.flatnonzero(~(neg > kth))
     # lexsort: primary descending sim, secondary ascending unit id
-    if mem.n_units <= _SORT_ALL_MAX_UNITS:
-        order = np.lexsort((np.asarray(mem.unit_ids), neg))
-    else:
-        # sort only the rows at or above the k-th best sim, so ties across the cut stay in;
-        # ~(neg > kth) also keeps NaN rows, which sort last as a full sort would place them
-        kth = np.partition(neg, k - 1)[k - 1]
-        rows = np.flatnonzero(~(neg > kth))
-        order = rows[np.lexsort((np.asarray([mem.unit_ids[i] for i in rows]), neg[rows]))]
+    order = rows[np.lexsort((np.asarray([mem.unit_ids[i] for i in rows]), neg[rows]))]
     return [
         Hit(unit_id=mem.unit_ids[i], doc_id=int(mem.doc_ids[i]), sim=float(sims[i]), row=int(i))
         for i in order[:k]
@@ -244,69 +240,76 @@ def load(path: str | Path) -> MemoryHierarchy:
     """Read an index file; search results after load are bit-identical to save time.
 
     Each layer's vector block is read from the file straight into one aligned,
-    writable float64 array: one copy, with no whole-file buffer or slice.
+    writable float64 array: one copy, with no whole-file buffer or slice.  Every
+    size is checked against the file's size before it is read, so the index must
+    be a regular file; a pipe, FIFO or device is an ``IndexFormatError``.
     """
     with open(path, "rb") as handle:
-        return _read_index(handle, path)
-
-
-def _read_index(handle: BinaryIO, path: str | Path) -> MemoryHierarchy:
-    size = os.fstat(handle.fileno()).st_size
-    prefix = handle.read(8)
-    if len(prefix) < 8 or prefix[:4] != _MAGIC:
-        raise IndexFormatError(f"{path}: not an index file (bad magic)")
-    (header_len,) = struct.unpack("<I", prefix[4:])
-    if size < 8 + header_len:
-        raise IndexFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(handle.read(header_len).decode("utf-8"))
-    except (RecursionError, ValueError) as exc:  # bad UTF-8 or JSON, deep nesting, a huge int
-        raise IndexFormatError(f"{path}: unreadable header ({exc})") from None
-    offset = 8 + header_len
-    try:
-        version = header.get("format_version")
-        if version != FORMAT_VERSION:
-            raise IndexFormatError(
-                f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
-            )
-        dim = header["dim"]
-        if type(dim) is not int or dim < 1:
-            raise IndexFormatError(f"{path}: header dim {dim!r} is not a positive integer")
-        layers = []
-        for meta in header["layers"]:
-            n = meta["n_units"]
-            if len(meta["unit_ids"]) != n or len(meta["doc_ids"]) != n:
-                raise IndexFormatError(f"{path}: layer {meta['layer']} metadata inconsistent")
-            count = n * dim
-            if size < offset + 8 * count:
-                raise IndexFormatError(f"{path}: truncated vector block for layer {meta['layer']}")
-            block = np.fromfile(handle, dtype="<f8", count=count)
-            if block.size != count:  # the file shrank while it was read
-                raise IndexFormatError(f"{path}: truncated vector block for layer {meta['layer']}")
-            offset += 8 * count
-            if not np.all(np.isfinite(block)):
-                raise IndexFormatError(f"{path}: layer {meta['layer']} has non-finite vector entries")
-            layers.append(
-                LayerMemory(
-                    layer=meta["layer"],
-                    unit_ids=list(meta["unit_ids"]),
-                    doc_ids=np.asarray(meta["doc_ids"], dtype=np.int64),
-                    # already native float64 on a little-endian host, so no copy
-                    vectors=block.reshape(n, dim).astype(np.float64, copy=False),
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise IndexFormatError(f"{path}: not a regular file (an index is read by its size)")
+        size = info.st_size
+        prefix = handle.read(8)
+        if len(prefix) < 8 or prefix[:4] != _MAGIC:
+            raise IndexFormatError(f"{path}: not an index file (bad magic)")
+        (header_len,) = struct.unpack("<I", prefix[4:])
+        if size < 8 + header_len:
+            raise IndexFormatError(f"{path}: truncated header")
+        try:
+            header = json.loads(handle.read(header_len).decode("utf-8"))
+        except (RecursionError, ValueError) as exc:  # bad UTF-8 or JSON, deep nesting, a huge int
+            raise IndexFormatError(f"{path}: unreadable header ({exc})") from None
+        offset = 8 + header_len
+        try:
+            version = header.get("format_version")
+            if version != FORMAT_VERSION:
+                raise IndexFormatError(
+                    f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
                 )
-            )
-        manifest = BuildManifest.from_dict(header["manifest"])
-        embedder_spec = EmbedderSpec.from_dict(header["embedder_spec"])
-        depth, numbers = header["depth"], [mem.layer for mem in layers]
-        if not 1 <= depth <= MAX_DEPTH or numbers != list(range(1, depth + 1)):
-            raise IndexFormatError(f"{path}: header depth {depth} but layers numbered {numbers}")
-        if dim != embedder_spec.dim:
-            raise IndexFormatError(f"{path}: header dim {dim} but embedder dim {embedder_spec.dim}")
-        if header["seg_spec"] != SEGMENTATION_RULES:
-            raise IndexFormatError(f"{path}: segmentation rules {header['seg_spec']} differ from "
-                                   f"the fixed rules {SEGMENTATION_RULES}")
-    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
-        raise IndexFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
-    if offset != size:
-        raise IndexFormatError(f"{path}: {size - offset} bytes after the last vector block")
-    return MemoryHierarchy(layers=layers, embedder_spec=embedder_spec, manifest=manifest)
+            dim = header["dim"]
+            if type(dim) is not int or dim < 1:
+                raise IndexFormatError(f"{path}: header dim {dim!r} is not a positive integer")
+            layers = []
+            for meta in header["layers"]:
+                n = meta["n_units"]
+                if len(meta["unit_ids"]) != n or len(meta["doc_ids"]) != n:
+                    raise IndexFormatError(f"{path}: layer {meta['layer']} metadata inconsistent")
+                count = n * dim
+                if size < offset + 8 * count:
+                    raise IndexFormatError(
+                        f"{path}: truncated vector block for layer {meta['layer']}")
+                block = np.fromfile(handle, dtype="<f8", count=count)
+                if block.size != count:  # the file shrank while it was read
+                    raise IndexFormatError(
+                        f"{path}: truncated vector block for layer {meta['layer']}")
+                offset += 8 * count
+                if not np.all(np.isfinite(block)):
+                    raise IndexFormatError(
+                        f"{path}: layer {meta['layer']} has non-finite vector entries")
+                layers.append(
+                    LayerMemory(
+                        layer=meta["layer"],
+                        unit_ids=list(meta["unit_ids"]),
+                        doc_ids=np.asarray(meta["doc_ids"], dtype=np.int64),
+                        # already native float64 on a little-endian host, so no copy
+                        vectors=block.reshape(n, dim).astype(np.float64, copy=False),
+                    )
+                )
+            manifest = BuildManifest.from_dict(header["manifest"])
+            embedder_spec = EmbedderSpec.from_dict(header["embedder_spec"])
+            depth, numbers = header["depth"], [mem.layer for mem in layers]
+            if not 1 <= depth <= MAX_DEPTH or numbers != list(range(1, depth + 1)):
+                raise IndexFormatError(
+                    f"{path}: header depth {depth} but layers numbered {numbers}")
+            if dim != embedder_spec.dim:
+                raise IndexFormatError(
+                    f"{path}: header dim {dim} but embedder dim {embedder_spec.dim}")
+            if header["seg_spec"] != SEGMENTATION_RULES:
+                raise IndexFormatError(f"{path}: segmentation rules {header['seg_spec']} "
+                                       f"differ from the fixed rules {SEGMENTATION_RULES}")
+        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+            raise IndexFormatError(
+                f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
+        if offset != size:
+            raise IndexFormatError(f"{path}: {size - offset} bytes after the last vector block")
+        return MemoryHierarchy(layers=layers, embedder_spec=embedder_spec, manifest=manifest)

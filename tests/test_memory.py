@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from mgrag import memory
 from mgrag.cli import main
 from mgrag.corpus import Document, corpus_sha256, keyword_eval_suite, synthesize_corpus
 from mgrag.embedder import EmbedderSpec
@@ -67,11 +67,7 @@ def test_search_ties_break_by_ascending_unit_id():
     assert all(abs(h.sim - 1.0) < 1e-12 for h in hits)
 
 
-@pytest.mark.parametrize("sort_all_max", [memory._SORT_ALL_MAX_UNITS, 0],
-                         ids=["sort-all", "select-then-sort"])
-def test_search_keeps_every_tie_on_the_kth_score_and_orders_it_by_unit_id(monkeypatch,
-                                                                           sort_all_max):
-    monkeypatch.setattr(memory, "_SORT_ALL_MAX_UNITS", sort_all_max)
+def test_search_keeps_every_tie_on_the_kth_score_and_orders_it_by_unit_id():
     # rows 2..8 tie on the 3rd-best sim, with ids shuffled against row order
     top, tied, low = np.eye(8)[0], np.eye(8)[0] * 0.5, np.eye(8)[0] * 0.25
     vectors = np.stack([low, top, *[tied] * 7, low, top])
@@ -251,6 +247,25 @@ def test_load_gives_aligned_writable_float64_rows_at_any_block_offset(tmp_path, 
         assert flags.c_contiguous and flags.aligned and flags.writeable
         assert after.vectors.dtype == np.float64
         assert np.array_equal(after.vectors, before.vectors)
+
+
+@pytest.mark.parametrize("source", ["device", "pipe"])
+def test_load_rejects_a_file_that_is_not_regular(tmp_path, source):
+    # sizes are checked against the file's size, which a device or pipe does not report
+    hier, _ = _sample_hier(depth=1)
+    save(hier, tmp_path / "index.bin")
+    if source == "device":
+        with pytest.raises(IndexFormatError, match="not a regular file"):
+            load(os.devnull)
+        return
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (tmp_path / "index.bin").read_bytes()[:4096])
+        with pytest.raises(IndexFormatError, match="not a regular file"):
+            load(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_rebuild_and_save_is_byte_identical(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgrag import corpus, memory
+from mgrag import corpus
 from mgrag.corpus import Document, segment
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import MgragError
@@ -52,14 +52,11 @@ def test_search_layer_matches_a_brute_force_sort_for_every_k(case):
     ranked = sorted(range(mem.n_units), key=lambda i: (-sims[i], mem.unit_ids[i]))
     if not np.any(query):
         ranked = []  # a degenerate query retrieves nothing
-    for sort_all_max in (memory._SORT_ALL_MAX_UNITS, 0):  # sort every row; select, then sort
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(memory, "_SORT_ALL_MAX_UNITS", sort_all_max)
-            for k in range(1, mem.n_units + 3):
-                hits = search_layer(mem, query, k)
-                assert [(h.row, h.unit_id, h.doc_id, h.sim) for h in hits] == [
-                    (i, mem.unit_ids[i], int(mem.doc_ids[i]), sims[i]) for i in ranked[:k]
-                ]
+    for k in range(1, mem.n_units + 3):
+        hits = search_layer(mem, query, k)
+        assert [(h.row, h.unit_id, h.doc_id, h.sim) for h in hits] == [
+            (i, mem.unit_ids[i], int(mem.doc_ids[i]), sims[i]) for i in ranked[:k]
+        ]
 
 
 
