@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,14 +41,18 @@ class EmbedderSpec:
     shared_phi: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # the exact annotated type: a bool or a float would alias or crash
+            value = getattr(self, f.name)
+            if type(value).__name__ != f.type:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.dim < 8:
             raise ConfigError(f"embedding dim must be >= 8, got {self.dim}")
         if not 1 <= self.ngram_min <= self.ngram_max:
             raise ConfigError(
                 f"bad n-gram range ({self.ngram_min}, {self.ngram_max})"
             )
-        if self.hash_seed < 0:
-            raise ConfigError("hash_seed must be non-negative")
+        if not 0 <= self.hash_seed <= _MASK64:  # the key is 64 bits; a larger seed would alias
+            raise ConfigError(f"hash_seed must lie in [0, 2**64 - 1], got {self.hash_seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,7 +119,7 @@ def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndar
     features = _features(text, spec)
     if not features:
         return np.zeros(spec.dim, dtype=np.float64)
-    key = ((spec.hash_seed ^ layer_salt(layer, spec)) & _MASK64).to_bytes(8, "little")
+    key = (spec.hash_seed ^ layer_salt(layer, spec)).to_bytes(8, "little")
     counts = np.bincount(_codes(features, key, spec.dim), minlength=2 * spec.dim)
     # odd codes are the +1 features of a slot, even codes its -1 features
     vec = (counts[1::2] - counts[0::2]).astype(np.float64)

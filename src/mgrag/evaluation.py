@@ -2,8 +2,8 @@
 
 Queries are routed through the memory hierarchy, gated, and the surviving
 retrieval paths are collapsed to a document ranking scored per query with
-Recall@k, NDCG@k, and average precision. Sweep runners rebuild the index per
-depth and remix the corpus per mixing ratio, recording one row per grid cell.
+Recall@k, NDCG@k, and average precision. A sweep builds the index once per
+mixing ratio and evaluates each depth on a prefix of it, one row per grid cell.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .confidence import GateConfig, entropy, filter_paths
-from .corpus import Document, Query, mix_corpora
+from .corpus import MAX_DEPTH, Document, Query, mix_corpora
 from .embedder import EmbedderSpec
 from .errors import ConfigError, EvalError
 from .generator import QAExample, TrainConfig, train
@@ -200,22 +200,22 @@ def evaluate(
         gate_bypassed_count=bypassed,
         per_query=per_query,
         config=config_echo,
-        corpus_sha256=hier.manifest.corpus_sha256,
+        corpus_sha256=hier.corpus_sha256,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    depths: tuple[int, ...] = (1, 2, 3, 4, 5)
+    depths: tuple[int, ...] = tuple(range(1, MAX_DEPTH + 1))
     temperatures: tuple[float, ...] = (0.5, 1.0, 1.2, 2.0)
     mix_ratios: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
         if not self.depths or not self.temperatures or not self.mix_ratios:
             raise ConfigError("every sweep axis needs at least one value")
-        if any(not 1 <= d <= 5 for d in self.depths):
-            raise ConfigError(f"depths must lie in [1, 5], got {self.depths}")
+        if any(not 1 <= d <= MAX_DEPTH for d in self.depths):
+            raise ConfigError(f"depths must lie in [1, {MAX_DEPTH}], got {self.depths}")
         if any(not t > 0 for t in self.temperatures):
             raise ConfigError(f"temperatures must be positive, got {self.temperatures}")
         if any(not 0.0 <= r <= 1.0 for r in self.mix_ratios):
@@ -267,10 +267,11 @@ def sweep(
 ) -> SweepResult:
     """One evaluation per (depth, temperature, mix_ratio) cell.
 
-    The index is rebuilt per (depth, ratio) and cached across temperatures.
-    Mixing uses a fixed seed (0 unless given) so every cell at the same ratio
-    sees the same corpus. Each QA example is routed once per cell, by
-    ``train``. A failing cell records its error and the sweep continues.
+    One index is built per ratio, at ``max(grid.depths)``; a depth-d cell uses
+    its first d layers, since no layer depends on the build depth (a failed
+    build is not kept). Mixing uses a fixed seed (0 unless given) so every cell
+    at the same ratio sees the same corpus. Each QA example is routed once per
+    cell, by ``train``. A failing cell records its error and the sweep continues.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -280,22 +281,21 @@ def sweep(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if mix_size is not None and mix_size < 1:
         raise ConfigError(f"mix_size must be >= 1, got {mix_size}")
-    hier_cache: dict[tuple[int, float], MemoryHierarchy] = {}
+    builds: dict[float, MemoryHierarchy] = {}
     rows = []
     for depth, temp, ratio in grid.cells():
         row = dict.fromkeys(SWEEP_COLUMNS)
         row.update(depth=depth, temperature=temp, mix_ratio=ratio)
         try:
-            key = (depth, ratio)
-            if key not in hier_cache:
+            if ratio not in builds:
                 if corpus_b is None:
                     corpus = corpus_a
                 else:
                     size = mix_size if mix_size is not None else min(len(corpus_a), len(corpus_b))
                     corpus = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")],
                                          ratio, size, 0 if seed is None else seed)
-                hier_cache[key] = build(corpus, embedder_spec, depth)
-            hier = hier_cache[key]
+                builds[ratio] = build(corpus, embedder_spec, max(grid.depths))
+            hier = replace(builds[ratio], layers=builds[ratio].layers[:depth])
             cfg = replace(base, router=replace(base.router, temperature=temp))
             report = evaluate(hier, queries, qrels, cfg)
             row["recall_at_k"] = report.mean_recall_at_k

@@ -38,16 +38,19 @@ class Hit:
 
 @dataclass
 class LayerMemory:
-    """One granularity layer: unit ids and their unit-norm vectors."""
+    """One granularity layer: unit ids, unit-norm vectors, and the count of degenerate units left out."""
 
     layer: int
     unit_ids: list[str]
     doc_ids: np.ndarray  # (n,) int64
     vectors: np.ndarray  # (n, dim) float64, rows unit-norm
+    n_degenerate: int = 0
 
     def __post_init__(self):
         if len(self.unit_ids) != self.vectors.shape[0] or len(self.unit_ids) != self.doc_ids.shape[0]:
             raise ValueError("unit_ids, doc_ids, and vectors must agree in length")
+        if type(self.n_degenerate) is not int or self.n_degenerate < 0:
+            raise ValueError(f"degenerate count {self.n_degenerate!r} is not a non-negative integer")
 
     @property
     def n_units(self) -> int:
@@ -56,7 +59,7 @@ class LayerMemory:
 
 @dataclass
 class BuildManifest:
-    """Provenance record stored with the index for staleness detection."""
+    """Provenance record stored with the index; computed by ``MemoryHierarchy.manifest``."""
 
     corpus_sha256: str
     config_sha256: str
@@ -73,26 +76,30 @@ class BuildManifest:
             "degenerate_counts": {str(k): v for k, v in sorted(self.degenerate_counts.items())},
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BuildManifest":
-        return cls(
-            corpus_sha256=data["corpus_sha256"],
-            config_sha256=data["config_sha256"],
-            n_documents=data["n_documents"],
-            unit_counts={int(k): v for k, v in data["unit_counts"].items()},
-            degenerate_counts={int(k): v for k, v in data["degenerate_counts"].items()},
-        )
-
 
 @dataclass
 class MemoryHierarchy:
+    """Layers 1..depth, their embedder spec, and two facts of their corpus. The manifest
+    is computed from these, so ``replace(hier, layers=hier.layers[:d])`` is the depth-d build."""
+
     layers: list[LayerMemory]  # layers[0] is layer 1
     embedder_spec: EmbedderSpec
-    manifest: BuildManifest
+    corpus_sha256: str  # of the documents built from
+    n_documents: int
 
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    @property
+    def manifest(self) -> BuildManifest:
+        return BuildManifest(
+            corpus_sha256=self.corpus_sha256,
+            config_sha256=_config_sha256(self.embedder_spec, self.depth),
+            n_documents=self.n_documents,
+            unit_counts={mem.layer: mem.n_units for mem in self.layers},
+            degenerate_counts={mem.layer: mem.n_degenerate for mem in self.layers},
+        )
 
     def layer(self, layer: int) -> LayerMemory:
         if not 1 <= layer <= self.depth:
@@ -123,8 +130,8 @@ def build(
 ) -> MemoryHierarchy:
     """Segment and embed every document at layers 1..depth.
 
-    Zero-feature (degenerate) units are counted in the manifest and left out
-    of the index. A document with an empty body yields no units at any layer
+    Zero-feature (degenerate) units are counted on their layer and left out of
+    the index. A document with an empty body yields no units at any layer
     and is reported once.
     """
     if not 1 <= depth <= MAX_DEPTH:
@@ -135,8 +142,6 @@ def build(
         if not doc.body.strip():
             log.warning("document %d has an empty body; skipped", doc.doc_id)
     layers = []
-    unit_counts: dict[int, int] = {}
-    degenerate_counts: dict[int, int] = {}
     for layer_no in range(1, depth + 1):
         unit_ids: list[str] = []
         doc_ids: list[int] = []
@@ -151,8 +156,6 @@ def build(
                 unit_ids.append(unit.unit_id)
                 doc_ids.append(unit.doc_id)
                 rows.append(vec)
-        unit_counts[layer_no] = len(unit_ids)
-        degenerate_counts[layer_no] = degenerate
         matrix = np.stack(rows) if rows else np.zeros((0, spec.dim), dtype=np.float64)
         layers.append(
             LayerMemory(
@@ -160,18 +163,12 @@ def build(
                 unit_ids=unit_ids,
                 doc_ids=np.asarray(doc_ids, dtype=np.int64),
                 vectors=matrix,
+                n_degenerate=degenerate,
             )
         )
-    if sum(unit_counts.values()) == 0:
+    if not any(mem.n_units for mem in layers):
         raise BuildError("corpus produced zero indexable units")
-    manifest = BuildManifest(
-        corpus_sha256=corpus_sha256(corpus),
-        config_sha256=_config_sha256(spec, depth),
-        n_documents=len(corpus),
-        unit_counts=unit_counts,
-        degenerate_counts=degenerate_counts,
-    )
-    return MemoryHierarchy(layers=layers, embedder_spec=spec, manifest=manifest)
+    return MemoryHierarchy(layers, spec, corpus_sha256(corpus), len(corpus))
 
 
 def search_layer(mem: LayerMemory, query_vec: np.ndarray, k: int) -> list[Hit]:
@@ -242,7 +239,8 @@ def load(path: str | Path) -> MemoryHierarchy:
     Each layer's vector block is read from the file straight into one aligned,
     writable float64 array: one copy, with no whole-file buffer or slice.  Every
     size is checked against the file's size before it is read, so the index must
-    be a regular file; a pipe, FIFO or device is an ``IndexFormatError``.
+    be a regular file; a pipe, FIFO or device is an ``IndexFormatError``.  The
+    stored manifest must equal the one computed from the loaded layers and spec.
     """
     with open(path, "rb") as handle:
         info = os.fstat(handle.fileno())
@@ -269,6 +267,7 @@ def load(path: str | Path) -> MemoryHierarchy:
             dim = header["dim"]
             if type(dim) is not int or dim < 1:
                 raise IndexFormatError(f"{path}: header dim {dim!r} is not a positive integer")
+            stored = header["manifest"]  # a count it lacks is read as 0, then fails the check below
             layers = []
             for meta in header["layers"]:
                 n = meta["n_units"]
@@ -293,9 +292,9 @@ def load(path: str | Path) -> MemoryHierarchy:
                         doc_ids=np.asarray(meta["doc_ids"], dtype=np.int64),
                         # already native float64 on a little-endian host, so no copy
                         vectors=block.reshape(n, dim).astype(np.float64, copy=False),
+                        n_degenerate=stored["degenerate_counts"].get(str(meta["layer"]), 0),
                     )
                 )
-            manifest = BuildManifest.from_dict(header["manifest"])
             embedder_spec = EmbedderSpec.from_dict(header["embedder_spec"])
             depth, numbers = header["depth"], [mem.layer for mem in layers]
             if not 1 <= depth <= MAX_DEPTH or numbers != list(range(1, depth + 1)):
@@ -307,9 +306,14 @@ def load(path: str | Path) -> MemoryHierarchy:
             if header["seg_spec"] != SEGMENTATION_RULES:
                 raise IndexFormatError(f"{path}: segmentation rules {header['seg_spec']} "
                                        f"differ from the fixed rules {SEGMENTATION_RULES}")
+            hier = MemoryHierarchy(layers, embedder_spec, stored["corpus_sha256"], stored["n_documents"])
+            derived = hier.manifest.to_dict()
+            wrong = sorted(k for k in derived.keys() | stored.keys() if derived.get(k) != stored.get(k))
+            if wrong:
+                raise IndexFormatError(f"{path}: manifest {', '.join(wrong)} disagrees with the layers")
         except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
             raise IndexFormatError(
                 f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
         if offset != size:
             raise IndexFormatError(f"{path}: {size - offset} bytes after the last vector block")
-        return MemoryHierarchy(layers=layers, embedder_spec=embedder_spec, manifest=manifest)
+        return hier

@@ -344,17 +344,20 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
         ("gradcheck", ["--tol", "-1"], "--tol must be positive and finite, got -1.0"),
         ("gradcheck", ["--tol", "0"], "--tol must be positive and finite, got 0.0"),
         ("train-gen", ["--lambda1", "inf"], "lambda1 must be finite and >= 0, got inf"),
+        ("build", ["--hash-seed", str(2**64 + 1)],
+         "hash_seed must lie in [0, 2**64 - 1], got 18446744073709551617"),
     ],
     ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size",
          "gradcheck-empty-lambda-grid", "gradcheck-inf-lambda", "gradcheck-nan-lambda",
          "gradcheck-inf-sigma", "gradcheck-nan-tol", "gradcheck-negative-tol", "gradcheck-zero-tol",
-         "train-gen-inf-lambda1"],
+         "train-gen-inf-lambda1", "build-hash-seed-past-64-bits"],
 )
 def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, flags, named):
     # rejected up front, by name, before any seeded draw or sweep cell runs
     inputs = {
         "train-gen": ["--index", str(tmp_path / "absent.mgix"), "--qa", str(tmp_path / "qa.jsonl")],
         "gradcheck": [],
+        "build": ["--corpus", str(DOCS), "--out", str(tmp_path / "x.mgix")],
         "sweep": ["--corpus", str(DOCS), "--queries", str(QUERIES), "--qrels", str(QRELS),
                   "--mix-ratios", "0.5"],
     }[verb]

@@ -9,7 +9,7 @@ from mgrag.confidence import GateConfig, entropy, filter_paths, validate_distrib
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError
 from mgrag.generator import GeneratorParams, TrainConfig, build_toy_qa, init_params, total_loss
-from mgrag.memory import BuildManifest, LayerMemory, MemoryHierarchy, build, search_layer
+from mgrag.memory import LayerMemory, MemoryHierarchy, build, search_layer
 from mgrag.router import RouterConfig, assemble, route
 
 DIM = 8
@@ -201,8 +201,7 @@ def _two_layer_hier():
         LayerMemory(1, ["00000001:1:00000", "00000002:1:00000"], np.array([1, 2], dtype=np.int64), l1),
         LayerMemory(2, ["00000003:2:00000"], np.array([3], dtype=np.int64), l2),
     ]
-    manifest = BuildManifest("0" * 64, "0" * 64, 3, {1: 2, 2: 1}, {})
-    return MemoryHierarchy(layers, EmbedderSpec(dim=DIM), manifest)
+    return MemoryHierarchy(layers, EmbedderSpec(dim=DIM), "0" * 64, 3)
 
 
 def _route_basis(hier, cfg):

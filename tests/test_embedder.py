@@ -173,6 +173,22 @@ def test_spec_validation():
         EmbedderSpec(ngram_min=5, ngram_max=3)
     with pytest.raises(ConfigError, match="hash_seed"):
         EmbedderSpec(hash_seed=-1)
+    # the hash key is 64 bits, so a larger seed would build another seed's vectors
+    with pytest.raises(ConfigError, match=r"hash_seed must lie in \[0, 2\*\*64 - 1\], got 18446744073709551617"):
+        EmbedderSpec(hash_seed=2**64 + 1)
+    assert np.any(embed("hello world", 5, EmbedderSpec(dim=16, hash_seed=2**64 - 1)))
+    # a float would crash later and a bool would pass for 0 or 1
+    for name, value, message in [
+        ("hash_seed", 1.5, "hash_seed must be int, got 1.5"),
+        ("dim", 16.0, "dim must be int, got 16.0"),
+        ("ngram_max", 5.0, "ngram_max must be int, got 5.0"),
+        ("ngram_min", True, "ngram_min must be int, got True"),
+        ("hash_seed", True, "hash_seed must be int, got True"),
+        ("shared_phi", "no", "shared_phi must be bool, got 'no'"),
+        ("shared_phi", 1, "shared_phi must be bool, got 1"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            EmbedderSpec(**{name: value})
 
 
 def test_spec_dict_round_trip():

@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mgrag.evaluation
 import mgrag.generator
 from mgrag.confidence import GateConfig
-from mgrag.corpus import keyword_eval_suite, synthesize_corpus
+from mgrag.corpus import Document, keyword_eval_suite, mix_corpora, synthesize_corpus
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import ConfigError, EvalError
 from mgrag.evaluation import (
+    SWEEP_COLUMNS,
     SWEEP_CSV_HEADER,
     DocRanking,
     EvalConfig,
@@ -22,9 +24,10 @@ from mgrag.evaluation import (
     evaluate,
     ndcg_at_k,
     recall_at_k,
+    SweepResult,
     sweep,
 )
-from mgrag.generator import TrainConfig, build_toy_qa
+from mgrag.generator import TrainConfig, build_toy_qa, train
 from mgrag.memory import build
 from mgrag.router import FusedContext, RetrievalPath, RouterConfig, route
 
@@ -383,3 +386,85 @@ def test_sweep_with_domain_mixing_runs_end_to_end():
     assert all("error" not in row for row in result.rows)
     pure = next(r for r in result.rows if r["mix_ratio"] == 0.0)
     assert pure["recall_at_k"] == 1.0
+
+
+# --- one build per mix ratio ----------------------------------------------------------
+
+
+def _sweep_building_every_depth(grid, corpus_a, queries, qrels, corpus_b, embedder_spec,
+                                qa_dataset=None, qa_train=None):
+    """Reference: the sweep with one build per (depth, ratio), no prefixes."""
+    rows = []
+    for depth, temp, ratio in grid.cells():
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row.update(depth=depth, temperature=temp, mix_ratio=ratio)
+        try:
+            size = min(len(corpus_a), len(corpus_b))
+            corpus = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")], ratio, size, 0)
+            hier = build(corpus, embedder_spec, depth)
+            report = evaluate(hier, queries, qrels, EvalConfig(router=RouterConfig(temperature=temp)))
+            row.update(recall_at_k=report.mean_recall_at_k, ndcg_at_k=report.mean_ndcg_at_k,
+                       map=report.map, routing_entropy=report.routing_entropy_mean)
+            if qa_dataset is not None:
+                tcfg = replace(qa_train, router=replace(qa_train.router, temperature=temp))
+                row["qa_accuracy"] = train(qa_dataset, hier, tcfg).accuracy
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return SweepResult(rows=rows)
+
+
+@pytest.fixture(scope="module")
+def mixing_inputs():
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=13)
+    qa_docs, qa = build_toy_qa(n_classes=2, n_per_class=2, seed=5)
+    corpus_a = docs + qa_docs
+    corpus_b = synthesize_corpus(n_docs=len(corpus_a), seed=14, id_start=5_001, domain_tag="b")
+    return corpus_a, corpus_b, queries, qrels, qa
+
+
+def test_sweep_on_depth_prefixes_matches_a_build_per_depth(mixing_inputs):
+    corpus_a, corpus_b, queries, qrels, qa = mixing_inputs
+    grid = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
+    spec, qa_train = EmbedderSpec(dim=32), TrainConfig(epochs=3)
+    result = sweep(grid, corpus_a, queries, qrels, corpus_b=corpus_b, embedder_spec=spec,
+                   qa_dataset=qa, qa_train=qa_train)
+    reference = _sweep_building_every_depth(grid, corpus_a, queries, qrels, corpus_b, spec,
+                                            qa_dataset=qa, qa_train=qa_train)
+    assert all("error" not in row and row["qa_accuracy"] is not None for row in result.rows)
+    assert result.to_csv() == reference.to_csv()
+    assert result.to_json() == reference.to_json()
+
+
+def test_sweep_builds_once_per_ratio_at_the_largest_depth(monkeypatch, mixing_inputs):
+    corpus_a, corpus_b, queries, qrels, _ = mixing_inputs
+    depths = []
+
+    def counted(corpus, spec, depth):
+        depths.append(depth)
+        return build(corpus, spec, depth)
+
+    monkeypatch.setattr(mgrag.evaluation, "build", counted)
+    grid = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
+    result = sweep(grid, corpus_a, queries, qrels, corpus_b=corpus_b,
+                   embedder_spec=EmbedderSpec(dim=32))
+    assert all("error" not in row for row in result.rows)
+    assert depths == [5, 5]
+
+
+def test_sweep_reports_the_zero_unit_error_in_every_cell_of_its_ratio(mixing_inputs):
+    corpus_a, _, queries, qrels, _ = mixing_inputs
+    # blank and punctuation-only bodies: no layer of this corpus has an indexable unit
+    blank = [Document(doc_id=9_001 + i, title="", body=["?! ...", "", " \n ", "-- ;"][i % 4])
+             for i in range(len(corpus_a))]
+    grid = SweepGrid(depths=(1, 3), temperatures=(1.0, 2.0), mix_ratios=(0.0, 1.0))
+    spec = EmbedderSpec(dim=32)
+    result = sweep(grid, corpus_a, queries, qrels, corpus_b=blank, embedder_spec=spec)
+    for row in result.rows:
+        if row["mix_ratio"] == 1.0:
+            assert row["error"] == "BuildError: corpus produced zero indexable units"
+        else:
+            assert "error" not in row
+    reference = _sweep_building_every_depth(grid, corpus_a, queries, qrels, blank, spec)
+    assert result.to_csv() == reference.to_csv()
+    assert result.to_json() == reference.to_json()

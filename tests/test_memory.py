@@ -330,6 +330,10 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
     return raw[:4] + struct.pack("<I", len(body)) + body + raw[8 + n :]
 
 
+def _bump(counts, key):
+    counts[key] += 1
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -349,10 +353,40 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
         (lambda raw: _rewrite_header(raw, lambda h: h["seg_spec"].update(window_tokens_l4=32)),
          "segmentation rules"),
         (lambda raw: raw[:4] + struct.pack("<I", 100_000) + b"[" * 100_000, "unreadable header"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(hash_seed=2**64 + 1)),
+         r"hash_seed must lie in \[0, 2\*\*64 - 1\]"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(hash_seed=1.5)),
+         "hash_seed must be int, got 1.5"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(dim=16.0)),
+         "dim must be int, got 16.0"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(ngram_max=5.0)),
+         "ngram_max must be int, got 5.0"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(hash_seed=True)),
+         "hash_seed must be int, got True"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(shared_phi="no")),
+         "shared_phi must be bool, got 'no'"),
+        # the manifest is computed from the layers and spec, and the stored one must agree
+        (lambda raw: _rewrite_header(raw, lambda h: _bump(h["manifest"]["unit_counts"], "1")),
+         "manifest unit_counts disagrees with the layers"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"]["degenerate_counts"].update({"3": 0})),
+         "manifest degenerate_counts disagrees with the layers"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"]["degenerate_counts"].pop("2")),
+         "manifest degenerate_counts disagrees with the layers"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"]["degenerate_counts"].update({"1": -1})),
+         "degenerate count -1 is not a non-negative integer"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].update(config_sha256="0" * 64)),
+         "manifest config_sha256 disagrees with the layers"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(hash_seed=7)),
+         "manifest config_sha256 disagrees with the layers"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].pop("unit_counts")),
+         "manifest unit_counts disagrees with the layers"),
     ],
     ids=["missing-header-key", "negative-dim", "nan-row", "trailing-bytes", "depth-above-layers",
          "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed",
-         "deep-header"],
+         "deep-header", "hash-seed-past-64-bits", "float-hash-seed", "float-dim", "float-ngram-max",
+         "bool-hash-seed", "string-shared-phi", "wrong-unit-counts", "extra-degenerate-count",
+         "missing-degenerate-count", "negative-degenerate-count", "wrong-config-hash",
+         "spec-edited-under-its-hash", "missing-unit-counts"],
 )
 def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
     hier, _ = _sample_hier(depth=2)

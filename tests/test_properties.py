@@ -7,6 +7,7 @@ written; conftest.py keeps hypothesis's caches in pytest's cache directory.
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from mgrag import corpus
 from mgrag.corpus import Document, segment
 from mgrag.embedder import EmbedderSpec
-from mgrag.errors import MgragError
+from mgrag.errors import BuildError, MgragError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
 from mgrag.generator import parse_jsonl_qa
 from mgrag.memory import LayerMemory, build, load, save, search_layer
@@ -119,6 +120,41 @@ def test_segment_spans_are_exact_trimmed_and_cover_every_character(body):
         assert set(covered) == visible, layer
         if layer in (2, 3):  # paragraphs and sentences partition the text
             assert len(covered) == len(visible), layer
+
+
+# --- the first d layers of a depth-5 build are the depth-d build ------------------------
+
+# empty, blank and punctuation-only bodies included: they yield no (or only degenerate) units
+_corpora = st.lists(st.text(alphabet="abc.!? \t\n", max_size=60), min_size=1, max_size=4).map(
+    lambda bodies: [Document(doc_id=i + 1, title="", body=b) for i, b in enumerate(bodies)])
+
+
+def _build_or_error(docs, spec, depth):
+    try:
+        return build(docs, spec, depth)
+    except BuildError as exc:
+        return str(exc)
+
+
+@deterministic
+@given(_corpora)
+@example([Document(doc_id=1, title="", body="?! ."), Document(doc_id=2, title="", body="")])
+def test_a_depth_prefix_of_a_full_build_equals_the_build_at_that_depth(docs):
+    spec = EmbedderSpec(dim=8)
+    full = _build_or_error(docs, spec, 5)
+    for depth in range(1, 6):
+        built = _build_or_error(docs, spec, depth)
+        if isinstance(full, str):  # the same zero-unit error at every depth
+            assert built == full
+            continue
+        assert not isinstance(built, str), built
+        prefix = replace(full, layers=full.layers[:depth])
+        assert prefix.depth == depth
+        for a, b in zip(prefix.layers, built.layers, strict=True):
+            assert (a.layer, a.unit_ids, a.n_degenerate) == (b.layer, b.unit_ids, b.n_degenerate)
+            assert np.array_equal(a.doc_ids, b.doc_ids)
+            assert np.array_equal(a.vectors, b.vectors)
+        assert prefix.manifest == built.manifest
 
 
 # --- parsers and the index loader fail only with their typed errors ---------------------

@@ -9,7 +9,7 @@ from mgrag.confidence import entropy
 from mgrag.corpus import keyword_eval_suite
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError, RoutingError
-from mgrag.memory import BuildManifest, LayerMemory, MemoryHierarchy, build, search_layer
+from mgrag.memory import LayerMemory, MemoryHierarchy, build, search_layer
 from mgrag.router import RouterConfig, assemble, route, routing_weights
 
 DIM = 8
@@ -28,15 +28,8 @@ def _mem(vectors, layer=1):
 
 def _hier(layer_vectors):
     layers = [_mem(vecs, layer=i + 1) for i, vecs in enumerate(layer_vectors)]
-    counts = {m.layer: m.n_units for m in layers}
-    manifest = BuildManifest(
-        corpus_sha256="0" * 64,
-        config_sha256="0" * 64,
-        n_documents=max(counts.values(), default=0),
-        unit_counts=counts,
-        degenerate_counts={},
-    )
-    return MemoryHierarchy(layers=layers, embedder_spec=EmbedderSpec(dim=DIM), manifest=manifest)
+    return MemoryHierarchy(layers=layers, embedder_spec=EmbedderSpec(dim=DIM), corpus_sha256="0" * 64,
+                           n_documents=max((m.n_units for m in layers), default=0))
 
 
 def _basis(i):
