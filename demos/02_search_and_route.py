@@ -34,7 +34,7 @@ def main() -> None:
 
     for layer_no in range(1, hier.depth + 1):
         print(f"\nlayer {layer_no} top hits (evidence score {ctx.scores[layer_no - 1]:.4f}):")
-        for hit in ctx.layer_hits[layer_no]:
+        for hit in ctx.retrieval.hits[layer_no - 1]:
             print(f"  doc {hit.doc_id:>3}  sim {hit.sim:+.4f}  unit {hit.unit_id}")
 
     print("\nrouting weights by temperature:")
@@ -52,7 +52,7 @@ def main() -> None:
 
     # the same engine piece answers plain nearest-neighbor questions too
     mem = hier.layer(1)
-    top = search_layer(mem, ctx.encodings[0], 3)
+    top = search_layer(mem, ctx.retrieval.encodings[0], 3)
     print("\nwhole-document nearest neighbors:")
     for hit in top:
         title = next(d.title for d in docs if d.doc_id == hit.doc_id)

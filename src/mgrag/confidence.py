@@ -81,7 +81,7 @@ class ConfidenceReport:
 
 
 def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
-    """Drop paths with confidence below tau and recompute the context.
+    """Drop paths with confidence below tau and re-weigh the surviving hits.
 
     tau = 0 is a no-op that returns the input object. If every path would be
     dropped, gating is skipped and the context comes back flagged as bypassed
@@ -96,12 +96,9 @@ def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
         return replace(ctx, gate_bypassed=True)
     if len(survivors) == len(ctx.paths):
         return ctx
-    kept_hits = {}
-    kept_vectors = {}
-    for layer_no, hits in ctx.layer_hits.items():
-        keep = [i for i, h in enumerate(hits) if (layer_no, h.unit_id) in survivors]
-        if keep:
-            kept_hits[layer_no] = [hits[i] for i in keep]
-            kept_vectors[layer_no] = ctx.hit_vectors[layer_no][keep]
-    gated = assemble(kept_hits, kept_vectors, ctx.depth, ctx.c.shape[0], ctx.config)
-    return replace(gated, encodings=ctx.encodings)
+    r = ctx.retrieval
+    kept = [[i for i, h in enumerate(hits) if (layer_no, h.unit_id) in survivors]
+            for layer_no, hits in enumerate(r.hits, start=1)]
+    hits = tuple([layer_hits[i] for i in keep] for layer_hits, keep in zip(r.hits, kept))
+    vectors = tuple(layer_vectors[keep] for layer_vectors, keep in zip(r.vectors, kept))
+    return assemble(replace(r, hits=hits, vectors=vectors), ctx.config)

@@ -216,8 +216,8 @@ class SweepGrid:
             raise ConfigError("every sweep axis needs at least one value")
         if any(not 1 <= d <= MAX_DEPTH for d in self.depths):
             raise ConfigError(f"depths must lie in [1, {MAX_DEPTH}], got {self.depths}")
-        if any(not t > 0 for t in self.temperatures):
-            raise ConfigError(f"temperatures must be positive, got {self.temperatures}")
+        if any(not 0 < t < math.inf for t in self.temperatures):
+            raise ConfigError(f"temperatures must be finite and positive, got {self.temperatures}")
         if any(not 0.0 <= r <= 1.0 for r in self.mix_ratios):
             raise ConfigError(f"mix ratios must lie in [0, 1], got {self.mix_ratios}")
 
@@ -270,8 +270,9 @@ def sweep(
     One index is built per ratio, at ``max(grid.depths)``; a depth-d cell uses
     its first d layers, since no layer depends on the build depth (a failed
     build is not kept). Mixing uses a fixed seed (0 unless given) so every cell
-    at the same ratio sees the same corpus. Each QA example is routed once per
-    cell, by ``train``. A failing cell records its error and the sweep continues.
+    at the same ratio sees the same corpus. ``qa_dataset`` and ``qa_train`` come
+    together; then each QA example is routed once per cell, by ``train``. A
+    failing cell records its error and the sweep continues.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -279,6 +280,8 @@ def sweep(
         raise ConfigError("mix ratios above 0, mix_size and seed need a second corpus")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if (qa_dataset is None) != (qa_train is None):
+        raise ConfigError("qa_dataset and qa_train must be given together")
     if mix_size is not None and mix_size < 1:
         raise ConfigError(f"mix_size must be >= 1, got {mix_size}")
     builds: dict[float, MemoryHierarchy] = {}
@@ -302,7 +305,7 @@ def sweep(
             row["ndcg_at_k"] = report.mean_ndcg_at_k
             row["map"] = report.map
             row["routing_entropy"] = report.routing_entropy_mean
-            if qa_dataset is not None and qa_train is not None:
+            if qa_dataset is not None:
                 tcfg = replace(qa_train, router=replace(qa_train.router, temperature=temp))
                 row["qa_accuracy"] = train(qa_dataset, hier, tcfg).accuracy
         except Exception as exc:  # record and continue; one bad cell must not kill the sweep

@@ -167,7 +167,7 @@ def _features(
         ctx0 = route(hier, ex.query.text, cfg.router)
         ctx = filter_paths(ctx0, cfg.gate.tau_path)
         gated.append((ctx, 0 if ctx.gate_bypassed else len(ctx0.paths) - len(ctx.paths)))
-        h = ctx0.encodings[0]  # layer-1 query encoding
+        h = ctx0.retrieval.encodings[0]  # layer-1 query encoding
         rows.append(np.concatenate([h, ctx.c]))
         if ensemble:
             noise = _perturbations(cfg.gate, ex.query.query_id, hier.dim)

@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import stat
 import struct
 from dataclasses import dataclass
@@ -86,6 +87,12 @@ class MemoryHierarchy:
     embedder_spec: EmbedderSpec
     corpus_sha256: str  # of the documents built from
     n_documents: int
+
+    def __post_init__(self):
+        if not (type(self.corpus_sha256) is str and re.fullmatch("[0-9a-f]{64}", self.corpus_sha256)):
+            raise ValueError(f"corpus_sha256 {self.corpus_sha256!r} is not 64 lowercase hex digits")
+        if type(self.n_documents) is not int or self.n_documents < 0:
+            raise ValueError(f"n_documents {self.n_documents!r} is not a non-negative integer")
 
     @property
     def depth(self) -> int:

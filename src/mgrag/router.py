@@ -1,9 +1,11 @@
-"""Cross-layer routing, per-layer readouts, and context fusion.
+"""Cross-layer routing in two steps: the per-layer search, then its weighing.
 
-A query is encoded once per layer, searched against each layer's memory, and
-the layers are weighted by a temperature softmax over their evidence scores.
-The fused context is the weight-sum of per-layer readouts, where a readout is
-the similarity-softmax-weighted mean of that layer's retrieved unit vectors.
+``search_layers`` runs the exact top-k search of each layer for the query's
+encoding there and returns it as one immutable ``Retrieval``; no temperature
+or gate threshold enters it. ``assemble`` weighs a retrieval: the layers get a
+temperature softmax over their evidence scores, and the fused context is the
+weight-sum of per-layer readouts, where a readout is the similarity-softmax-
+weighted mean of that layer's retrieved unit vectors.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ class RouterConfig:
     def __post_init__(self):
         if self.k_per_layer < 1:
             raise ConfigError(f"k_per_layer must be >= 1, got {self.k_per_layer}")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.layer_score_mode not in SCORE_MODES:
             raise ConfigError(
                 f"layer_score_mode must be one of {SCORE_MODES}, got {self.layer_score_mode!r}"
@@ -51,21 +53,24 @@ class RetrievalPath:
     path_confidence: float
 
 
-@dataclass
+@dataclass(frozen=True)
+class Retrieval:
+    """One query's exact per-layer search; it does not depend on temperature or gate."""
+
+    encodings: np.ndarray  # (depth, dim) query encodings, row l-1 for layer l
+    hits: tuple[list[Hit], ...]  # hits[l-1]: layer l's top-k, best first
+    vectors: tuple[np.ndarray, ...]  # vectors[l-1]: (n_hits, dim) unit vectors of those hits
+
+
+@dataclass(frozen=True)
 class FusedContext:
     c: np.ndarray  # (dim,) weighted sum of layer readouts, not re-normalized
     paths: list[RetrievalPath]
     weights: np.ndarray  # (depth,) routing weights, zeros for empty layers
     scores: np.ndarray  # (depth,) layer scores, -inf sentinel for empty layers
-    layer_hits: dict[int, list[Hit]]
-    hit_vectors: dict[int, np.ndarray]  # layer -> (n_hits, dim), aligned with layer_hits
+    retrieval: Retrieval  # the hits weighed: after gating, only the survivors
     config: RouterConfig
     gate_bypassed: bool = field(default=False)
-    encodings: np.ndarray | None = None  # (depth, dim) query encodings, set by route
-
-    @property
-    def depth(self) -> int:
-        return len(self.weights)
 
 
 def _softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -80,8 +85,8 @@ def _softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 def routing_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax over layer scores; -inf scores map to weight 0."""
-    if not temperature > 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).any():
         raise RoutingError("all layer scores are -inf")
@@ -92,37 +97,28 @@ def _layer_score(sims: np.ndarray, mode: str) -> float:
     return float(np.max(sims) if mode == "max" else np.mean(sims))
 
 
-def assemble(
-    layer_hits: dict[int, list[Hit]],
-    hit_vectors: dict[int, np.ndarray],
-    depth: int,
-    dim: int,
-    cfg: RouterConfig,
-) -> FusedContext:
-    """Build the full fused context from per-layer hits and their vectors.
+def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
+    """Weigh a retrieval into the full fused context.
 
     Shared by routing and by confidence gating, so a gated context is
     recomputed through exactly the same formulas as the original. Layers with
     no hits score -inf and get routing weight zero.
     """
-    sims = {
-        layer_no: np.array([h.sim for h in layer_hits.get(layer_no, [])])
-        for layer_no in range(1, depth + 1)
-    }
-    scores = np.array(
-        [_layer_score(s, cfg.layer_score_mode) if s.size else -np.inf for s in sims.values()]
-    )
+    sims = [np.array([h.sim for h in hits]) for hits in retrieval.hits]
+    scores = np.array([_layer_score(s, cfg.layer_score_mode) if s.size else -np.inf for s in sims])
     if not np.any(np.isfinite(scores)):
         raise RoutingError("no layer produced any hits")
     weights = routing_weights(scores, cfg.temperature)
-    readouts = np.zeros((depth, dim))
+    readouts = np.zeros(retrieval.encodings.shape)
     paths: list[RetrievalPath] = []
-    for layer_no, layer_sims in sims.items():
+    for layer_no, (layer_sims, hits, vectors) in enumerate(
+        zip(sims, retrieval.hits, retrieval.vectors, strict=True), start=1
+    ):
         if not layer_sims.size:
             continue
         within = routing_weights(layer_sims, 1.0)  # softmax over the layer's hit similarities
-        readouts[layer_no - 1] = within @ hit_vectors[layer_no]
-        for hit, w in zip(layer_hits[layer_no], within):
+        readouts[layer_no - 1] = within @ vectors
+        for hit, w in zip(hits, within):
             paths.append(
                 RetrievalPath(
                     layer=layer_no,
@@ -142,25 +138,20 @@ def assemble(
         paths=paths,
         weights=weights,
         scores=scores,
-        layer_hits=layer_hits,
-        hit_vectors=hit_vectors,
+        retrieval=retrieval,
         config=cfg,
     )
 
 
+def search_layers(hier: MemoryHierarchy, encodings: np.ndarray, k: int) -> Retrieval:
+    """Exact top-k of every layer for its row of ``encodings``, with the hits' vectors."""
+    hits = tuple(search_layer(mem, q, k) for mem, q in zip(hier.layers, encodings, strict=True))
+    vectors = tuple(mem.vectors[[h.row for h in found]] for mem, found in zip(hier.layers, hits))
+    return Retrieval(encodings, hits, vectors)
+
+
 def route(hier: MemoryHierarchy, query_text: str, cfg: RouterConfig = RouterConfig()) -> FusedContext:
-    """Encode a query per layer, search, weight, and fuse into one context."""
+    """Encode a query per layer, search every layer, and weigh the search into one context."""
     layers = range(1, hier.depth + 1)
     encodings = np.stack([embed(query_text, layer_no, hier.embedder_spec) for layer_no in layers])
-    hits = {
-        layer_no: search_layer(hier.layer(layer_no), encodings[layer_no - 1], cfg.k_per_layer)
-        for layer_no in layers
-    }
-    hit_vectors = {
-        layer_no: hier.layer(layer_no).vectors[[h.row for h in layer_hits]]
-        for layer_no, layer_hits in hits.items()
-        if layer_hits
-    }
-    ctx = assemble(hits, hit_vectors, hier.depth, hier.dim, cfg)
-    ctx.encodings = encodings
-    return ctx
+    return assemble(search_layers(hier, encodings, cfg.k_per_layer), cfg)

@@ -245,7 +245,7 @@ def test_07_keyword_corpus_is_solved_and_toy_answerer_converges():
     hits = 0
     for ex in qa_examples:
         ctx = filter_paths(route(qa_hier, ex.query.text, cfg.router), cfg.gate.tau_path)
-        p = predict(result.params, ctx.encodings[0], ctx)
+        p = predict(result.params, ctx.retrieval.encodings[0], ctx)
         hits += int(np.argmax(p)) == ex.gold
     assert hits == len(qa_examples)
 

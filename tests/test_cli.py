@@ -346,11 +346,12 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
         ("train-gen", ["--lambda1", "inf"], "lambda1 must be finite and >= 0, got inf"),
         ("build", ["--hash-seed", str(2**64 + 1)],
          "hash_seed must lie in [0, 2**64 - 1], got 18446744073709551617"),
+        ("sweep", ["--temperatures", "0.5,inf"], "temperatures must be finite and positive"),
     ],
     ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size",
          "gradcheck-empty-lambda-grid", "gradcheck-inf-lambda", "gradcheck-nan-lambda",
          "gradcheck-inf-sigma", "gradcheck-nan-tol", "gradcheck-negative-tol", "gradcheck-zero-tol",
-         "train-gen-inf-lambda1", "build-hash-seed-past-64-bits"],
+         "train-gen-inf-lambda1", "build-hash-seed-past-64-bits", "sweep-inf-temperature"],
 )
 def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, flags, named):
     # rejected up front, by name, before any seeded draw or sweep cell runs
@@ -362,6 +363,24 @@ def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, fla
                   "--mix-ratios", "0.5"],
     }[verb]
     assert main([verb, *inputs, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["query", "--text", "library catalogs", "--temperature", "inf"],
+         "temperature must be finite and > 0, got inf"),
+        (["eval", "--queries", str(QUERIES), "--qrels", str(QRELS), "--temperature", "inf"],
+         "temperature must be finite and > 0, got inf"),
+    ],
+    ids=["query", "eval"],
+)
+def test_infinite_temperature_is_a_usage_error(index_path, capsys, argv, named):
+    assert main([argv[0], "--index", str(index_path), *argv[1:]]) == 2
     out, err = capsys.readouterr()
     assert named in err
     assert "Traceback" not in err

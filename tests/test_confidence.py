@@ -9,8 +9,8 @@ from mgrag.confidence import GateConfig, entropy, filter_paths, validate_distrib
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError
 from mgrag.generator import GeneratorParams, TrainConfig, build_toy_qa, init_params, total_loss
-from mgrag.memory import LayerMemory, MemoryHierarchy, build, search_layer
-from mgrag.router import RouterConfig, assemble, route
+from mgrag.memory import LayerMemory, MemoryHierarchy, build
+from mgrag.router import RouterConfig, assemble, route, search_layers
 
 DIM = 8
 
@@ -146,7 +146,7 @@ def test_objective_rejects_non_finite_terms(toy):
     # finite weights whose logits overflow: the objective is NaN and must not pass silently
     hier, example = toy
     ctx = route(hier, example.query.text, ROUTER)
-    x = np.concatenate([ctx.encodings[0], ctx.c])
+    x = np.concatenate([ctx.retrieval.encodings[0], ctx.c])
     w = np.stack([1e308 * np.sign(x), -1e308 * np.sign(x)])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="not finite"):
@@ -206,9 +206,7 @@ def _two_layer_hier():
 
 def _route_basis(hier, cfg):
     # route() for a query whose encoding is e1 at every layer
-    hits = {l: search_layer(hier.layer(l), _basis(0), cfg.k_per_layer) for l in range(1, hier.depth + 1)}
-    vectors = {l: hier.layer(l).vectors[[h.row for h in hs]] for l, hs in hits.items() if hs}
-    return assemble(hits, vectors, hier.depth, DIM, cfg)
+    return assemble(search_layers(hier, np.tile(_basis(0), (hier.depth, 1)), cfg.k_per_layer), cfg)
 
 
 def _readout(hits, mem):
@@ -279,7 +277,7 @@ def test_gated_fusion_recomputes_through_readout():
     gated = filter_paths(ctx, tau)
     manual = np.zeros(DIM)
     for layer_no in (1, 2):
-        hits = gated.layer_hits.get(layer_no, [])
+        hits = gated.retrieval.hits[layer_no - 1]
         if hits:
             manual += gated.weights[layer_no - 1] * _readout(hits, hier.layer(layer_no))
     assert np.max(np.abs(gated.c - manual)) < 1e-12

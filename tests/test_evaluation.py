@@ -29,7 +29,7 @@ from mgrag.evaluation import (
 )
 from mgrag.generator import TrainConfig, build_toy_qa, train
 from mgrag.memory import build
-from mgrag.router import FusedContext, RetrievalPath, RouterConfig, route
+from mgrag.router import FusedContext, Retrieval, RetrievalPath, RouterConfig, route
 
 # --- reference metrics, written straight off the definitions -------------------------
 
@@ -119,8 +119,7 @@ def _ctx_with(paths):
         paths=tuple(paths),
         weights=np.array([1.0]),
         scores=np.array([0.5]),
-        layer_hits={},
-        hit_vectors={},
+        retrieval=Retrieval(np.zeros((1, 8)), ([],), (np.zeros((0, 8)),)),
         config=RouterConfig(),
     )
 
@@ -265,6 +264,8 @@ def test_sweep_grid_validation():
         SweepGrid(depths=(0,))
     with pytest.raises(ConfigError, match="temperatures"):
         SweepGrid(temperatures=(0.0,))
+    with pytest.raises(ConfigError, match="temperatures must be finite"):
+        SweepGrid(temperatures=(1.0, math.inf))
     with pytest.raises(ConfigError, match="mix ratios"):
         SweepGrid(mix_ratios=(1.5,))
 
@@ -369,6 +370,17 @@ def test_qa_sweep_routes_each_qa_example_once_per_cell(monkeypatch):
                    qa_dataset=qa, qa_train=TrainConfig(epochs=3))
     assert all(row["qa_accuracy"] is not None for row in result.rows)
     assert texts == [ex.query.text for ex in qa] * len(grid.cells())
+
+
+@pytest.mark.parametrize("given", ["qa_dataset", "qa_train"])
+def test_sweep_rejects_a_lone_qa_argument(given):
+    # without its partner the QA column would silently stay nan
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=12)
+    _, qa = build_toy_qa(n_classes=2, n_per_class=2, seed=0)
+    lone = {"qa_dataset": qa, "qa_train": TrainConfig(epochs=1)}
+    with pytest.raises(ConfigError, match="qa_dataset and qa_train must be given together"):
+        sweep(SweepGrid(depths=(1,), temperatures=(1.0,)), docs, queries, qrels,
+              **{given: lone[given]})
 
 
 def test_sweep_with_domain_mixing_runs_end_to_end():

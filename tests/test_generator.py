@@ -214,7 +214,7 @@ def test_gradient_check_raises_on_a_non_finite_objective(toy):
     ex = QAExample(query=examples[0].query, gold=0)
     cfg = _cfg(lambda1=0.0, lambda2=0.0)
     ctx = route(hier, ex.query.text, cfg.router)
-    x = np.concatenate([ctx.encodings[0], ctx.c])
+    x = np.concatenate([ctx.retrieval.encodings[0], ctx.c])
     w = np.stack([1e308 * np.sign(x), -1e308 * np.sign(x)])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="not finite"):
@@ -293,7 +293,7 @@ def test_train_accuracy_is_that_of_the_returned_params(toy, epochs, tau):
     hits = 0
     for ex in examples:
         ctx = filter_paths(route(hier, ex.query.text, cfg.router), cfg.gate.tau_path)
-        hits += int(np.argmax(predict(result.params, ctx.encodings[0], ctx))) == ex.gold
+        hits += int(np.argmax(predict(result.params, ctx.retrieval.encodings[0], ctx))) == ex.gold
     assert result.accuracy == hits / len(examples)
 
 

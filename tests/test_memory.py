@@ -380,13 +380,23 @@ def _bump(counts, key):
          "manifest config_sha256 disagrees with the layers"),
         (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].pop("unit_counts")),
          "manifest unit_counts disagrees with the layers"),
+        # the corpus facts are stored, not derived, so they are checked on their own
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].update(corpus_sha256=5)),
+         "corpus_sha256 5 is not 64 lowercase hex digits"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].update(
+            corpus_sha256=h["manifest"]["corpus_sha256"].upper())), "is not 64 lowercase hex digits"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].update(n_documents="many")),
+         "n_documents 'many' is not a non-negative integer"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].update(n_documents=True)),
+         "n_documents True is not a non-negative integer"),
     ],
     ids=["missing-header-key", "negative-dim", "nan-row", "trailing-bytes", "depth-above-layers",
          "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed",
          "deep-header", "hash-seed-past-64-bits", "float-hash-seed", "float-dim", "float-ngram-max",
          "bool-hash-seed", "string-shared-phi", "wrong-unit-counts", "extra-degenerate-count",
          "missing-degenerate-count", "negative-degenerate-count", "wrong-config-hash",
-         "spec-edited-under-its-hash", "missing-unit-counts"],
+         "spec-edited-under-its-hash", "missing-unit-counts", "int-corpus-hash",
+         "uppercase-corpus-hash", "string-n-documents", "bool-n-documents"],
 )
 def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
     hier, _ = _sample_hier(depth=2)

@@ -15,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgrag import corpus
+from mgrag.confidence import filter_paths
 from mgrag.corpus import Document, segment
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import BuildError, MgragError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
 from mgrag.generator import parse_jsonl_qa
 from mgrag.memory import LayerMemory, build, load, save, search_layer
-from mgrag.router import FusedContext, RetrievalPath, RouterConfig
+from mgrag.router import FusedContext, Retrieval, RetrievalPath, RouterConfig, assemble, route, search_layers
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -77,7 +78,8 @@ def test_aggregate_ranking_matches_a_brute_force_collapse(rows, mode):
         for i, (doc, layer, eighths) in enumerate(rows)
     ]
     ctx = FusedContext(c=np.zeros(DIM), paths=paths, weights=np.ones(1), scores=np.zeros(1),
-                       layer_hits={}, hit_vectors={}, config=RouterConfig())
+                       retrieval=Retrieval(np.zeros((1, DIM)), ([],), (np.zeros((0, DIM)),)),
+                       config=RouterConfig())
     combine = max if mode == "max" else sum
     score = {d: combine(p.path_confidence for p in paths if p.doc_id == d)
              for d in {p.doc_id for p in paths}}
@@ -155,6 +157,52 @@ def test_a_depth_prefix_of_a_full_build_equals_the_build_at_that_depth(docs):
             assert np.array_equal(a.doc_ids, b.doc_ids)
             assert np.array_equal(a.vectors, b.vectors)
         assert prefix.manifest == built.manifest
+
+
+# --- routing is one search, then its weighing -------------------------------------------
+
+_WORDS = ["ant", "bee", "cat", "dog", "eel", "fox"]
+# every body opens with a word, so each document is a layer-1 unit; "." and blank lines
+# make sentences and paragraphs
+_seam_corpora = st.lists(
+    st.lists(st.sampled_from([*_WORDS, ".", "\n\n"]), max_size=24).map(lambda t: " ".join(["ant", *t])),
+    min_size=1, max_size=4,
+).map(lambda bodies: [Document(doc_id=i + 1, title="", body=b) for i, b in enumerate(bodies)])
+_seam_configs = st.builds(RouterConfig, k_per_layer=st.integers(1, 4), temperature=st.floats(0.05, 20.0),
+                          layer_score_mode=st.sampled_from(["mean_topk", "max"]))
+
+
+def _weighed(ctx):
+    """What assemble computes, bit for bit; ``paths`` compare their floats exactly."""
+    return ctx.c.tobytes(), ctx.weights.tobytes(), ctx.scores.tobytes(), ctx.paths
+
+
+@deterministic
+@given(_seam_corpora, st.lists(st.sampled_from([*_WORDS, "yak"]), min_size=1, max_size=6).map(" ".join),
+       _seam_configs, st.floats(0.05, 20.0), st.floats(0.0, 1.0, exclude_min=True))
+def test_route_is_its_search_weighed_at_any_temperature_depth_and_gate(docs, text, cfg, temp, share):
+    hier = build(docs, EmbedderSpec(dim=16), 5)
+    ctx = route(hier, text, cfg)
+    r = ctx.retrieval
+    # (a) route is assemble over search_layers of its own encodings
+    again = assemble(search_layers(hier, r.encodings, cfg.k_per_layer), cfg)
+    assert _weighed(again) == _weighed(ctx)
+    # (b) the search does not depend on the temperature: re-weighing it is routing at T
+    at_temp = replace(cfg, temperature=temp)
+    assert _weighed(assemble(r, at_temp)) == _weighed(route(hier, text, at_temp))
+    # (c) the first d layers of the search are the search of the depth-d prefix
+    for depth in range(1, 6):
+        prefix = Retrieval(r.encodings[:depth], r.hits[:depth], r.vectors[:depth])
+        shallow = replace(hier, layers=hier.layers[:depth])
+        assert _weighed(assemble(prefix, cfg)) == _weighed(route(shallow, text, cfg))
+    # (d) the gate keeps, per layer, a subsequence of the hits with their own vectors; a
+    # threshold at most the strongest path's confidence keeps at least that path
+    gated = filter_paths(ctx, share * ctx.paths[0].path_confidence).retrieval
+    assert gated.encodings is r.encodings
+    for kept, hits, kept_vectors, vectors in zip(gated.hits, r.hits, gated.vectors, r.vectors, strict=True):
+        picked = [i for i, hit in enumerate(hits) if hit in kept]  # unit ids are unique in a layer
+        assert [hits[i] for i in picked] == kept
+        assert np.array_equal(kept_vectors, vectors[picked])
 
 
 # --- parsers and the index loader fail only with their typed errors ---------------------

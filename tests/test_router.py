@@ -9,8 +9,8 @@ from mgrag.confidence import entropy
 from mgrag.corpus import keyword_eval_suite
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError, RoutingError
-from mgrag.memory import LayerMemory, MemoryHierarchy, build, search_layer
-from mgrag.router import RouterConfig, assemble, route, routing_weights
+from mgrag.memory import LayerMemory, MemoryHierarchy, build
+from mgrag.router import RouterConfig, assemble, route, routing_weights, search_layers
 
 DIM = 8
 
@@ -48,12 +48,7 @@ def _at_sim(target, axis=0, other=1):
 
 def _assemble(hier, encodings, cfg):
     # route() with the query encodings given instead of embedded from text
-    hits = {
-        l: search_layer(hier.layer(l), encodings[l - 1], cfg.k_per_layer)
-        for l in range(1, hier.depth + 1)
-    }
-    vectors = {l: hier.layer(l).vectors[[h.row for h in hs]] for l, hs in hits.items() if hs}
-    return assemble(hits, vectors, hier.depth, DIM, cfg)
+    return assemble(search_layers(hier, np.stack(encodings), cfg.k_per_layer), cfg)
 
 
 def _readout(hits, mem):
@@ -72,7 +67,7 @@ def test_mean_topk_score_is_mean_of_hit_sims():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
     ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
     assert ctx.scores[0] == pytest.approx(0.8, abs=1e-12)
-    assert [h.sim for h in ctx.layer_hits[1]] == [pytest.approx(0.9), pytest.approx(0.7)]
+    assert [h.sim for h in ctx.retrieval.hits[0]] == [pytest.approx(0.9), pytest.approx(0.7)]
 
 
 def test_max_score_mode():
@@ -85,7 +80,7 @@ def test_empty_layer_gets_sentinel_and_zero_weight():
     hier = _hier([[_basis(0)], np.zeros((0, DIM))])
     ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig())
     assert ctx.scores[1] == -np.inf
-    assert ctx.layer_hits[2] == []
+    assert ctx.retrieval.hits[1] == []
     assert ctx.weights[1] == 0.0
     assert ctx.weights[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -163,6 +158,13 @@ def test_temperature_must_be_positive():
         routing_weights(np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ConfigError, match="temperature"):
         RouterConfig(temperature=-1.0)
+    # an infinite temperature would divide every score to 0 or nan, never a softmax
+    with pytest.raises(ConfigError, match="temperature must be finite"):
+        routing_weights(np.array([0.5, -np.inf]), math.inf)
+    with pytest.raises(ConfigError, match="temperature must be finite"):
+        RouterConfig(temperature=math.inf)
+    with pytest.raises(ConfigError, match="temperature must be finite"):
+        RouterConfig(temperature=math.nan)
 
 
 def test_all_sentinel_scores_raise():
@@ -222,7 +224,7 @@ def test_fuse_single_layer_is_identity():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
     ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
     assert ctx.weights.tolist() == [1.0]
-    assert np.array_equal(ctx.c, _readout(ctx.layer_hits[1], hier.layer(1)))
+    assert np.array_equal(ctx.c, _readout(ctx.retrieval.hits[0], hier.layer(1)))
 
 
 def test_fuse_zero_weight_drops_layer_exactly():
@@ -249,7 +251,7 @@ def test_fuse_is_linear_in_weights(suite_hier):
         t1, t2 = rng.uniform(0.2, 4.0, size=2)
         c1 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t1))
         c2 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t2))
-        readouts = np.stack([_readout(c1.layer_hits[l], hier.layer(l)) for l in (1, 2, 3)])
+        readouts = np.stack([_readout(c1.retrieval.hits[l - 1], hier.layer(l)) for l in (1, 2, 3)])
         alpha = float(rng.uniform())
         mixed = alpha * c1.c + (1 - alpha) * c2.c
         assert np.max(np.abs(mixed - (alpha * c1.weights + (1 - alpha) * c2.weights) @ readouts)) < 1e-12
@@ -290,7 +292,7 @@ def test_route_context_matches_manual_fusion(suite_hier):
     ctx = route(hier, queries[2].text, cfg)
     manual = np.zeros(hier.dim)
     for layer_no in range(1, hier.depth + 1):
-        hits = ctx.layer_hits.get(layer_no, [])
+        hits = ctx.retrieval.hits[layer_no - 1]
         manual += ctx.weights[layer_no - 1] * _readout(hits, hier.layer(layer_no))
     assert np.max(np.abs(ctx.c - manual)) < 1e-12
 
