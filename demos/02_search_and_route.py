@@ -26,7 +26,7 @@ def main() -> None:
     hier = build(docs, EmbedderSpec(dim=128), depth=3)
     print(f"indexed {len(docs)} documents at depth {hier.depth}")
     for layer_no in range(1, hier.depth + 1):
-        print(f"  layer {layer_no}: {hier.layer(layer_no).n_units} units")
+        print(f"  layer {layer_no}: {hier.layers[layer_no - 1].n_units} units")
 
     print(f"\nquery: {QUERY!r}")
     cfg = RouterConfig(k_per_layer=3)
@@ -51,7 +51,7 @@ def main() -> None:
         print(f"  layer {path.layer}  doc {path.doc_id:>3}  confidence {path.path_confidence:.4f}")
 
     # the same engine piece answers plain nearest-neighbor questions too
-    mem = hier.layer(1)
+    mem = hier.layers[0]
     top = search_layer(mem, ctx.retrieval.encodings[0], 3)
     print("\nwhole-document nearest neighbors:")
     for hit in top:

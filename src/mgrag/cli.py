@@ -4,7 +4,7 @@ Machine-readable output (JSON/CSV) goes to standard output or to files named
 by flags; human logs go to standard error. Every command is deterministic
 for a fixed seed; the default seed is 0, never the clock. Exit codes:
 0 success, 1 runtime failure (including a sweep with failed cells), 2 usage
-or validation error.
+or validation error (including a query with no indexable feature).
 
 Each option, its type and its default are declared once, in ``build_parser``;
 a ``--config`` file sets the same options under their underscored names.
@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -26,8 +27,8 @@ import numpy as np
 from . import corpus as corpus_mod
 from .confidence import VAR_MODES, GateConfig, entropy, filter_paths
 from .embedder import EmbedderSpec
-from .errors import ConfigError, MgragError, ParseError
-from .evaluation import EvalConfig, SweepGrid, evaluate, sweep
+from .errors import ConfigError, MgragError, ParseError, RoutingError
+from .evaluation import AGG_MODES, EvalConfig, SweepGrid, evaluate, sweep
 from .generator import (
     TrainConfig,
     build_toy_qa,
@@ -38,7 +39,7 @@ from .generator import (
     train,
 )
 from .memory import build, load, save
-from .router import RouterConfig, route
+from .router import SCORE_MODES, RouterConfig, route
 
 log = logging.getLogger("mgrag")
 
@@ -46,7 +47,8 @@ log = logging.getLogger("mgrag")
 def _read_config_file(path: str) -> dict[str, str]:
     """One `key = value` per line; `#` starts a comment."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    text = Path(path).read_text(encoding="utf-8", errors="replace")  # as every text input is read
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -109,10 +111,7 @@ def _read(kind: str, path: str, fmt: str):
     """Read ``documents``, ``queries`` or ``qrels`` from a JSONL or marker-format file."""
     if fmt == "auto":
         fmt = "jsonl" if str(path).endswith(".jsonl") else "cisi"
-    try:
-        return getattr(corpus_mod, f"read_{fmt}_{kind}")(path)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return getattr(corpus_mod, f"read_{fmt}_{kind}")(path)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -181,7 +180,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     hier = load(args.index)
     ctx = route(hier, args.text, _router_from(args))
     gated = filter_paths(ctx, args.tau)
-    dropped = 0 if gated.gate_bypassed else len(ctx.paths) - len(gated.paths)
     payload = {
         "query_id": args.query_id,
         "weights": [float(w) for w in gated.weights],
@@ -199,7 +197,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         "confidence": {
             "routing_entropy": entropy(gated.weights),
             "kept_paths": len(gated.paths),
-            "dropped_paths": dropped,
+            "dropped_paths": len(ctx.paths) - len(gated.paths),
             "gate_bypassed": gated.gate_bypassed,
         },
     }
@@ -271,12 +269,7 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
         "diverged": result.diverged,
         "final_train_accuracy": result.accuracy,
         "history": result.history,
-        "config": {
-            "lr": cfg.lr,
-            "epochs": cfg.epochs,
-            "router": cfg.router.to_dict(),
-            "gate": cfg.gate.to_dict(),
-        },
+        "config": asdict(cfg),
     }
     _write_or_print(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
@@ -330,7 +323,7 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_router_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=5, help="hits per layer (default %(default)s)")
-    p.add_argument("--layer-score-mode", dest="layer_score_mode", choices=["mean_topk", "max"],
+    p.add_argument("--layer-score-mode", dest="layer_score_mode", choices=SCORE_MODES,
                    default="mean_topk", help="layer evidence score (default %(default)s)")
 
 
@@ -363,7 +356,7 @@ def _add_embedder_flags(p: argparse.ArgumentParser) -> None:
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-k", dest="eval_k", type=int, default=5,
                    help="ranking cutoff (default %(default)s)")
-    p.add_argument("--agg-mode", dest="agg_mode", choices=["max", "sum"], default="max",
+    p.add_argument("--agg-mode", dest="agg_mode", choices=AGG_MODES, default="max",
                    help="per-document score aggregation (default %(default)s)")
 
 
@@ -485,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: --help or a usage error
         return int(exc.code) if exc.code is not None else 0
-    except (ConfigError, ParseError, ValueError) as exc:
+    except (ConfigError, ParseError, RoutingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MgragError, OSError) as exc:

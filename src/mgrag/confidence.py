@@ -10,7 +10,7 @@ survivors.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class GateConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.var_mode not in VAR_MODES:
             raise ConfigError(f"var_mode must be one of {VAR_MODES}, got {self.var_mode!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -158,21 +158,27 @@ def parse_cisi_qrels(text: str) -> dict[int, set[int]]:
     return qrels
 
 
-def _read_text(path: str | Path) -> str:
-    # lossy fallback: stray non-UTF-8 bytes become U+FFFD instead of failing
-    return Path(path).read_text(encoding="utf-8", errors="replace")
+_T = TypeVar("_T")
+
+
+def _read(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """``parse`` a UTF-8 file, stray bytes read as U+FFFD; a ``ParseError`` gets the file name."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8", errors="replace"))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_cisi_documents(path: str | Path) -> list[Document]:
-    return parse_cisi_documents(_read_text(path))
+    return _read(path, parse_cisi_documents)
 
 
 def read_cisi_queries(path: str | Path) -> list[Query]:
-    return parse_cisi_queries(_read_text(path))
+    return _read(path, parse_cisi_queries)
 
 
 def read_cisi_qrels(path: str | Path) -> dict[int, set[int]]:
-    return parse_cisi_qrels(_read_text(path))
+    return _read(path, parse_cisi_qrels)
 
 
 # --- JSONL interchange -----------------------------------------------------
@@ -262,15 +268,15 @@ def documents_to_jsonl(docs: Sequence[Document]) -> str:
 
 
 def read_jsonl_documents(path: str | Path) -> list[Document]:
-    return parse_jsonl_documents(_read_text(path))
+    return _read(path, parse_jsonl_documents)
 
 
 def read_jsonl_queries(path: str | Path) -> list[Query]:
-    return parse_jsonl_queries(_read_text(path))
+    return _read(path, parse_jsonl_queries)
 
 
 def read_jsonl_qrels(path: str | Path) -> dict[int, set[int]]:
-    return parse_jsonl_qrels(_read_text(path))
+    return _read(path, parse_jsonl_qrels)
 
 
 def corpus_sha256(docs: Sequence[Document]) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class EmbedderSpec:
             )
         if not 0 <= self.hash_seed <= _MASK64:  # the key is 64 bits; a larger seed would alias
             raise ConfigError(f"hash_seed must lie in [0, 2**64 - 1], got {self.hash_seed}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EmbedderSpec":
-        return cls(**data)
 
 
 def layer_salt(layer: int, spec: EmbedderSpec) -> int:

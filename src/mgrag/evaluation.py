@@ -18,7 +18,7 @@ import numpy as np
 from .confidence import GateConfig, entropy, filter_paths
 from .corpus import MAX_DEPTH, Document, Query, mix_corpora
 from .embedder import EmbedderSpec
-from .errors import ConfigError, EvalError
+from .errors import ConfigError, EvalError, RoutingError
 from .generator import QAExample, TrainConfig, train
 from .memory import MemoryHierarchy, build
 from .router import FusedContext, RouterConfig, route
@@ -111,9 +111,6 @@ class EvalConfig:
         if self.agg_mode not in AGG_MODES:
             raise ConfigError(f"agg_mode must be one of {AGG_MODES}, got {self.agg_mode!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EvalReport:
@@ -146,13 +143,10 @@ def evaluate(
 ) -> EvalReport:
     """Route, gate, rank, and score every query that has relevance judgments.
 
-    Queries without judgments are counted as skipped, never averaged in.
+    Queries without judgments are counted as skipped, never averaged in. A query
+    that routes nowhere (no indexable feature) raises ``RoutingError`` naming its id.
     """
     per_query = []
-    recalls = []
-    ndcgs = []
-    aps = []
-    entropies = []
     bypassed = 0
     skipped = 0
     for query in sorted(queries, key=lambda q: q.query_id):
@@ -160,43 +154,42 @@ def evaluate(
         if not relevant:
             skipped += 1
             continue
-        ctx = route(hier, query.text, cfg.router)
+        try:
+            ctx = route(hier, query.text, cfg.router)
+        except RoutingError as exc:
+            raise RoutingError(f"query {query.query_id}: {exc}") from None
         gated = filter_paths(ctx, cfg.gate.tau_path)
         if gated.gate_bypassed:
             bypassed += 1
         ranking = aggregate_ranking(gated, query.query_id, cfg.agg_mode)
-        r = recall_at_k(ranking, relevant, cfg.k)
-        n = ndcg_at_k(ranking, relevant, cfg.k)
-        a = average_precision(ranking, relevant)
-        h = entropy(gated.weights)
-        recalls.append(r)
-        ndcgs.append(n)
-        aps.append(a)
-        entropies.append(h)
         per_query.append(
             {
                 "query_id": query.query_id,
-                "recall_at_k": r,
-                "ndcg_at_k": n,
-                "average_precision": a,
-                "routing_entropy": h,
+                "recall_at_k": recall_at_k(ranking, relevant, cfg.k),
+                "ndcg_at_k": ndcg_at_k(ranking, relevant, cfg.k),
+                "average_precision": average_precision(ranking, relevant),
+                "routing_entropy": entropy(gated.weights),
                 "n_paths": len(gated.paths),
                 "gate_bypassed": gated.gate_bypassed,
             }
         )
     if not per_query:
         raise EvalError("no query had relevance judgments; nothing to evaluate")
-    config_echo = cfg.to_dict()
+    config_echo = asdict(cfg)
     config_echo["depth"] = hier.depth
     config_echo["dim"] = hier.dim
+
+    def mean(metric: str) -> float:
+        return float(np.mean([row[metric] for row in per_query]))
+
     return EvalReport(
         k=cfg.k,
         n_evaluated=len(per_query),
         n_skipped=skipped,
-        mean_recall_at_k=float(np.mean(recalls)),
-        mean_ndcg_at_k=float(np.mean(ndcgs)),
-        map=float(np.mean(aps)),
-        routing_entropy_mean=float(np.mean(entropies)),
+        mean_recall_at_k=mean("recall_at_k"),
+        mean_ndcg_at_k=mean("ndcg_at_k"),
+        map=mean("average_precision"),
+        routing_entropy_mean=mean("routing_entropy"),
         gate_bypassed_count=bypassed,
         per_query=per_query,
         config=config_echo,

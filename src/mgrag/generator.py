@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .confidence import ConfidenceReport, GateConfig, filter_paths
-from .corpus import Document, Query, _distinct_words, _jsonl_rows, _require_int, _word
+from .corpus import Document, Query, _distinct_words, _jsonl_rows, _read, _require_int, _word
 from .errors import ConfigError, ParseError
 from .memory import MemoryHierarchy
 from .router import FusedContext, RouterConfig, _softmax, route
@@ -112,8 +112,8 @@ class TrainConfig:
     router: RouterConfig = field(default_factory=RouterConfig)
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -166,7 +166,7 @@ def _features(
     for ex in dataset:
         ctx0 = route(hier, ex.query.text, cfg.router)
         ctx = filter_paths(ctx0, cfg.gate.tau_path)
-        gated.append((ctx, 0 if ctx.gate_bypassed else len(ctx0.paths) - len(ctx.paths)))
+        gated.append((ctx, len(ctx0.paths) - len(ctx.paths)))
         h = ctx0.retrieval.encodings[0]  # layer-1 query encoding
         rows.append(np.concatenate([h, ctx.c]))
         if ensemble:
@@ -432,7 +432,4 @@ def parse_jsonl_qa(text: str) -> list[QAExample]:
 
 
 def read_jsonl_qa(path: str | Path) -> list[QAExample]:
-    try:
-        return parse_jsonl_qa(Path(path).read_text(encoding="utf-8", errors="replace"))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _read(path, parse_jsonl_qa)

@@ -13,7 +13,7 @@ import os
 import re
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -108,11 +108,6 @@ class MemoryHierarchy:
             degenerate_counts={mem.layer: mem.n_degenerate for mem in self.layers},
         )
 
-    def layer(self, layer: int) -> LayerMemory:
-        if not 1 <= layer <= self.depth:
-            raise ValueError(f"layer must be in [1, {self.depth}], got {layer}")
-        return self.layers[layer - 1]
-
     @property
     def dim(self) -> int:
         return self.embedder_spec.dim
@@ -121,7 +116,7 @@ class MemoryHierarchy:
 def _config_sha256(spec: EmbedderSpec, depth: int) -> str:
     payload = json.dumps(
         {
-            "embedder": spec.to_dict(),
+            "embedder": asdict(spec),
             "segmentation": SEGMENTATION_RULES,
             "depth": depth,
         },
@@ -218,7 +213,7 @@ def save(hier: MemoryHierarchy, path: str | Path) -> None:
         "format_version": FORMAT_VERSION,
         "dim": hier.dim,
         "depth": hier.depth,
-        "embedder_spec": hier.embedder_spec.to_dict(),
+        "embedder_spec": asdict(hier.embedder_spec),
         "seg_spec": SEGMENTATION_RULES,
         "manifest": hier.manifest.to_dict(),
         "layers": [
@@ -302,7 +297,7 @@ def load(path: str | Path) -> MemoryHierarchy:
                         n_degenerate=stored["degenerate_counts"].get(str(meta["layer"]), 0),
                     )
                 )
-            embedder_spec = EmbedderSpec.from_dict(header["embedder_spec"])
+            embedder_spec = EmbedderSpec(**header["embedder_spec"])
             depth, numbers = header["depth"], [mem.layer for mem in layers]
             if not 1 <= depth <= MAX_DEPTH or numbers != list(range(1, depth + 1)):
                 raise IndexFormatError(

@@ -10,7 +10,7 @@ weighted mean of that layer's retrieved unit vectors.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class RouterConfig:
             raise ConfigError(
                 f"layer_score_mode must be one of {SCORE_MODES}, got {self.layer_score_mode!r}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
     ):
         if not layer_sims.size:
             continue
-        within = routing_weights(layer_sims, 1.0)  # softmax over the layer's hit similarities
+        within = _softmax(layer_sims)  # softmax over the layer's hit similarities
         readouts[layer_no - 1] = within @ vectors
         for hit, w in zip(hits, within):
             paths.append(

@@ -84,7 +84,7 @@ def test_01_topk_matches_brute_force_scan_on_200_docs():
     started = time.monotonic()
     for trial in range(1000):
         layer_no = trial % 3 + 1
-        mem = hier.layer(layer_no)
+        mem = hier.layers[layer_no - 1]
         q = rng.standard_normal(spec.dim)
         q /= np.linalg.norm(q)
         hits = search_layer(mem, q, k)

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from mgrag.cli import build_parser, main, parse_args
+from mgrag.confidence import VAR_MODES
+from mgrag.evaluation import AGG_MODES
+from mgrag.router import SCORE_MODES
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "data" / "cisi_sample.all"
@@ -235,6 +238,19 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
     return commands.choices
 
 
+def test_mode_choices_are_their_modules_constants():
+    # a mode list stated once: the flag offers exactly what the config class accepts
+    constants = {"layer_score_mode": SCORE_MODES, "agg_mode": AGG_MODES, "var_mode": VAR_MODES}
+    seen = set()
+    for verb, command in _subcommands().items():
+        for action in command._actions:
+            if action.choices is None or action.dest == "format":  # input formats are the CLI's own
+                continue
+            assert action.choices is constants[action.dest], (verb, action.dest)
+            seen.add(action.dest)
+    assert seen == set(constants)
+
+
 def _other_value(action: argparse.Action) -> str:
     """A command-line spelling of a value that differs from the flag's default."""
     if action.choices is not None:
@@ -283,12 +299,17 @@ def test_every_optional_flag_can_come_from_the_config_file(tmp_path):
         ("", ["--seed", "1"], "--seed"),
         ("k = five\n", [], "k"),
         ("config = other.cfg\n", [], "config"),
+        (b"tau = \xff\n", [], "run.cfg: config key tau: invalid value"),  # not UTF-8
+        (b"t\xffu = 0.1\n", [], "run.cfg: unknown config key t\ufffdu"),
     ],
 )
 def test_config_key_or_flag_the_command_lacks_is_a_usage_error(tmp_path, capsys, config_text,
                                                                flags, named):
     config = tmp_path / "run.cfg"
-    config.write_text(config_text, encoding="utf-8")
+    if isinstance(config_text, bytes):
+        config.write_bytes(config_text)
+    else:
+        config.write_text(config_text, encoding="utf-8")
     argv = ["query", "--index", str(tmp_path / "absent.mgix"), "--text", "x",
             "--config", str(config), *flags]
     assert main(argv) == 2
@@ -344,6 +365,7 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
         ("gradcheck", ["--tol", "-1"], "--tol must be positive and finite, got -1.0"),
         ("gradcheck", ["--tol", "0"], "--tol must be positive and finite, got 0.0"),
         ("train-gen", ["--lambda1", "inf"], "lambda1 must be finite and >= 0, got inf"),
+        ("train-gen", ["--lr", "inf"], "lr must be finite and > 0, got inf"),
         ("build", ["--hash-seed", str(2**64 + 1)],
          "hash_seed must lie in [0, 2**64 - 1], got 18446744073709551617"),
         ("sweep", ["--temperatures", "0.5,inf"], "temperatures must be finite and positive"),
@@ -351,7 +373,8 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
     ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size",
          "gradcheck-empty-lambda-grid", "gradcheck-inf-lambda", "gradcheck-nan-lambda",
          "gradcheck-inf-sigma", "gradcheck-nan-tol", "gradcheck-negative-tol", "gradcheck-zero-tol",
-         "train-gen-inf-lambda1", "build-hash-seed-past-64-bits", "sweep-inf-temperature"],
+         "train-gen-inf-lambda1", "train-gen-inf-lr", "build-hash-seed-past-64-bits",
+         "sweep-inf-temperature"],
 )
 def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, flags, named):
     # rejected up front, by name, before any seeded draw or sweep cell runs
@@ -383,6 +406,28 @@ def test_infinite_temperature_is_a_usage_error(index_path, capsys, argv, named):
     assert main([argv[0], "--index", str(index_path), *argv[1:]]) == 2
     out, err = capsys.readouterr()
     assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("verb", ["query", "eval"])
+def test_query_with_no_indexable_feature_is_a_usage_error(index_path, tmp_path, capsys, verb):
+    if verb == "query":
+        argv = ["query", "--index", str(index_path), "--text", "?!"]
+    else:  # one good query and one that routes nowhere; the report is not written
+        queries = tmp_path / "q.jsonl"
+        queries.write_text('{"id": 1, "text": "library catalogs"}\n{"id": 2, "text": "?!"}\n',
+                           encoding="utf-8")
+        qrels = tmp_path / "r.jsonl"
+        qrels.write_text('{"query_id": 1, "doc_id": 1}\n{"query_id": 2, "doc_id": 2}\n',
+                         encoding="utf-8")
+        argv = ["eval", "--index", str(index_path), "--queries", str(queries),
+                "--qrels", str(qrels)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "no layer produced any hits" in err
+    if verb == "eval":
+        assert "error: query 2: no layer produced any hits" in err
     assert "Traceback" not in err
     assert out == ""
 

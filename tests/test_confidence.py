@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ def test_gate_config_validation():
 
 def test_gate_config_round_trips_through_dict():
     cfg = GateConfig(tau_path=0.1, lambda1=0.2, lambda2=0.3, ensemble_K=4, noise_sigma=0.01, seed=9)
-    assert GateConfig(**cfg.to_dict()) == cfg
+    assert GateConfig(**asdict(cfg)) == cfg
 
 
 # --- path gating ---------------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_gated_context_matches_hand_recomputation():
     hand_weights = np.exp(np.array([0.9, 0.2]))
     hand_weights /= hand_weights.sum()
     assert gated.weights == pytest.approx(hand_weights, abs=1e-12)
-    hand_c = hand_weights[0] * hier.layer(1).vectors[0] + hand_weights[1] * hier.layer(2).vectors[0]
+    hand_c = hand_weights[0] * hier.layers[0].vectors[0] + hand_weights[1] * hier.layers[1].vectors[0]
     assert np.max(np.abs(gated.c - hand_c)) < 1e-12
     assert [p.path_confidence for p in gated.paths] == pytest.approx(
         sorted(hand_weights, reverse=True), abs=1e-12
@@ -279,7 +280,7 @@ def test_gated_fusion_recomputes_through_readout():
     for layer_no in (1, 2):
         hits = gated.retrieval.hits[layer_no - 1]
         if hits:
-            manual += gated.weights[layer_no - 1] * _readout(hits, hier.layer(layer_no))
+            manual += gated.weights[layer_no - 1] * _readout(hits, hier.layers[layer_no - 1])
     assert np.max(np.abs(gated.c - manual)) < 1e-12
 
 

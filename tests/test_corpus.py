@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mgrag import corpus
 from mgrag.corpus import (
     Document,
     corpus_sha256,
@@ -114,6 +115,21 @@ def test_qrels_ids_out_of_range_rejected_with_line(row, message):
     with pytest.raises(ParseError) as exc_info:
         parse_cisi_qrels(f"1 2\n{row}\n")
     assert str(exc_info.value) == f"line 2: {message}"
+
+
+# a first line each reader rejects; its undecodable byte is read as U+FFFD
+_BAD_FIRST_LINE = {"cisi_documents": b".W \xff\n", "cisi_queries": b".W \xff\n",
+                   "cisi_qrels": b"1 \xff\n", "jsonl_documents": b"\xff\n",
+                   "jsonl_queries": b"\xff\n", "jsonl_qrels": b"\xff\n"}
+
+
+@pytest.mark.parametrize("kind", _BAD_FIRST_LINE)
+def test_file_readers_name_the_file_in_a_parse_error(tmp_path, kind):
+    path = tmp_path / "input.txt"
+    path.write_bytes(_BAD_FIRST_LINE[kind])
+    with pytest.raises(ParseError) as exc_info:
+        getattr(corpus, f"read_{kind}")(path)
+    assert str(exc_info.value).startswith(f"{path}: line 1: ")
 
 
 def test_bundled_sample_parses():

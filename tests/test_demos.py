@@ -1,8 +1,9 @@
-"""Every demo runs to completion as a user would start it."""
+"""Every demo, and the README's Quick start, runs to completion as a user would start it."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,15 @@ def test_demo_runs_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_readme_quick_start_runs():
+    # keeps the documented API honest: a helper the README uses cannot vanish unnoticed
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"## Quick start\n\n```python\n(.*?)```", readme, re.S)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout.splitlines()) == 4

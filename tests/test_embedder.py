@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,7 @@ def test_spec_validation():
 
 def test_spec_dict_round_trip():
     spec = EmbedderSpec(dim=128, ngram_min=2, ngram_max=4, hash_seed=9, shared_phi=True)
-    assert EmbedderSpec.from_dict(spec.to_dict()) == spec
+    assert EmbedderSpec(**asdict(spec)) == spec
 
 
 def test_embed_rejects_bad_layer():

@@ -234,7 +234,7 @@ def test_depth_one_ranking_equals_plain_cosine_retrieval():
     docs, queries, qrels = keyword_eval_suite(n_queries=50, seed=3)
     spec = EmbedderSpec(dim=64)
     hier = build(docs, spec, depth=1)
-    mem = hier.layer(1)
+    mem = hier.layers[0]
     cfg = EvalConfig(k=5, router=RouterConfig(k_per_layer=5))
     for query in queries:
         ctx = route(hier, query.text, cfg.router)

@@ -424,6 +424,15 @@ def test_params_validation():
         GeneratorParams(W=np.full((2, 4), np.nan), b=np.zeros(2))
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1, math.inf, math.nan])
+def test_train_config_validation(lr):
+    # an infinite step size trains a NaN model, so it is rejected like a zero one
+    with pytest.raises(ConfigError, match=f"lr must be finite and > 0, got {lr}"):
+        TrainConfig(lr=lr)
+    with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
+        TrainConfig(epochs=-1)
+
+
 def test_init_params_seeded_and_validated():
     a = init_params(4, DIM, seed=2)
     b = init_params(4, DIM, seed=2)

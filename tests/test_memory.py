@@ -128,13 +128,13 @@ def test_layer_memory_rejects_mismatched_lengths():
 def test_build_single_doc_depth_one():
     hier = build([Document(doc_id=1, title="", body="hello world")], EmbedderSpec(dim=16), depth=1)
     assert hier.depth == 1
-    assert hier.layer(1).n_units == 1
+    assert hier.layers[0].n_units == 1
     assert hier.manifest.unit_counts == {1: 1}
 
 
 def test_build_layer_sizes_follow_segmentation():
     hier = build([Document(doc_id=1, title="", body="A. B.\n\nC.")], EmbedderSpec(dim=16), depth=3)
-    assert [hier.layer(l).n_units for l in (1, 2, 3)] == [1, 2, 3]
+    assert [hier.layers[l - 1].n_units for l in (1, 2, 3)] == [1, 2, 3]
 
 
 def test_build_counts_and_skips_degenerate_units():
@@ -143,7 +143,7 @@ def test_build_counts_and_skips_degenerate_units():
         Document(doc_id=2, title="", body="??? !!!"),  # tokenizes to nothing
     ]
     hier = build(docs, EmbedderSpec(dim=16), depth=1)
-    assert hier.layer(1).n_units == 1
+    assert hier.layers[0].n_units == 1
     assert hier.manifest.degenerate_counts == {1: 1}
     assert hier.manifest.n_documents == 2
 
@@ -159,7 +159,7 @@ def test_build_warns_once_per_empty_document(caplog):
     warned = [r.getMessage() for r in caplog.records if "empty body" in r.getMessage()]
     assert warned == ["document 2 has an empty body; skipped",
                       "document 3 has an empty body; skipped"]
-    assert set(hier.layer(5).doc_ids.tolist()) == {1}
+    assert set(hier.layers[4].doc_ids.tolist()) == {1}
 
 
 def test_build_fails_on_zero_indexable_units():
@@ -199,7 +199,7 @@ def test_docs_reachable_at_depth_l_subset_of_depth_l_plus_one():
         hier = build(docs, spec, depth=depth)
         found = set()
         for layer_no in range(1, depth + 1):
-            for hit in search_layer(hier.layer(layer_no), embed(query, layer_no, spec), 5):
+            for hit in search_layer(hier.layers[layer_no - 1], embed(query, layer_no, spec), 5):
                 found.add(hit.doc_id)
         reachable.append(found)
     for smaller, larger in zip(reachable, reachable[1:]):
@@ -225,8 +225,8 @@ def test_save_load_round_trip_preserves_search(tmp_path):
     from mgrag.embedder import embed
 
     query = embed("find the report", 2, hier.embedder_spec)
-    before = search_layer(hier.layer(2), query, 5)
-    after = search_layer(again.layer(2), query, 5)
+    before = search_layer(hier.layers[1], query, 5)
+    after = search_layer(again.layers[1], query, 5)
     assert [(h.unit_id, h.doc_id) for h in before] == [(h.unit_id, h.doc_id) for h in after]
     assert all(a.sim == b.sim for a, b in zip(before, after))  # bit-exact
 

@@ -185,7 +185,7 @@ def test_router_config_validation():
 def test_single_hit_readout_is_that_vector():
     hier = _hier([[_at_sim(0.6)]])
     ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=1))
-    assert np.array_equal(ctx.c, hier.layer(1).vectors[0])
+    assert np.array_equal(ctx.c, hier.layers[0].vectors[0])
 
 
 def test_equal_sim_readout_is_plain_mean():
@@ -210,7 +210,7 @@ def test_readout_of_no_hits_is_zero_vector():
     # a layer without hits adds nothing: the context is the other layer's readout
     hier = _hier([[_at_sim(0.6)], np.zeros((0, DIM))])
     ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig())
-    assert np.array_equal(ctx.c, hier.layer(1).vectors[0])
+    assert np.array_equal(ctx.c, hier.layers[0].vectors[0])
 
 
 def test_readout_is_not_renormalized():
@@ -224,7 +224,7 @@ def test_fuse_single_layer_is_identity():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
     ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
     assert ctx.weights.tolist() == [1.0]
-    assert np.array_equal(ctx.c, _readout(ctx.retrieval.hits[0], hier.layer(1)))
+    assert np.array_equal(ctx.c, _readout(ctx.retrieval.hits[0], hier.layers[0]))
 
 
 def test_fuse_zero_weight_drops_layer_exactly():
@@ -232,14 +232,14 @@ def test_fuse_zero_weight_drops_layer_exactly():
     hier = _hier([[_at_sim(0.9, other=1)], [_at_sim(0.2, other=2)]])
     ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig(temperature=1e-4))
     assert ctx.weights.tolist() == [1.0, 0.0]
-    assert np.array_equal(ctx.c, hier.layer(1).vectors[0])
+    assert np.array_equal(ctx.c, hier.layers[0].vectors[0])
 
 
 def test_fuse_hand_sum():
     hier = _hier([[_at_sim(0.6, other=1)], [_at_sim(0.6, other=2)]])
     ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig())
     assert ctx.weights == pytest.approx([0.5, 0.5], abs=1e-15)
-    hand = 0.5 * hier.layer(1).vectors[0] + 0.5 * hier.layer(2).vectors[0]
+    hand = 0.5 * hier.layers[0].vectors[0] + 0.5 * hier.layers[1].vectors[0]
     assert np.max(np.abs(ctx.c - hand)) < 1e-15
 
 
@@ -251,7 +251,7 @@ def test_fuse_is_linear_in_weights(suite_hier):
         t1, t2 = rng.uniform(0.2, 4.0, size=2)
         c1 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t1))
         c2 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t2))
-        readouts = np.stack([_readout(c1.retrieval.hits[l - 1], hier.layer(l)) for l in (1, 2, 3)])
+        readouts = np.stack([_readout(c1.retrieval.hits[l - 1], hier.layers[l - 1]) for l in (1, 2, 3)])
         alpha = float(rng.uniform())
         mixed = alpha * c1.c + (1 - alpha) * c2.c
         assert np.max(np.abs(mixed - (alpha * c1.weights + (1 - alpha) * c2.weights) @ readouts)) < 1e-12
@@ -293,7 +293,7 @@ def test_route_context_matches_manual_fusion(suite_hier):
     manual = np.zeros(hier.dim)
     for layer_no in range(1, hier.depth + 1):
         hits = ctx.retrieval.hits[layer_no - 1]
-        manual += ctx.weights[layer_no - 1] * _readout(hits, hier.layer(layer_no))
+        manual += ctx.weights[layer_no - 1] * _readout(hits, hier.layers[layer_no - 1])
     assert np.max(np.abs(ctx.c - manual)) < 1e-12
 
 
