@@ -66,17 +66,6 @@ class GateConfig:
             raise ConfigError(f"var_mode must be one of {VAR_MODES}, got {self.var_mode!r}")
 
 
-@dataclass(frozen=True)
-class ConfidenceReport:
-    entropy: float
-    variance: float
-    l_gen: float
-    total: float
-    kept_paths: int
-    dropped_paths: int
-    gate_bypassed: bool = False
-
-
 def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
     """Drop paths with confidence below tau and re-weigh the surviving hits.
 

@@ -16,11 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confidence import ConfidenceReport, GateConfig, filter_paths
+from .confidence import GateConfig, filter_paths
 from .corpus import Document, Query, _distinct_words, _jsonl_rows, _read, _require_int, _word
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, RoutingError
 from .memory import MemoryHierarchy
-from .router import FusedContext, RouterConfig, _softmax, route
+from .router import RouterConfig, _softmax, route
 
 PARAMS_FORMAT_VERSION = 1
 _P_FLOOR = 1e-300
@@ -118,21 +118,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def predict(params: GeneratorParams, query_vec: np.ndarray, ctx: FusedContext) -> np.ndarray:
-    """Answer distribution from the feature [query encoding ; fused context]."""
-    x = np.concatenate([np.asarray(query_vec, dtype=np.float64), ctx.c])
-    if x.shape[0] != params.W.shape[1]:
-        raise ValueError(f"feature dim {x.shape[0]} does not match W columns {params.W.shape[1]}")
-    return _softmax(params.W @ x + params.b)
-
-
-def nll(p: np.ndarray, gold: int) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= gold < p.shape[0]:
-        raise ValueError(f"gold {gold} out of range for vocabulary {p.shape[0]}")
-    return float(-np.log(max(float(p[gold]), _P_FLOOR)))
-
-
 def _perturbations(gate: GateConfig, query_id: int, dim: int) -> np.ndarray:
     """(K, dim) Gaussian draws, each from its own (seed, query, pass) stream."""
     return np.stack(
@@ -150,30 +135,31 @@ def _uses_ensemble(gate: GateConfig) -> bool:
 
 def _features(
     dataset: list[QAExample], hier: MemoryHierarchy, cfg: TrainConfig, vocab_size: int
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[tuple[FusedContext, int]]]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Retrieval side of the forward pass, each example routed and gated once.
 
     The only builder of answer-model features, constant in the parameters.
     Returns the (N, 2d) rows [layer-1 query encoding ; gated context], the
-    (N, K, 2d) perturbed rows when ``_uses_ensemble`` (else None), the golds,
-    and per example its gated context with its dropped-path count.
+    (N, K, 2d) perturbed rows when ``_uses_ensemble`` (else None), and the
+    golds. An example that routes nowhere raises ``RoutingError`` naming its id.
     """
     golds = np.array([ex.gold for ex in dataset])
     if golds.max() >= vocab_size:
         raise ValueError(f"gold {golds.max()} out of range for vocabulary {vocab_size}")
     ensemble = _uses_ensemble(cfg.gate)
-    rows, perturbed, gated = [], [], []
+    rows, perturbed = [], []
     for ex in dataset:
-        ctx0 = route(hier, ex.query.text, cfg.router)
-        ctx = filter_paths(ctx0, cfg.gate.tau_path)
-        gated.append((ctx, len(ctx0.paths) - len(ctx.paths)))
-        h = ctx0.retrieval.encodings[0]  # layer-1 query encoding
+        try:
+            ctx = filter_paths(route(hier, ex.query.text, cfg.router), cfg.gate.tau_path)
+        except RoutingError as exc:
+            raise RoutingError(f"query {ex.query.query_id}: {exc}") from None
+        h = ctx.retrieval.encodings[0]  # layer-1 query encoding
         rows.append(np.concatenate([h, ctx.c]))
         if ensemble:
             noise = _perturbations(cfg.gate, ex.query.query_id, hier.dim)
             cs = ctx.c + cfg.gate.noise_sigma * noise  # (K, dim)
             perturbed.append(np.concatenate([np.tile(h, (cfg.gate.ensemble_K, 1)), cs], axis=1))
-    return np.stack(rows), np.stack(perturbed) if ensemble else None, golds, gated
+    return np.stack(rows), np.stack(perturbed) if ensemble else None, golds
 
 
 class _Objective(NamedTuple):
@@ -235,36 +221,6 @@ def _loss_and_grad(
     return _Objective(p, nll_vals, h_vals, var_vals, loss_vals, dW, db)
 
 
-def total_loss(
-    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
-) -> tuple[float, ConfidenceReport]:
-    """Joint objective of one example with its confidence report; a non-finite value raises."""
-    X, XS, golds, [(ctx, dropped)] = _features([example], hier, cfg, params.vocab_size)
-    obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
-    total = float(obj.loss[0])
-    if not np.isfinite(total):
-        raise ValueError(f"objective is not finite: {total}")
-    report = ConfidenceReport(
-        entropy=float(obj.entropy[0]),
-        variance=float(obj.variance[0]),
-        l_gen=float(obj.nll[0]),
-        total=total,
-        kept_paths=len(ctx.paths),
-        dropped_paths=dropped,
-        gate_bypassed=ctx.gate_bypassed,
-    )
-    return total, report
-
-
-def grad(
-    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (dW, db) of the joint objective for one example."""
-    X, XS, golds, _ = _features([example], hier, cfg, params.vocab_size)
-    obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
-    return obj.dW, obj.db
-
-
 def gradient_check(
     params: GeneratorParams,
     example: QAExample,
@@ -280,7 +236,7 @@ def gradient_check(
     instead of amplifying rounding noise. A non-finite objective or gradient
     raises instead of returning NaN.
     """
-    X, XS, golds, _ = _features([example], hier, cfg, params.vocab_size)
+    X, XS, golds = _features([example], hier, cfg, params.vocab_size)
     n_w = params.W.size
 
     def loss_at(theta: np.ndarray) -> float:
@@ -335,7 +291,7 @@ def train(
         vocab = max(ex.gold for ex in dataset) + 1
         params = init_params(max(vocab, 2), hier.dim, seed=cfg.gate.seed)
     params = params.copy()
-    X, XS, golds, _ = _features(dataset, hier, cfg, params.vocab_size)
+    X, XS, golds = _features(dataset, hier, cfg, params.vocab_size)
     history: list[dict] = []
     diverged = False
     for epoch in range(cfg.epochs):

@@ -1,0 +1,46 @@
+"""Reference computations the answer-model tests check the library against.
+
+``predict`` and ``nll`` score one example the plain way, outside the
+library's batched objective. ``objective`` reads the joint objective and its
+gradient for one example off one epoch of ``train``, the function the
+pipeline runs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from mgrag.generator import _P_FLOOR, GeneratorParams, QAExample, TrainConfig, train
+from mgrag.memory import MemoryHierarchy
+from mgrag.router import FusedContext, _softmax
+
+
+def predict(params: GeneratorParams, query_vec: np.ndarray, ctx: FusedContext) -> np.ndarray:
+    """Answer distribution from the feature [query encoding ; fused context]."""
+    x = np.concatenate([np.asarray(query_vec, dtype=np.float64), ctx.c])
+    if x.shape[0] != params.W.shape[1]:
+        raise ValueError(f"feature dim {x.shape[0]} does not match W columns {params.W.shape[1]}")
+    return _softmax(params.W @ x + params.b)
+
+
+def nll(p: np.ndarray, gold: int) -> float:
+    p = np.asarray(p, dtype=np.float64)
+    if not 0 <= gold < p.shape[0]:
+        raise ValueError(f"gold {gold} out of range for vocabulary {p.shape[0]}")
+    return float(-np.log(max(float(p[gold]), _P_FLOOR)))
+
+
+def objective(
+    params: GeneratorParams, example: QAExample, hier: MemoryHierarchy, cfg: TrainConfig
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The objective's terms for one example, and its gradient (dW, db).
+
+    One epoch at lr 1 records the terms at ``params`` as its only history row
+    (means over one row, so the example's own values) and steps by exactly
+    the gradient, which is read back as ``params - stepped``.
+    """
+    result = train([example], hier, replace(cfg, lr=1.0, epochs=1), params=params)
+    [row] = result.history
+    return row, params.W - result.params.W, params.b - result.params.b

@@ -39,13 +39,11 @@ from mgrag.generator import (
     build_toy_qa,
     gradient_check,
     init_params,
-    nll,
-    predict,
-    total_loss,
     train,
 )
 from mgrag.memory import build, search_layer
 from mgrag.router import RouterConfig, route, routing_weights
+from oracles import nll, objective, predict
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -153,16 +151,16 @@ def test_04_objective_reduces_to_nll_and_variance_vanishes_without_noise():
     plain = TrainConfig(gate=GateConfig(lambda1=0.0, lambda2=0.0, ensemble_K=3),
                         router=RouterConfig(k_per_layer=3))
     for ex in examples:
-        total, _ = total_loss(params, ex, hier, plain)
+        row, _, _ = objective(params, ex, hier, plain)
         h = embed(ex.query.text, 1, hier.embedder_spec)
         ctx = route(hier, ex.query.text, plain.router)
-        assert abs(total - nll(predict(params, h, ctx), ex.gold)) <= 1e-12
+        assert abs(row["loss"] - nll(predict(params, h, ctx), ex.gold)) <= 1e-12
 
     silent = TrainConfig(gate=GateConfig(lambda2=0.7, noise_sigma=0.0, ensemble_K=3),
                          router=RouterConfig(k_per_layer=3))
     for ex in examples:
-        _, report = total_loss(params, ex, hier, silent)
-        assert report.variance == 0.0
+        row, _, _ = objective(params, ex, hier, silent)
+        assert row["variance"] == 0.0
 
 
 # --- 5: ranking metrics against a brute-force reference -----------------------------------

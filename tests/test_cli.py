@@ -432,6 +432,27 @@ def test_query_with_no_indexable_feature_is_a_usage_error(index_path, tmp_path, 
     assert out == ""
 
 
+@pytest.mark.parametrize("verb", ["build", "eval"])
+def test_empty_corpus_or_unjudged_queries_is_a_usage_error(index_path, tmp_path, capsys, verb):
+    if verb == "build":
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("", encoding="utf-8")
+        argv = ["build", "--corpus", str(corpus), "--out", str(tmp_path / "x.mgix")]
+        named = "error: corpus is empty"
+    else:
+        qrels = tmp_path / "none.rel"
+        qrels.write_text("999 1 0 0.0\n", encoding="utf-8")  # judges no query in the file
+        argv = ["eval", "--index", str(index_path), "--queries", str(QUERIES),
+                "--qrels", str(qrels)]
+        named = "error: no query had relevance judgments; nothing to evaluate"
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "x.mgix").exists()
+
+
 def test_config_file_outputs_are_written(index_path, tmp_path):
     out = tmp_path / "q.json"
     config = tmp_path / "run.cfg"
@@ -550,6 +571,18 @@ def test_train_gen_rejects_a_mistyped_qa_row(qa_env, tmp_path):
     assert proc.returncode == 2
     assert "line 2" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_train_gen_names_a_qa_row_that_routes_nowhere(qa_env, tmp_path, capsys):
+    root, idx = qa_env
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text((root / "qa.jsonl").read_text()
+                  + '{"query_id": 7, "text": "?!", "gold": 0}\n', encoding="utf-8")
+    assert main(["train-gen", "--index", str(idx), "--qa", str(qa), "--epochs", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "error: query 7: no layer produced any hits" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_gradcheck_passes_and_reports(qa_env):

@@ -9,9 +9,10 @@ import pytest
 from mgrag.confidence import GateConfig, entropy, filter_paths, validate_distribution
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError
-from mgrag.generator import GeneratorParams, TrainConfig, build_toy_qa, init_params, total_loss
+from mgrag.generator import GeneratorParams, TrainConfig, build_toy_qa, init_params, train
 from mgrag.memory import LayerMemory, MemoryHierarchy, build
 from mgrag.router import RouterConfig, assemble, route, search_layers
+from oracles import objective
 
 DIM = 8
 
@@ -56,7 +57,7 @@ def test_invalid_distributions_rejected(bad, message):
         validate_distribution(bad)
 
 
-# --- variance and the joint objective, as total_loss computes them -------------------
+# --- variance and the joint objective, as train records them --------------------------
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ ROUTER = RouterConfig(k_per_layer=3)
 
 def _report(toy, params, **gate):
     hier, example = toy
-    return total_loss(params, example, hier, TrainConfig(gate=GateConfig(**gate), router=ROUTER))[1]
+    return objective(params, example, hier, TrainConfig(gate=GateConfig(**gate), router=ROUTER))[0]
 
 
 def _bias_only(b):
@@ -80,7 +81,7 @@ def _bias_only(b):
 def test_identical_passes_have_zero_variance(toy):
     # no weight on the features: every perturbed pass predicts the same distribution
     params = _bias_only([0.3, -1.2])
-    assert _report(toy, params, ensemble_K=2, noise_sigma=0.5).variance == 0.0
+    assert _report(toy, params, ensemble_K=2, noise_sigma=0.5)["variance"] == 0.0
 
 
 def test_two_opposed_passes_hand_value(toy):
@@ -98,7 +99,7 @@ def test_two_opposed_passes_hand_value(toy):
     W[0, hier.dim :] = scale * d
     b = np.array([-scale * d @ (c + sigma * (n0 + n1) / 2), 0.0])
     report = _report(toy, GeneratorParams(W=W, b=b), ensemble_K=2, noise_sigma=sigma, seed=0)
-    assert report.variance == pytest.approx(0.25, abs=1e-15)
+    assert report["variance"] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_ensemble_variance_needs_two_passes():
@@ -109,17 +110,17 @@ def test_ensemble_variance_needs_two_passes():
 def test_ensemble_variance_is_nonnegative(toy):
     for seed in range(20):
         params = init_params(2, 16, seed=seed, scale=3.0)
-        assert _report(toy, params, ensemble_K=3, noise_sigma=0.5, seed=seed).variance >= 0.0
+        assert _report(toy, params, ensemble_K=3, noise_sigma=0.5, seed=seed)["variance"] >= 0.0
 
 
 def test_intra_variance_of_uniform_is_zero(toy):
-    assert _report(toy, _bias_only([0.0, 0.0]), var_mode="intra").variance == 0.0
+    assert _report(toy, _bias_only([0.0, 0.0]), var_mode="intra")["variance"] == 0.0
 
 
 def test_intra_variance_hand_value(toy):
     # a bias margin of 1000 makes the prediction exactly one-hot over 2 classes:
     # mean of (1-1/2)^2 and (0-1/2)^2
-    assert _report(toy, _bias_only([1000.0, 0.0]), var_mode="intra").variance == pytest.approx(
+    assert _report(toy, _bias_only([1000.0, 0.0]), var_mode="intra")["variance"] == pytest.approx(
         0.25, abs=1e-15
     )
 
@@ -127,31 +128,34 @@ def test_intra_variance_hand_value(toy):
 def test_combined_objective_hand_value(toy):
     params = init_params(2, 16, seed=1, scale=2.0)
     r = _report(toy, params, lambda1=0.1, lambda2=0.3, noise_sigma=0.5)
-    assert r.variance > 0
-    assert r.total == pytest.approx(r.l_gen + 0.1 * r.entropy + 0.3 * r.variance, abs=1e-15)
+    assert r["variance"] > 0
+    assert r["loss"] == pytest.approx(r["nll"] + 0.1 * r["entropy"] + 0.3 * r["variance"], abs=1e-15)
 
 
 def test_objective_is_affine_in_each_coefficient(toy):
     params = init_params(2, 16, seed=2, scale=2.0)
     base = _report(toy, params, noise_sigma=0.5)
     for d in (0.5, 2.0):
-        low = _report(toy, params, lambda1=0.0, lambda2=0.4, noise_sigma=0.5).total
-        high = _report(toy, params, lambda1=d, lambda2=0.4, noise_sigma=0.5).total
-        assert high - low == pytest.approx(d * base.entropy, abs=1e-12)
-        low = _report(toy, params, lambda1=0.2, lambda2=0.0, noise_sigma=0.5).total
-        high = _report(toy, params, lambda1=0.2, lambda2=d, noise_sigma=0.5).total
-        assert high - low == pytest.approx(d * base.variance, abs=1e-12)
+        low = _report(toy, params, lambda1=0.0, lambda2=0.4, noise_sigma=0.5)["loss"]
+        high = _report(toy, params, lambda1=d, lambda2=0.4, noise_sigma=0.5)["loss"]
+        assert high - low == pytest.approx(d * base["entropy"], abs=1e-12)
+        low = _report(toy, params, lambda1=0.2, lambda2=0.0, noise_sigma=0.5)["loss"]
+        high = _report(toy, params, lambda1=0.2, lambda2=d, noise_sigma=0.5)["loss"]
+        assert high - low == pytest.approx(d * base["variance"], abs=1e-12)
 
 
 def test_objective_rejects_non_finite_terms(toy):
-    # finite weights whose logits overflow: the objective is NaN and must not pass silently
+    # finite weights whose logits overflow: the objective is NaN and must not pass silently,
+    # so train records no row for it and flags the run as diverged
     hier, example = toy
     ctx = route(hier, example.query.text, ROUTER)
     x = np.concatenate([ctx.retrieval.encodings[0], ctx.c])
     w = np.stack([1e308 * np.sign(x), -1e308 * np.sign(x)])
+    cfg = TrainConfig(epochs=1, gate=GateConfig(), router=ROUTER)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="not finite"):
-            _report(toy, GeneratorParams(W=w, b=np.zeros(2)))
+        result = train([example], hier, cfg, params=GeneratorParams(W=w, b=np.zeros(2)))
+    assert result.diverged
+    assert result.history == []
 
 
 def test_gate_config_validation():

@@ -15,20 +15,17 @@ from mgrag.generator import (
     QAExample,
     TrainConfig,
     build_toy_qa,
-    grad,
     gradient_check,
     init_params,
     load_params,
-    nll,
     parse_jsonl_qa,
-    predict,
     read_jsonl_qa,
     save_params,
-    total_loss,
     train,
 )
 from mgrag.memory import build
 from mgrag.router import RouterConfig, route
+from oracles import nll, objective, predict
 
 DIM = 16
 
@@ -107,36 +104,36 @@ def test_total_loss_reduces_to_nll_without_penalties(toy):
     params = init_params(4, DIM, seed=3)
     cfg = _cfg(lambda1=0.0, lambda2=0.0)
     ex = examples[0]
-    total, report = total_loss(params, ex, hier, cfg)
+    row, _, _ = objective(params, ex, hier, cfg)
     h = embed(ex.query.text, 1, hier.embedder_spec)
     ctx = filter_paths(route(hier, ex.query.text, cfg.router), cfg.gate.tau_path)
-    assert total == pytest.approx(nll(predict(params, h, ctx), ex.gold), abs=1e-12)
-    assert total == report.l_gen
+    assert row["loss"] == pytest.approx(nll(predict(params, h, ctx), ex.gold), abs=1e-12)
+    assert row["loss"] == row["nll"]
 
 
 def test_zero_noise_means_zero_variance(toy):
     hier, examples = toy
     params = init_params(4, DIM, seed=3)
-    _, report = total_loss(params, examples[0], hier, _cfg(lambda2=0.5, noise_sigma=0.0))
-    assert report.variance == 0.0
+    row, _, _ = objective(params, examples[0], hier, _cfg(lambda2=0.5, noise_sigma=0.0))
+    assert row["variance"] == 0.0
 
 
 def test_total_loss_is_deterministic(toy):
     hier, examples = toy
     params = init_params(4, DIM, seed=3)
     cfg = _cfg(lambda1=0.2, lambda2=0.4)
-    a = total_loss(params, examples[1], hier, cfg)
-    b = total_loss(params, examples[1], hier, cfg)
+    a = objective(params, examples[1], hier, cfg)
+    b = objective(params, examples[1], hier, cfg)
     assert a[0] == b[0]
-    assert a[1] == b[1]
+    assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 def test_noise_seed_changes_variance(toy):
     hier, examples = toy
     params = init_params(4, DIM, seed=3)
-    _, r0 = total_loss(params, examples[0], hier, _cfg(lambda2=0.5, seed=0))
-    _, r1 = total_loss(params, examples[0], hier, _cfg(lambda2=0.5, seed=1))
-    assert r0.variance != r1.variance
+    r0, _, _ = objective(params, examples[0], hier, _cfg(lambda2=0.5, seed=0))
+    r1, _, _ = objective(params, examples[0], hier, _cfg(lambda2=0.5, seed=1))
+    assert r0["variance"] != r1["variance"]
 
 
 # --- gradients ----------------------------------------------------------------------
@@ -144,9 +141,9 @@ def test_noise_seed_changes_variance(toy):
 
 def _fd_oracle(params, example, hier, cfg, step=1e-5):
     # written independently of the module's own checker: brute-force central
-    # differences over every parameter entry, straight off total_loss
+    # differences over every parameter entry, straight off the objective train records
     def at(w, b):
-        return total_loss(GeneratorParams(W=w, b=b), example, hier, cfg)[0]
+        return objective(GeneratorParams(W=w, b=b), example, hier, cfg)[0]["loss"]
 
     dw = np.zeros_like(params.W)
     for i in range(params.W.shape[0]):
@@ -179,7 +176,7 @@ def test_analytic_gradient_matches_fd_oracle(toy, lambda1, lambda2, var_mode):
     params = init_params(4, DIM, seed=11, scale=0.5)
     cfg = _cfg(lambda1=lambda1, lambda2=lambda2, var_mode=var_mode)
     ex = examples[2]
-    a_w, a_b = grad(params, ex, hier, cfg)
+    _, a_w, a_b = objective(params, ex, hier, cfg)
     f_w, f_b = _fd_oracle(params, ex, hier, cfg)
     analytic = np.concatenate([a_w.ravel(), a_b])
     numeric = np.concatenate([f_w.ravel(), f_b])
@@ -226,7 +223,7 @@ def test_bias_gradient_is_residual_without_penalties(toy):
     params = init_params(4, DIM, seed=3, scale=0.2)
     cfg = _cfg(lambda1=0.0, lambda2=0.0)
     ex = examples[1]
-    _, db = grad(params, ex, hier, cfg)
+    _, _, db = objective(params, ex, hier, cfg)
     h = embed(ex.query.text, 1, hier.embedder_spec)
     ctx = route(hier, ex.query.text, cfg.router)
     p = predict(params, h, ctx)
@@ -241,7 +238,7 @@ def test_saturated_model_has_vanishing_gradient(toy):
     b = np.zeros(4)
     b[ex.gold] = 50.0
     params = GeneratorParams(W=np.zeros((4, 2 * DIM)), b=b)
-    dw, db = grad(params, ex, hier, _cfg(lambda1=0.0, lambda2=0.0))
+    _, dw, db = objective(params, ex, hier, _cfg(lambda1=0.0, lambda2=0.0))
     assert np.max(np.abs(dw)) < 1e-6
     assert np.max(np.abs(db)) < 1e-6
 
@@ -260,7 +257,7 @@ def test_one_epoch_steps_by_the_checked_gradient(toy, gate):
         gate=GateConfig(lambda1=0.3, lambda2=0.7, ensemble_K=3, seed=0, **gate),
     )
     params = init_params(4, DIM, seed=11, scale=0.5)
-    grads = [grad(params, ex, hier, cfg) for ex in examples]
+    grads = [objective(params, ex, hier, cfg)[1:] for ex in examples]
     step_w = cfg.lr * np.mean([g[0] for g in grads], axis=0)
     step_b = cfg.lr * np.mean([g[1] for g in grads], axis=0)
     result = train(examples, hier, cfg, params=params)
