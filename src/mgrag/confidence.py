@@ -18,6 +18,8 @@ from .errors import ConfigError
 from .router import FusedContext, assemble
 
 VAR_MODES = ("ensemble", "intra")
+# the ensemble's draws are (N, K, dim) floats held for a whole training run or sweep
+_MAX_ENSEMBLE_K = 1024
 
 
 def validate_distribution(p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -60,6 +62,8 @@ class GateConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.ensemble_K < 2:
             raise ConfigError(f"ensemble_K must be >= 2, got {self.ensemble_K}")
+        if self.ensemble_K > _MAX_ENSEMBLE_K:
+            raise ConfigError(f"ensemble_K must be <= {_MAX_ENSEMBLE_K}, got {self.ensemble_K}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.var_mode not in VAR_MODES:

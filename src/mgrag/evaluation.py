@@ -3,7 +3,8 @@
 Queries are routed through the memory hierarchy, gated, and the surviving
 retrieval paths are collapsed to a document ranking scored per query with
 Recall@k, NDCG@k, and average precision. A sweep builds the index once per
-mixing ratio and evaluates each depth on a prefix of it, one row per grid cell.
+mixing ratio and searches each query there once; every (depth, temperature)
+cell weighs a depth prefix of those searches, one row per grid cell.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -19,9 +21,9 @@ from .confidence import GateConfig, entropy, filter_paths
 from .corpus import MAX_DEPTH, Document, Query, mix_corpora
 from .embedder import EmbedderSpec
 from .errors import ConfigError, EvalError, RoutingError
-from .generator import QAExample, TrainConfig, train
+from .generator import QAExample, TrainConfig, perturbations, train
 from .memory import MemoryHierarchy, build
-from .router import FusedContext, RouterConfig, route
+from .router import FusedContext, Retrieval, RouterConfig, assemble, retrieve, route
 
 SCHEMA_VERSION = 1
 AGG_MODES = ("max", "sum")
@@ -140,22 +142,26 @@ def evaluate(
     queries: list[Query],
     qrels: dict[int, set[int]],
     cfg: EvalConfig = EvalConfig(),
+    retrievals: list[Retrieval] | None = None,
 ) -> EvalReport:
     """Route, gate, rank, and score every query that has relevance judgments.
 
     Queries without judgments are counted as skipped, never averaged in. A query
     that routes nowhere (no indexable feature) raises ``RoutingError`` naming its id.
+    ``retrievals``, aligned by position with ``queries``, are their searches of
+    ``hier``, which are then only weighed; when None, each query is routed.
     """
     per_query = []
     bypassed = 0
     skipped = 0
-    for query in sorted(queries, key=lambda q: q.query_id):
+    searched = [None] * len(queries) if retrievals is None else retrievals
+    for query, r in sorted(zip(queries, searched, strict=True), key=lambda pair: pair[0].query_id):
         relevant = qrels.get(query.query_id)
         if not relevant:
             skipped += 1
             continue
         try:
-            ctx = route(hier, query.text, cfg.router)
+            ctx = route(hier, query.text, cfg.router) if r is None else assemble(r, cfg.router)
         except RoutingError as exc:
             raise RoutingError(f"query {query.query_id}: {exc}") from None
         gated = filter_paths(ctx, cfg.gate.tau_path)
@@ -260,12 +266,17 @@ def sweep(
 ) -> SweepResult:
     """One evaluation per (depth, temperature, mix_ratio) cell.
 
-    One index is built per ratio, at ``max(grid.depths)``; a depth-d cell uses
-    its first d layers, since no layer depends on the build depth (a failed
-    build is not kept). Mixing uses a fixed seed (0 unless given) so every cell
-    at the same ratio sees the same corpus. ``qa_dataset`` and ``qa_train`` come
-    together; then each QA example is routed once per cell, by ``train``. A
-    failing cell records its error and the sweep continues.
+    One index is built per ratio, at ``max(grid.depths)``, and every judged
+    query (at ``base.router.k_per_layer``) and QA example (at
+    ``qa_train.router.k_per_layer``) is searched there once. A depth-d cell
+    weighs the depth-d prefix of those searches on the index's first d layers,
+    since neither a layer nor its hits depend on the build depth or the
+    temperature. Mixing uses a fixed seed (0 unless given) so every cell at
+    the same ratio sees the same corpus. ``qa_dataset`` and ``qa_train`` come
+    together; then each cell trains on its prefix of the QA searches, and the
+    ensemble's perturbations are drawn once per sweep. A failing cell records
+    its error and the sweep continues; a failed build or search is not kept,
+    so each cell of its ratio retries it and records the same error.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -277,30 +288,43 @@ def sweep(
         raise ConfigError("qa_dataset and qa_train must be given together")
     if mix_size is not None and mix_size < 1:
         raise ConfigError(f"mix_size must be >= 1, got {mix_size}")
-    builds: dict[float, MemoryHierarchy] = {}
+    judged = [q for q in queries if qrels.get(q.query_id)]
+    qa = qa_dataset or []
+
+    @cache  # an exception is not cached: a failed ratio fails again in each of its cells
+    def searched(ratio: float):
+        if corpus_b is None:
+            corpus = corpus_a
+        else:
+            size = mix_size if mix_size is not None else min(len(corpus_a), len(corpus_b))
+            corpus = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")],
+                                 ratio, size, 0 if seed is None else seed)
+        full = build(corpus, embedder_spec, max(grid.depths))
+        return (full, [retrieve(full, q.text, base.router.k_per_layer) for q in judged],
+                [retrieve(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa])
+
+    @cache
+    def noise():
+        return perturbations(qa, qa_train.gate, embedder_spec.dim)
+
     rows = []
     for depth, temp, ratio in grid.cells():
         row = dict.fromkeys(SWEEP_COLUMNS)
         row.update(depth=depth, temperature=temp, mix_ratio=ratio)
         try:
-            if ratio not in builds:
-                if corpus_b is None:
-                    corpus = corpus_a
-                else:
-                    size = mix_size if mix_size is not None else min(len(corpus_a), len(corpus_b))
-                    corpus = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")],
-                                         ratio, size, 0 if seed is None else seed)
-                builds[ratio] = build(corpus, embedder_spec, max(grid.depths))
-            hier = replace(builds[ratio], layers=builds[ratio].layers[:depth])
+            full, eval_searches, qa_searches = searched(ratio)
+            hier = replace(full, layers=full.layers[:depth])
             cfg = replace(base, router=replace(base.router, temperature=temp))
-            report = evaluate(hier, queries, qrels, cfg)
+            report = evaluate(hier, judged, qrels, cfg, [r.prefix(depth) for r in eval_searches])
             row["recall_at_k"] = report.mean_recall_at_k
             row["ndcg_at_k"] = report.mean_ndcg_at_k
             row["map"] = report.map
             row["routing_entropy"] = report.routing_entropy_mean
             if qa_dataset is not None:
                 tcfg = replace(qa_train, router=replace(qa_train.router, temperature=temp))
-                row["qa_accuracy"] = train(qa_dataset, hier, tcfg).accuracy
+                prefixes = [r.prefix(depth) for r in qa_searches]
+                row["qa_accuracy"] = train(qa_dataset, hier, tcfg, retrievals=prefixes,
+                                           noise=noise()).accuracy
         except Exception as exc:  # record and continue; one bad cell must not kill the sweep
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

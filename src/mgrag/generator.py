@@ -20,7 +20,7 @@ from .confidence import GateConfig, filter_paths
 from .corpus import Document, Query, _distinct_words, _jsonl_rows, _read, _require_int, _word
 from .errors import ConfigError, ParseError, RoutingError
 from .memory import MemoryHierarchy
-from .router import RouterConfig, _softmax, route
+from .router import Retrieval, RouterConfig, _softmax, assemble, route
 
 PARAMS_FORMAT_VERSION = 1
 _P_FLOOR = 1e-300
@@ -118,48 +118,67 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def _perturbations(gate: GateConfig, query_id: int, dim: int) -> np.ndarray:
-    """(K, dim) Gaussian draws, each from its own (seed, query, pass) stream."""
-    return np.stack(
-        [
-            np.random.default_rng([gate.seed, query_id, k]).standard_normal(dim)
-            for k in range(gate.ensemble_K)
-        ]
-    )
-
-
 def _uses_ensemble(gate: GateConfig) -> bool:
     # with sigma 0 every pass is the base pass: the variance is zero by definition
     return gate.var_mode == "ensemble" and gate.noise_sigma > 0
 
 
+def perturbations(dataset: list[QAExample], gate: GateConfig, dim: int) -> np.ndarray | None:
+    """(N, K, dim) Gaussian draws of the ensemble passes, None unless ``_uses_ensemble``.
+
+    Each example's pass k comes from its own (seed, query id, k) stream, so the
+    draws depend only on the gate, the query ids and ``dim``.
+    """
+    if not _uses_ensemble(gate):
+        return None
+    return np.stack(
+        [
+            [np.random.default_rng([gate.seed, ex.query.query_id, k]).standard_normal(dim)
+             for k in range(gate.ensemble_K)]
+            for ex in dataset
+        ]
+    )
+
+
 def _features(
-    dataset: list[QAExample], hier: MemoryHierarchy, cfg: TrainConfig, vocab_size: int
+    dataset: list[QAExample],
+    hier: MemoryHierarchy,
+    cfg: TrainConfig,
+    vocab_size: int,
+    retrievals: list[Retrieval] | None = None,
+    noise: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Retrieval side of the forward pass, each example routed and gated once.
+    """Retrieval side of the forward pass, each example weighed and gated once.
 
     The only builder of answer-model features, constant in the parameters.
-    Returns the (N, 2d) rows [layer-1 query encoding ; gated context], the
-    (N, K, 2d) perturbed rows when ``_uses_ensemble`` (else None), and the
-    golds. An example that routes nowhere raises ``RoutingError`` naming its id.
+    ``retrievals`` are the examples' searches of ``hier``, aligned by position
+    with ``dataset`` (each example is routed when None); ``noise`` is their
+    ``perturbations`` (drawn here when None). Returns the (N, 2d) rows
+    [layer-1 query encoding ; gated context], the (N, K, 2d) perturbed rows
+    when ``_uses_ensemble`` (else None), and the golds. An example that routes
+    nowhere raises ``RoutingError`` naming its id.
     """
     golds = np.array([ex.gold for ex in dataset])
     if golds.max() >= vocab_size:
         raise ValueError(f"gold {golds.max()} out of range for vocabulary {vocab_size}")
-    ensemble = _uses_ensemble(cfg.gate)
-    rows, perturbed = [], []
-    for ex in dataset:
+    searched = [None] * len(dataset) if retrievals is None else retrievals
+    rows = []
+    for ex, r in zip(dataset, searched, strict=True):
         try:
-            ctx = filter_paths(route(hier, ex.query.text, cfg.router), cfg.gate.tau_path)
+            ctx = route(hier, ex.query.text, cfg.router) if r is None else assemble(r, cfg.router)
+            ctx = filter_paths(ctx, cfg.gate.tau_path)
         except RoutingError as exc:
             raise RoutingError(f"query {ex.query.query_id}: {exc}") from None
-        h = ctx.retrieval.encodings[0]  # layer-1 query encoding
-        rows.append(np.concatenate([h, ctx.c]))
-        if ensemble:
-            noise = _perturbations(cfg.gate, ex.query.query_id, hier.dim)
-            cs = ctx.c + cfg.gate.noise_sigma * noise  # (K, dim)
-            perturbed.append(np.concatenate([np.tile(h, (cfg.gate.ensemble_K, 1)), cs], axis=1))
-    return np.stack(rows), np.stack(perturbed) if ensemble else None, golds
+        rows.append(np.concatenate([ctx.retrieval.encodings[0], ctx.c]))  # layer-1 query encoding
+    X = np.stack(rows)
+    if not _uses_ensemble(cfg.gate):
+        return X, None, golds
+    if noise is None:
+        noise = perturbations(dataset, cfg.gate, hier.dim)
+    n, k_count, dim = noise.shape
+    encodings = np.broadcast_to(X[:, None, :dim], (n, k_count, dim))
+    contexts = X[:, None, dim:] + cfg.gate.noise_sigma * noise  # (N, K, dim)
+    return X, np.concatenate([encodings, contexts], axis=2), golds
 
 
 class _Objective(NamedTuple):
@@ -277,13 +296,17 @@ def train(
     hier: MemoryHierarchy,
     cfg: TrainConfig,
     params: GeneratorParams | None = None,
+    retrievals: list[Retrieval] | None = None,
+    noise: np.ndarray | None = None,
 ) -> TrainResult:
     """Full-batch gradient descent; deterministic for a fixed config.
 
     Retrieval features never change across epochs, so each example is routed
-    once, up front. History rows record the metrics at the start of each
-    epoch, before that epoch's update; ``accuracy`` is that of the returned
-    parameters, after the last update.
+    once, up front; given ``retrievals`` and ``noise`` (see ``_features``),
+    it is only weighed, so ``sweep`` searches and draws once for many cells.
+    History rows record the metrics at the start of each epoch, before that
+    epoch's update; ``accuracy`` is that of the returned parameters, after
+    the last update.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -291,7 +314,7 @@ def train(
         vocab = max(ex.gold for ex in dataset) + 1
         params = init_params(max(vocab, 2), hier.dim, seed=cfg.gate.seed)
     params = params.copy()
-    X, XS, golds = _features(dataset, hier, cfg, params.vocab_size)
+    X, XS, golds = _features(dataset, hier, cfg, params.vocab_size, retrievals, noise)
     history: list[dict] = []
     diverged = False
     for epoch in range(cfg.epochs):

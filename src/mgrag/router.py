@@ -1,11 +1,13 @@
 """Cross-layer routing in two steps: the per-layer search, then its weighing.
 
-``search_layers`` runs the exact top-k search of each layer for the query's
-encoding there and returns it as one immutable ``Retrieval``; no temperature
-or gate threshold enters it. ``assemble`` weighs a retrieval: the layers get a
-temperature softmax over their evidence scores, and the fused context is the
-weight-sum of per-layer readouts, where a readout is the similarity-softmax-
-weighted mean of that layer's retrieved unit vectors.
+``retrieve`` encodes a query per layer and ``search_layers`` runs the exact
+top-k search of each layer for that encoding, returning it as one immutable
+``Retrieval``; no temperature or gate threshold enters it, and its first d
+layers are the search of the index's depth-d prefix (``Retrieval.prefix``).
+``assemble`` weighs a retrieval: the layers get a temperature softmax over
+their evidence scores, and the fused context is the weight-sum of per-layer
+readouts, where a readout is the similarity-softmax-weighted mean of that
+layer's retrieved unit vectors.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ class Retrieval:
     encodings: np.ndarray  # (depth, dim) query encodings, row l-1 for layer l
     hits: tuple[list[Hit], ...]  # hits[l-1]: layer l's top-k, best first
     vectors: tuple[np.ndarray, ...]  # vectors[l-1]: (n_hits, dim) unit vectors of those hits
+
+    def prefix(self, depth: int) -> "Retrieval":
+        """The first ``depth`` layers: the search of the index's depth-``depth`` prefix."""
+        if not 1 <= depth <= len(self.hits):
+            raise ValueError(f"prefix depth must lie in [1, {len(self.hits)}], got {depth}")
+        return Retrieval(self.encodings[:depth], self.hits[:depth], self.vectors[:depth])
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,13 @@ def search_layers(hier: MemoryHierarchy, encodings: np.ndarray, k: int) -> Retri
     return Retrieval(encodings, hits, vectors)
 
 
-def route(hier: MemoryHierarchy, query_text: str, cfg: RouterConfig = RouterConfig()) -> FusedContext:
-    """Encode a query per layer, search every layer, and weigh the search into one context."""
+def retrieve(hier: MemoryHierarchy, query_text: str, k: int) -> Retrieval:
+    """Encode a query per layer and search every layer for its top ``k``."""
     layers = range(1, hier.depth + 1)
     encodings = np.stack([embed(query_text, layer_no, hier.embedder_spec) for layer_no in layers])
-    return assemble(search_layers(hier, encodings, cfg.k_per_layer), cfg)
+    return search_layers(hier, encodings, k)
+
+
+def route(hier: MemoryHierarchy, query_text: str, cfg: RouterConfig = RouterConfig()) -> FusedContext:
+    """Retrieve a query and weigh the search into one context."""
+    return assemble(retrieve(hier, query_text, cfg.k_per_layer), cfg)

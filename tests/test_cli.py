@@ -366,6 +366,8 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
         ("gradcheck", ["--tol", "0"], "--tol must be positive and finite, got 0.0"),
         ("train-gen", ["--lambda1", "inf"], "lambda1 must be finite and >= 0, got inf"),
         ("train-gen", ["--lr", "inf"], "lr must be finite and > 0, got inf"),
+        # the draws would be (N, K, dim) floats: about 25 GB for one example at dim 32
+        ("train-gen", ["--ensemble-k", "100000000"], "ensemble_K must be <= 1024, got 100000000"),
         ("build", ["--hash-seed", str(2**64 + 1)],
          "hash_seed must lie in [0, 2**64 - 1], got 18446744073709551617"),
         ("sweep", ["--temperatures", "0.5,inf"], "temperatures must be finite and positive"),
@@ -373,7 +375,8 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
     ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size",
          "gradcheck-empty-lambda-grid", "gradcheck-inf-lambda", "gradcheck-nan-lambda",
          "gradcheck-inf-sigma", "gradcheck-nan-tol", "gradcheck-negative-tol", "gradcheck-zero-tol",
-         "train-gen-inf-lambda1", "train-gen-inf-lr", "build-hash-seed-past-64-bits",
+         "train-gen-inf-lambda1", "train-gen-inf-lr", "train-gen-ensemble-k-past-cap",
+         "build-hash-seed-past-64-bits",
          "sweep-inf-temperature"],
 )
 def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, flags, named):

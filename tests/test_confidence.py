@@ -107,6 +107,12 @@ def test_ensemble_variance_needs_two_passes():
         GateConfig(ensemble_K=1)
 
 
+def test_ensemble_size_is_capped_before_any_draw():
+    assert GateConfig(ensemble_K=1024).ensemble_K == 1024
+    with pytest.raises(ConfigError, match="ensemble_K must be <= 1024, got 1025"):
+        GateConfig(ensemble_K=1025)
+
+
 def test_ensemble_variance_is_nonnegative(toy):
     for seed in range(20):
         params = init_params(2, 16, seed=seed, scale=3.0)

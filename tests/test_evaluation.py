@@ -9,8 +9,9 @@ import pytest
 
 import mgrag.evaluation
 import mgrag.generator
+import mgrag.router
 from mgrag.confidence import GateConfig
-from mgrag.corpus import Document, keyword_eval_suite, mix_corpora, synthesize_corpus
+from mgrag.corpus import Document, Query, keyword_eval_suite, mix_corpora, synthesize_corpus
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import ConfigError, EvalError
 from mgrag.evaluation import (
@@ -27,9 +28,9 @@ from mgrag.evaluation import (
     SweepResult,
     sweep,
 )
-from mgrag.generator import TrainConfig, build_toy_qa, train
+from mgrag.generator import TrainConfig, build_toy_qa, perturbations, train
 from mgrag.memory import build
-from mgrag.router import FusedContext, Retrieval, RetrievalPath, RouterConfig, route
+from mgrag.router import FusedContext, Retrieval, RetrievalPath, RouterConfig, route, search_layers
 
 # --- reference metrics, written straight off the definitions -------------------------
 
@@ -181,8 +182,6 @@ def test_keyword_suite_is_solved_perfectly(suite):
 
 
 def test_unjudged_queries_are_skipped_not_scored(suite):
-    from mgrag.corpus import Query
-
     hier, queries, qrels = suite
     extra = queries + [Query(query_id=9999, text="nothing judged here")]
     report = evaluate(hier, extra, qrels, EvalConfig(k=5))
@@ -355,23 +354,6 @@ def test_sweep_rejects_a_bad_mixing_setting_before_any_cell(kwargs, message):
         sweep(grid, docs, queries, qrels, corpus_b=other, **kwargs)
 
 
-def test_qa_sweep_routes_each_qa_example_once_per_cell(monkeypatch):
-    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=12)
-    qa_docs, qa = build_toy_qa(n_classes=3, n_per_class=2, seed=4)
-    texts = []
-
-    def counted(*args, **kwargs):
-        texts.append(args[1])
-        return route(*args, **kwargs)
-
-    monkeypatch.setattr(mgrag.generator, "route", counted)
-    grid = SweepGrid(depths=(1, 2), temperatures=(0.5, 2.0), mix_ratios=(0.0,))
-    result = sweep(grid, docs + qa_docs, queries, qrels, embedder_spec=EmbedderSpec(dim=32),
-                   qa_dataset=qa, qa_train=TrainConfig(epochs=3))
-    assert all(row["qa_accuracy"] is not None for row in result.rows)
-    assert texts == [ex.query.text for ex in qa] * len(grid.cells())
-
-
 @pytest.mark.parametrize("given", ["qa_dataset", "qa_train"])
 def test_sweep_rejects_a_lone_qa_argument(given):
     # without its partner the QA column would silently stay nan
@@ -404,8 +386,8 @@ def test_sweep_with_domain_mixing_runs_end_to_end():
 
 
 def _sweep_building_every_depth(grid, corpus_a, queries, qrels, corpus_b, embedder_spec,
-                                qa_dataset=None, qa_train=None):
-    """Reference: the sweep with one build per (depth, ratio), no prefixes."""
+                                base=EvalConfig(), qa_dataset=None, qa_train=None):
+    """Reference: the sweep with one build per (depth, ratio) and a route per cell, no prefixes."""
     rows = []
     for depth, temp, ratio in grid.cells():
         row = dict.fromkeys(SWEEP_COLUMNS)
@@ -414,7 +396,7 @@ def _sweep_building_every_depth(grid, corpus_a, queries, qrels, corpus_b, embedd
             size = min(len(corpus_a), len(corpus_b))
             corpus = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")], ratio, size, 0)
             hier = build(corpus, embedder_spec, depth)
-            report = evaluate(hier, queries, qrels, EvalConfig(router=RouterConfig(temperature=temp)))
+            report = evaluate(hier, queries, qrels, replace(base, router=replace(base.router, temperature=temp)))
             row.update(recall_at_k=report.mean_recall_at_k, ndcg_at_k=report.mean_ndcg_at_k,
                        map=report.map, routing_entropy=report.routing_entropy_mean)
             if qa_dataset is not None:
@@ -435,17 +417,75 @@ def mixing_inputs():
     return corpus_a, corpus_b, queries, qrels, qa
 
 
-def test_sweep_on_depth_prefixes_matches_a_build_per_depth(mixing_inputs):
+def _check_against_a_build_per_depth(mixing_inputs, base=EvalConfig(), qa_gate=GateConfig(),
+                                     qa_router=RouterConfig(), extra_queries=()):
     corpus_a, corpus_b, queries, qrels, qa = mixing_inputs
+    queries = queries + list(extra_queries)
     grid = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
-    spec, qa_train = EmbedderSpec(dim=32), TrainConfig(epochs=3)
-    result = sweep(grid, corpus_a, queries, qrels, corpus_b=corpus_b, embedder_spec=spec,
+    # one small step from the initial weights: the accuracy still varies from cell to cell
+    spec = EmbedderSpec(dim=32)
+    qa_train = TrainConfig(lr=0.01, epochs=1, gate=qa_gate, router=qa_router)
+    result = sweep(grid, corpus_a, queries, qrels, base, corpus_b=corpus_b, embedder_spec=spec,
                    qa_dataset=qa, qa_train=qa_train)
-    reference = _sweep_building_every_depth(grid, corpus_a, queries, qrels, corpus_b, spec,
+    reference = _sweep_building_every_depth(grid, corpus_a, queries, qrels, corpus_b, spec, base,
                                             qa_dataset=qa, qa_train=qa_train)
     assert all("error" not in row and row["qa_accuracy"] is not None for row in result.rows)
+    assert len({row["qa_accuracy"] for row in result.rows}) > 1
     assert result.to_csv() == reference.to_csv()
     assert result.to_json() == reference.to_json()
+
+
+def test_sweep_on_depth_prefixes_matches_a_build_per_depth(mixing_inputs):
+    _check_against_a_build_per_depth(mixing_inputs)
+
+
+_GATED = GateConfig(tau_path=0.05)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        # the gate drops paths on both sides, so each cell re-weighs the survivors of its prefix
+        dict(base=EvalConfig(gate=_GATED), qa_gate=replace(_GATED, lambda2=0.5)),
+        dict(qa_gate=GateConfig(var_mode="intra", lambda2=0.5)),
+        dict(base=EvalConfig(router=RouterConfig(k_per_layer=3)), qa_router=RouterConfig(k_per_layer=2)),
+        # searches align with the queries by position: a repeated id with its own text, and a
+        # query with no judgments, which is never searched
+        dict(extra_queries=[Query(query_id=1, text="tell me about archives"),
+                            Query(query_id=9_999, text="unjudged")]),
+    ],
+    ids=["gated", "intra", "qa-k", "repeated-and-unjudged-ids"],
+)
+def test_sweep_on_depth_prefixes_matches_a_build_per_depth_in_each_setting(mixing_inputs, setting):
+    _check_against_a_build_per_depth(mixing_inputs, **setting)
+
+
+def test_qa_sweep_searches_each_query_once_per_ratio(monkeypatch, mixing_inputs):
+    # the hits depend on neither the temperature nor, beyond a prefix, the depth
+    corpus_a, corpus_b, queries, qrels, qa = mixing_inputs
+    unjudged = Query(query_id=9_999, text="nothing judged here")
+    searches, draws = [], []
+
+    def searched(hier, encodings, k):
+        searches.append((hier.depth, k))
+        return search_layers(hier, encodings, k)
+
+    def drawn(dataset, gate, dim):
+        draws.append(len(dataset))
+        return perturbations(dataset, gate, dim)
+
+    monkeypatch.setattr(mgrag.router, "search_layers", searched)
+    monkeypatch.setattr(mgrag.evaluation, "perturbations", drawn)
+    monkeypatch.setattr(mgrag.generator, "perturbations", drawn)
+    grid = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
+    result = sweep(grid, corpus_a, queries + [unjudged], qrels,
+                   EvalConfig(router=RouterConfig(k_per_layer=4)), corpus_b=corpus_b,
+                   embedder_spec=EmbedderSpec(dim=32), qa_dataset=qa,
+                   qa_train=TrainConfig(epochs=3, router=RouterConfig(k_per_layer=2)))
+    assert all("error" not in row and row["qa_accuracy"] is not None for row in result.rows)
+    per_ratio = [(5, 4)] * len(queries) + [(5, 2)] * len(qa)
+    assert searches == per_ratio * len(grid.mix_ratios)
+    assert draws == [len(qa)]
 
 
 def test_sweep_builds_once_per_ratio_at_the_largest_depth(monkeypatch, mixing_inputs):

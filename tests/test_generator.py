@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import mgrag.generator
+import mgrag.router
 from mgrag.confidence import GateConfig, filter_paths
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import ConfigError, ParseError
@@ -19,12 +20,13 @@ from mgrag.generator import (
     init_params,
     load_params,
     parse_jsonl_qa,
+    perturbations,
     read_jsonl_qa,
     save_params,
     train,
 )
 from mgrag.memory import build
-from mgrag.router import RouterConfig, route
+from mgrag.router import RouterConfig, retrieve, route
 from oracles import nll, objective, predict
 
 DIM = 16
@@ -191,15 +193,15 @@ def test_builtin_gradient_check_passes(toy):
 
 
 def test_gradient_check_routes_its_example_once(toy, monkeypatch):
-    # retrieval is constant in the parameters: the differences reuse one routing
+    # retrieval is constant in the parameters: the differences reuse one search
     hier, examples = toy
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return route(*args, **kwargs)
+    def counted(hier, text, k):
+        calls.append(text)
+        return retrieve(hier, text, k)
 
-    monkeypatch.setattr(mgrag.generator, "route", counted)
+    monkeypatch.setattr(mgrag.router, "retrieve", counted)
     params = init_params(4, DIM, seed=7, scale=0.3)
     assert gradient_check(params, examples[0], hier, _cfg(lambda1=0.5, lambda2=0.5)) < 1e-4
     assert calls == [examples[0].query.text]
@@ -292,6 +294,38 @@ def test_train_accuracy_is_that_of_the_returned_params(toy, epochs, tau):
         ctx = filter_paths(route(hier, ex.query.text, cfg.router), cfg.gate.tau_path)
         hits += int(np.argmax(predict(result.params, ctx.retrieval.encodings[0], ctx))) == ex.gold
     assert result.accuracy == hits / len(examples)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [GateConfig(ensemble_K=3, lambda1=0.1, lambda2=0.5, tau_path=0.05),
+     GateConfig(var_mode="intra", lambda2=0.5, tau_path=0.05),
+     GateConfig(noise_sigma=0.0, lambda2=0.5)],
+    ids=["ensemble-gated", "intra-gated", "no-noise"],
+)
+def test_train_on_given_prefix_searches_equals_train_that_routes(gate):
+    # what sweep does: search and draw once on the deepest index, train each depth on a prefix
+    docs, examples = build_toy_qa(n_classes=4, n_per_class=2, seed=1)
+    spec = EmbedderSpec(dim=DIM)
+    deep = build(docs, spec, depth=5)
+    cfg = TrainConfig(lr=0.5, epochs=4, gate=gate, router=RouterConfig(k_per_layer=2, temperature=0.7))
+    searches = [retrieve(deep, ex.query.text, 2) for ex in examples]
+    noise = perturbations(examples, gate, DIM)
+    assert (noise is None) == (gate.noise_sigma == 0 or gate.var_mode == "intra")
+    for depth in (1, 3, 5):
+        given = train(examples, replace(deep, layers=deep.layers[:depth]), cfg,
+                      retrievals=[r.prefix(depth) for r in searches], noise=noise)
+        routed = train(examples, build(docs, spec, depth), cfg)
+        assert given.params.W.tobytes() == routed.params.W.tobytes()
+        assert given.params.b.tobytes() == routed.params.b.tobytes()
+        assert given.history == routed.history
+
+
+def test_train_rejects_searches_not_aligned_with_its_dataset(toy):
+    hier, examples = toy
+    searches = [retrieve(hier, ex.query.text, 3) for ex in examples[1:]]
+    with pytest.raises(ValueError):
+        train(examples, hier, _cfg(), retrievals=searches)
 
 
 def test_entropy_penalty_sharpens_predictions(toy):

@@ -192,9 +192,8 @@ def test_route_is_its_search_weighed_at_any_temperature_depth_and_gate(docs, tex
     assert _weighed(assemble(r, at_temp)) == _weighed(route(hier, text, at_temp))
     # (c) the first d layers of the search are the search of the depth-d prefix
     for depth in range(1, 6):
-        prefix = Retrieval(r.encodings[:depth], r.hits[:depth], r.vectors[:depth])
         shallow = replace(hier, layers=hier.layers[:depth])
-        assert _weighed(assemble(prefix, cfg)) == _weighed(route(shallow, text, cfg))
+        assert _weighed(assemble(r.prefix(depth), cfg)) == _weighed(route(shallow, text, cfg))
     # (d) the gate keeps, per layer, a subsequence of the hits with their own vectors; a
     # threshold at most the strongest path's confidence keeps at least that path
     gated = filter_paths(ctx, share * ctx.paths[0].path_confidence).retrieval

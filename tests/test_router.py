@@ -10,7 +10,7 @@ from mgrag.corpus import keyword_eval_suite
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError, RoutingError
 from mgrag.memory import LayerMemory, MemoryHierarchy, build
-from mgrag.router import RouterConfig, assemble, route, routing_weights, search_layers
+from mgrag.router import RouterConfig, assemble, retrieve, route, routing_weights, search_layers
 
 DIM = 8
 
@@ -311,3 +311,17 @@ def test_route_path_confidence_is_product_of_weights(suite_hier):
     for path in ctx.paths:
         expected = ctx.weights[path.layer - 1] * path.within_layer_weight
         assert path.path_confidence == pytest.approx(expected, abs=1e-15)
+
+
+def test_a_retrieval_prefix_is_its_first_layers_and_no_more(suite_hier):
+    hier, queries, _ = suite_hier
+    r = retrieve(hier, queries[5].text, 3)
+    top = r.prefix(2)
+    assert top.encodings.shape == (2, hier.dim)
+    assert top.hits == r.hits[:2]
+    assert all(a is b for a, b in zip(top.vectors, r.vectors[:2], strict=True))
+    whole = r.prefix(hier.depth)
+    assert whole.hits == r.hits and np.array_equal(whole.encodings, r.encodings)
+    for depth in (0, hier.depth + 1):
+        with pytest.raises(ValueError, match=rf"prefix depth must lie in \[1, 3\], got {depth}"):
+            r.prefix(depth)
