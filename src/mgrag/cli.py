@@ -34,7 +34,6 @@ from .generator import (
     build_toy_qa,
     gradient_check,
     init_params,
-    read_jsonl_qa,
     save_params,
     train,
 )
@@ -257,7 +256,7 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, gate=_gate_from(args),
                       router=_router_from(args))
     hier = load(args.index)
-    dataset = read_jsonl_qa(args.qa)
+    dataset = corpus_mod.read_jsonl_qa(args.qa)
     if not dataset:
         raise ConfigError(f"{args.qa}: no examples")
     result = train(dataset, hier, cfg)

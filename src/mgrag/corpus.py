@@ -1,7 +1,8 @@
-"""Corpus ingestion and layered segmentation.
+"""Input records, their readers, and layered segmentation.
 
 Three input routes feed the index: Cranfield-style marker files (``.I`` /
-``.T`` / ``.W`` ...), JSONL records, and generated synthetic corpora.
+``.T`` / ``.W`` ...), JSONL records, and generated synthetic corpora; the
+answer model's QA rows are JSONL records too.
 Documents are split into granularity layers 1..5 (document, paragraphs,
 sentences, 16-token windows, 8-token windows) and tagged corpora can be
 mixed at a controlled ratio for domain-sensitivity sweeps.
@@ -39,6 +40,16 @@ class Document:
 class Query:
     query_id: int
     text: str
+
+
+@dataclass(frozen=True)
+class QAExample:
+    query: Query
+    gold: int
+
+    def __post_init__(self):
+        if self.gold < 0:
+            raise ValueError(f"gold must be >= 0, got {self.gold}")
 
 
 @dataclass(frozen=True)
@@ -90,13 +101,8 @@ def _parse_marker_records(text: str) -> list[tuple[int, dict[str, str]]]:
                 rec_id = int(raw)
             except ValueError:
                 raise ParseError(f"bad .I record id {raw!r}", line=line_no)
-            if rec_id <= 0:
-                raise ParseError(f"record id must be positive, got {rec_id}", line=line_no)
-            if rec_id > MAX_DOC_ID:
-                raise ParseError(f"record id {rec_id} exceeds {MAX_DOC_ID}", line=line_no)
-            if rec_id in seen:
-                raise ParseError(f"duplicate record id {rec_id}", line=line_no)
-            seen.add(rec_id)
+            _check_id_range("record id", rec_id, line_no)
+            _check_new_id(seen, "record", rec_id, line_no)
             fields = {}
             active = None
             records.append((rec_id, fields))
@@ -185,6 +191,7 @@ def read_cisi_qrels(path: str | Path) -> dict[int, set[int]]:
 # documents: {"id": int, "title": str?, "body": str, "domain": str?}
 # queries:   {"id": int, "text": str}
 # qrels:     {"query_id": int, "doc_id": int}
+# QA rows:   {"query_id": int, "text": str, "gold": int >= 0}
 
 
 def _jsonl_rows(text: str) -> Iterable[tuple[int, dict]]:
@@ -205,11 +212,29 @@ def _check_id_range(name: str, value: int, line_no: int) -> None:
         raise ParseError(f"{name} must be in [1, {MAX_DOC_ID}], got {value}", line=line_no)
 
 
-def _require_int(row: dict, key: str, line_no: int) -> int:
+def _check_new_id(seen: set[int], kind: str, value: int, line_no: int) -> None:
+    """Add ``value`` to ``seen``; a second record with one id is a ``ParseError``."""
+    if value in seen:
+        raise ParseError(f"duplicate {kind} id {value}", line=line_no)
+    seen.add(value)
+
+
+def _require_int(row: dict, key: str, line_no: int, is_id: bool = True) -> int:
+    """``row[key]`` as a non-bool int: an id in [1, MAX_DOC_ID], else any value >= 0."""
     value = row.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{key!r} must be an integer, got {value!r}", line=line_no)
-    _check_id_range(repr(key), value, line_no)
+    if is_id:
+        _check_id_range(repr(key), value, line_no)
+    elif value < 0:
+        raise ParseError(f"{key!r} must be >= 0, got {value}", line=line_no)
+    return value
+
+
+def _require_str(row: dict, key: str, line_no: int) -> str:
+    value = row.get(key)
+    if not isinstance(value, str):
+        raise ParseError(f"{key!r} must be a string, got {value!r}", line=line_no)
     return value
 
 
@@ -218,17 +243,12 @@ def parse_jsonl_documents(text: str) -> list[Document]:
     seen: set[int] = set()
     for line_no, row in _jsonl_rows(text):
         doc_id = _require_int(row, "id", line_no)
-        if doc_id in seen:
-            raise ParseError(f"duplicate document id {doc_id}", line=line_no)
-        seen.add(doc_id)
-        body = row.get("body")
-        if not isinstance(body, str):
-            raise ParseError("'body' must be a string", line=line_no)
+        _check_new_id(seen, "document", doc_id, line_no)
         docs.append(
             Document(
                 doc_id=doc_id,
                 title=str(row.get("title", "")),
-                body=body,
+                body=_require_str(row, "body", line_no),
                 domain_tag=str(row.get("domain", "default")),
             )
         )
@@ -240,13 +260,8 @@ def parse_jsonl_queries(text: str) -> list[Query]:
     seen: set[int] = set()
     for line_no, row in _jsonl_rows(text):
         query_id = _require_int(row, "id", line_no)
-        if query_id in seen:
-            raise ParseError(f"duplicate query id {query_id}", line=line_no)
-        seen.add(query_id)
-        text_value = row.get("text")
-        if not isinstance(text_value, str):
-            raise ParseError("'text' must be a string", line=line_no)
-        queries.append(Query(query_id=query_id, text=text_value))
+        _check_new_id(seen, "query", query_id, line_no)
+        queries.append(Query(query_id=query_id, text=_require_str(row, "text", line_no)))
     return queries
 
 
@@ -257,6 +272,15 @@ def parse_jsonl_qrels(text: str) -> dict[int, set[int]]:
         doc_id = _require_int(row, "doc_id", line_no)
         qrels.setdefault(query_id, set()).add(doc_id)
     return qrels
+
+
+def parse_jsonl_qa(text: str) -> list[QAExample]:
+    return [
+        QAExample(query=Query(query_id=_require_int(row, "query_id", line_no),
+                              text=_require_str(row, "text", line_no)),
+                  gold=_require_int(row, "gold", line_no, is_id=False))
+        for line_no, row in _jsonl_rows(text)
+    ]
 
 
 def documents_to_jsonl(docs: Sequence[Document]) -> str:
@@ -277,6 +301,10 @@ def read_jsonl_queries(path: str | Path) -> list[Query]:
 
 def read_jsonl_qrels(path: str | Path) -> dict[int, set[int]]:
     return _read(path, parse_jsonl_qrels)
+
+
+def read_jsonl_qa(path: str | Path) -> list[QAExample]:
+    return _read(path, parse_jsonl_qa)
 
 
 def corpus_sha256(docs: Sequence[Document]) -> str:
@@ -485,6 +513,27 @@ def synthesize_corpus(
     return docs
 
 
+def _keyword_documents(n: int, seed: int, id_start: int, domain_tag: str, title: str,
+                       sentences: tuple[str, str]) -> tuple[list[str], list[Document]]:
+    """``n`` distinct keywords and one document per keyword, planted in it alone.
+
+    The keywords come first from one ``seed`` stream, then six filler words per
+    document. ``title`` and the two ``sentences`` are templates of ``{kw}``;
+    each sentence opens one paragraph, followed by three filler words.
+    """
+    rng = np.random.default_rng(seed)
+    keywords = _distinct_words(rng, n)
+    docs = []
+    for i, keyword in enumerate(keywords):
+        filler = [_word(rng) for _ in range(6)]
+        lead, follow = (sentence.format(kw=keyword) for sentence in sentences)
+        body = (f"{lead} {' '.join(filler[:3]).capitalize()}.\n\n"
+                f"{follow} {' '.join(filler[3:]).capitalize()}.")
+        docs.append(Document(doc_id=id_start + i, title=title.format(kw=keyword), body=body,
+                             domain_tag=domain_tag))
+    return keywords, docs
+
+
 def keyword_eval_suite(
     n_queries: int = 40,
     seed: int = 0,
@@ -496,21 +545,8 @@ def keyword_eval_suite(
     The returned qrels mark that document as the sole relevant one, so a
     working retriever scores perfect recall on this suite.
     """
-    rng = np.random.default_rng(seed)
-    keywords = _distinct_words(rng, n_queries)
-    docs = []
-    queries = []
-    qrels: dict[int, set[int]] = {}
-    for i, keyword in enumerate(keywords):
-        filler = [_word(rng) for _ in range(6)]
-        body = (
-            f"{keyword} report covering {keyword} in detail. "
-            f"{' '.join(filler[:3]).capitalize()}.\n\n"
-            f"Additional notes on {keyword} follow. {' '.join(filler[3:]).capitalize()}."
-        )
-        doc_id = id_start + i
-        docs.append(Document(doc_id=doc_id, title=f"{keyword} report", body=body, domain_tag=domain_tag))
-        query_id = i + 1
-        queries.append(Query(query_id=query_id, text=f"find the {keyword} report"))
-        qrels[query_id] = {doc_id}
-    return docs, queries, qrels
+    keywords, docs = _keyword_documents(n_queries, seed, id_start, domain_tag, "{kw} report",
+                                        ("{kw} report covering {kw} in detail.",
+                                         "Additional notes on {kw} follow."))
+    queries = [Query(query_id=i + 1, text=f"find the {kw} report") for i, kw in enumerate(keywords)]
+    return docs, queries, {i + 1: {doc.doc_id} for i, doc in enumerate(docs)}

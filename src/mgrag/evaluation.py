@@ -18,10 +18,10 @@ from functools import cache
 import numpy as np
 
 from .confidence import GateConfig, entropy, filter_paths
-from .corpus import MAX_DEPTH, Document, Query, mix_corpora
+from .corpus import MAX_DEPTH, Document, QAExample, Query, mix_corpora
 from .embedder import EmbedderSpec
 from .errors import ConfigError, EvalError, RoutingError
-from .generator import QAExample, TrainConfig, perturbations, train
+from .generator import TrainConfig, perturbations, train
 from .memory import MemoryHierarchy, build
 from .router import FusedContext, Retrieval, RouterConfig, assemble, retrieve, route
 
@@ -112,6 +112,12 @@ class EvalConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.agg_mode not in AGG_MODES:
             raise ConfigError(f"agg_mode must be one of {AGG_MODES}, got {self.agg_mode!r}")
+        # evaluation reads only the gate's threshold; a training setting here would be ignored
+        default = asdict(GateConfig(tau_path=self.gate.tau_path))
+        ignored = [name for name, value in asdict(self.gate).items() if value != default[name]]
+        if ignored:
+            raise ConfigError(f"evaluation reads only the gate's tau_path; {', '.join(ignored)} "
+                              "must keep their defaults")
 
 
 @dataclass
@@ -271,12 +277,14 @@ def sweep(
     ``qa_train.router.k_per_layer``) is searched there once. A depth-d cell
     weighs the depth-d prefix of those searches on the index's first d layers,
     since neither a layer nor its hits depend on the build depth or the
-    temperature. Mixing uses a fixed seed (0 unless given) so every cell at
-    the same ratio sees the same corpus. ``qa_dataset`` and ``qa_train`` come
-    together; then each cell trains on its prefix of the QA searches, and the
-    ensemble's perturbations are drawn once per sweep. A failing cell records
-    its error and the sweep continues; a failed build or search is not kept,
-    so each cell of its ratio retries it and records the same error.
+    temperature. Every ratio's corpus is mixed before the first build, with a
+    fixed seed (0 unless given), so every cell at the same ratio sees the same
+    corpus; a mix the sources cannot give is a ``ConfigError`` naming its
+    ratio. ``qa_dataset`` (non-empty) and ``qa_train`` come together; then
+    each cell trains on its prefix of the QA searches, and the ensemble's
+    perturbations are drawn once per sweep. A failing cell records its error
+    and the sweep continues; a failed build or search is not kept, so each
+    cell of its ratio retries it and records the same error.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -288,18 +296,23 @@ def sweep(
         raise ConfigError("qa_dataset and qa_train must be given together")
     if mix_size is not None and mix_size < 1:
         raise ConfigError(f"mix_size must be >= 1, got {mix_size}")
+    if qa_dataset is not None and not qa_dataset:
+        raise ConfigError("qa_dataset is empty")
     judged = [q for q in queries if qrels.get(q.query_id)]
     qa = qa_dataset or []
+    corpora = {ratio: corpus_a for ratio in grid.mix_ratios}
+    if corpus_b is not None:
+        size = mix_size if mix_size is not None else min(len(corpus_a), len(corpus_b))
+        for ratio in corpora:
+            try:
+                corpora[ratio] = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")],
+                                             ratio, size, 0 if seed is None else seed)
+            except ValueError as exc:  # too few documents or colliding ids: the input's fault
+                raise ConfigError(f"mix ratio {ratio}: {exc}") from None
 
     @cache  # an exception is not cached: a failed ratio fails again in each of its cells
     def searched(ratio: float):
-        if corpus_b is None:
-            corpus = corpus_a
-        else:
-            size = mix_size if mix_size is not None else min(len(corpus_a), len(corpus_b))
-            corpus = mix_corpora([(corpus_a, "source-a"), (corpus_b, "source-b")],
-                                 ratio, size, 0 if seed is None else seed)
-        full = build(corpus, embedder_spec, max(grid.depths))
+        full = build(corpora[ratio], embedder_spec, max(grid.depths))
         return (full, [retrieve(full, q.text, base.router.k_per_layer) for q in judged],
                 [retrieve(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa])
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .confidence import GateConfig, filter_paths
-from .corpus import Document, Query, _distinct_words, _jsonl_rows, _read, _require_int, _word
+from .corpus import Document, QAExample, Query, _keyword_documents
 from .errors import ConfigError, ParseError, RoutingError
 from .memory import MemoryHierarchy
 from .router import Retrieval, RouterConfig, _softmax, assemble, route
@@ -92,16 +92,6 @@ def load_params(path: str | Path) -> GeneratorParams:
         return GeneratorParams.from_dict(data)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class QAExample:
-    query: Query
-    gold: int
-
-    def __post_init__(self):
-        if self.gold < 0:
-            raise ValueError(f"gold must be >= 0, got {self.gold}")
 
 
 @dataclass(frozen=True)
@@ -363,52 +353,14 @@ def build_toy_qa(
     mention it, so a linear model over query+context features can reach full
     training accuracy.
     """
-    rng = np.random.default_rng(seed)
-    keywords = _distinct_words(rng, n_classes)
-    docs = []
-    examples = []
-    query_id = 1
-    for cls, keyword in enumerate(keywords):
-        filler = [_word(rng) for _ in range(6)]
-        body = (
-            f"The {keyword} file describes {keyword} procedures. "
-            f"{' '.join(filler[:3]).capitalize()}.\n\n"
-            f"Every {keyword} entry is archived here. {' '.join(filler[3:]).capitalize()}."
-        )
-        docs.append(
-            Document(
-                doc_id=doc_id_start + cls,
-                title=f"{keyword} file",
-                body=body,
-                domain_tag="toy-qa",
-            )
-        )
-        for j in range(n_per_class):
-            text = _QA_TEMPLATES[j % len(_QA_TEMPLATES)].format(kw=keyword)
-            examples.append(QAExample(query=Query(query_id=query_id, text=text), gold=cls))
-            query_id += 1
+    keywords, docs = _keyword_documents(n_classes, seed, doc_id_start, "toy-qa", "{kw} file",
+                                        ("The {kw} file describes {kw} procedures.",
+                                         "Every {kw} entry is archived here."))
+    examples = [
+        QAExample(query=Query(query_id=cls * n_per_class + j + 1,
+                              text=_QA_TEMPLATES[j % len(_QA_TEMPLATES)].format(kw=keyword)),
+                  gold=cls)
+        for cls, keyword in enumerate(keywords)
+        for j in range(n_per_class)
+    ]
     return docs, examples
-
-
-def parse_jsonl_qa(text: str) -> list[QAExample]:
-    examples = []
-    for line_no, row in _jsonl_rows(text):
-        for key in ("query_id", "text", "gold"):
-            if key not in row:
-                raise ParseError(f"missing field {key!r}", line=line_no)
-        query_id, text_value, gold = row["query_id"], row["text"], row["gold"]
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in (query_id, gold)):
-            raise ParseError(
-                f"query_id and gold must be integers, got {query_id!r} and {gold!r}", line=line_no
-            )
-        if gold < 0:
-            raise ParseError(f"gold must be >= 0, got {gold}", line=line_no)
-        _require_int(row, "query_id", line_no)  # the id range of query files
-        if not isinstance(text_value, str):
-            raise ParseError(f"'text' must be a string, got {text_value!r}", line=line_no)
-        examples.append(QAExample(query=Query(query_id=query_id, text=text_value), gold=gold))
-    return examples
-
-
-def read_jsonl_qa(path: str | Path) -> list[QAExample]:
-    return _read(path, parse_jsonl_qa)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mgrag.evaluation
 from mgrag.cli import build_parser, main, parse_args
 from mgrag.confidence import VAR_MODES
 from mgrag.evaluation import AGG_MODES
@@ -522,6 +523,31 @@ def test_sweep_rejects_bad_axis(tmp_path):
     proc = run_cli("sweep", "--corpus", DOCS, "--queries", QUERIES, "--qrels", QRELS,
                    "--depths", "1,nope")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--depths", "1,3", "--mix-ratios", "0,0.5"],
+         "error: mix ratio 0.5: document ids collide across sources: [1, 2, 11, 15, 18]"),
+        (["--depths", "1", "--temperatures", "1", "--mix-size", "100000"],
+         "error: mix ratio 0.0: source 'source-a' has 30 documents, need 100000"),
+    ],
+    ids=["colliding-ids", "too-few-documents"],
+)
+def test_sweep_mix_the_sources_cannot_give_is_a_usage_error(monkeypatch, tmp_path, capsys, flags,
+                                                            named):
+    # the input is at fault and known before any build: no cell runs and no CSV is written
+    monkeypatch.setattr(mgrag.evaluation, "build", lambda *a, **k: pytest.fail("built"))
+    out_csv = tmp_path / "grid.csv"
+    argv = ["sweep", "--corpus", str(DOCS), "--corpus-b", str(DOCS), "--queries", str(QUERIES),
+            "--qrels", str(QRELS), *flags, "--out-csv", str(out_csv)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_csv.exists()
 
 
 # --- train-gen and gradcheck ----------------------------------------------------------

@@ -61,9 +61,9 @@ def test_marker_body_keeps_interior_blank_lines():
     "bad_id,message",
     [
         ("x", "bad .I record id"),
-        ("0", "must be positive"),
-        ("-3", "must be positive"),
-        ("100000000", "exceeds"),
+        ("0", r"record id must be in \[1, 99999999\], got 0"),
+        ("-3", r"record id must be in \[1, 99999999\], got -3"),
+        ("100000000", r"record id must be in \[1, 99999999\], got 100000000"),
     ],
 )
 def test_marker_bad_record_ids(bad_id, message):

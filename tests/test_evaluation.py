@@ -229,6 +229,16 @@ def test_report_echoes_its_configuration(suite):
     assert "qa_accuracy" not in payload  # only sweep rows carry a QA accuracy
 
 
+def test_eval_config_rejects_gate_settings_evaluation_never_reads():
+    # evaluate applies only tau_path; the others would be echoed in the report as if they applied
+    assert EvalConfig(gate=GateConfig(tau_path=0.3)).gate.tau_path == 0.3
+    with pytest.raises(ConfigError, match="tau_path; lambda1, ensemble_K must keep"):
+        EvalConfig(gate=GateConfig(tau_path=0.3, lambda1=0.5, ensemble_K=4))
+    for name, value in [("lambda2", 0.1), ("noise_sigma", 0.0), ("seed", 3), ("var_mode", "intra")]:
+        with pytest.raises(ConfigError, match=f"tau_path; {name} must keep"):
+            EvalConfig(gate=GateConfig(**{name: value}))
+
+
 def test_depth_one_ranking_equals_plain_cosine_retrieval():
     docs, queries, qrels = keyword_eval_suite(n_queries=50, seed=3)
     spec = EmbedderSpec(dim=64)
@@ -363,6 +373,15 @@ def test_sweep_rejects_a_lone_qa_argument(given):
     with pytest.raises(ConfigError, match="qa_dataset and qa_train must be given together"):
         sweep(SweepGrid(depths=(1,), temperatures=(1.0,)), docs, queries, qrels,
               **{given: lone[given]})
+
+
+def test_sweep_rejects_an_empty_qa_dataset_before_any_build(monkeypatch):
+    # no example to train on: every cell would fail drawing the perturbations of none
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=12)
+    monkeypatch.setattr(mgrag.evaluation, "build", lambda *a, **k: pytest.fail("built"))
+    with pytest.raises(ConfigError, match="qa_dataset is empty"):
+        sweep(SweepGrid(depths=(1,), temperatures=(1.0,)), docs, queries, qrels,
+              qa_dataset=[], qa_train=TrainConfig())
 
 
 def test_sweep_with_domain_mixing_runs_end_to_end():

@@ -9,6 +9,7 @@ import pytest
 
 import mgrag.router
 from mgrag.confidence import GateConfig, filter_paths
+from mgrag.corpus import parse_jsonl_qa, read_jsonl_qa
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import ConfigError, ParseError
 from mgrag.generator import (
@@ -19,9 +20,7 @@ from mgrag.generator import (
     gradient_check,
     init_params,
     load_params,
-    parse_jsonl_qa,
     perturbations,
-    read_jsonl_qa,
     save_params,
     train,
 )
@@ -495,8 +494,8 @@ def test_qa_jsonl_round_trip(tmp_path):
     "line, message",
     [
         ("{broken", "invalid JSON"),
-        ('{"query_id": 1, "text": "x"}', "missing field"),
-        ('{"query_id": "one", "text": "x", "gold": 0}', "must be integers"),
+        ('{"query_id": 1, "text": "x"}', "'gold' must be an integer, got None"),
+        ('{"query_id": "one", "text": "x", "gold": 0}', "'query_id' must be an integer, got 'one'"),
         pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
         pytest.param('{"query_id": ' + "9" * 5_000 + "}", "invalid JSON", id="huge-int"),
     ],
@@ -513,12 +512,12 @@ def test_qa_jsonl_parse_errors_carry_line_numbers(line, message):
     [
         ("5", "must hold an object"),
         ('["query_id", "text", "gold"]', "must hold an object"),
-        ('{"query_id": true, "text": "x", "gold": 0}', "must be integers"),
-        ('{"query_id": 1, "text": "x", "gold": false}', "must be integers"),
-        ('{"query_id": 1, "text": "x", "gold": 1.0}', "must be integers"),
+        ('{"query_id": true, "text": "x", "gold": 0}', "'query_id' must be an integer, got True"),
+        ('{"query_id": 1, "text": "x", "gold": false}', "'gold' must be an integer, got False"),
+        ('{"query_id": 1, "text": "x", "gold": 1.0}', "'gold' must be an integer, got 1.0"),
         ('{"query_id": 1, "text": ["a"], "gold": 0}', "'text' must be a string"),
         ('{"query_id": 1, "text": null, "gold": 0}', "'text' must be a string"),
-        ('{"query_id": 1, "text": "x", "gold": -1}', "gold must be >= 0, got -1"),
+        ('{"query_id": 1, "text": "x", "gold": -1}', "'gold' must be >= 0, got -1"),
         # the id range of query files; the id also seeds the perturbation draws
         ('{"query_id": -1, "text": "x", "gold": 0}', "'query_id' must be in [1, 99999999]"),
         ('{"query_id": 0, "text": "x", "gold": 0}', "'query_id' must be in [1, 99999999]"),

@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from mgrag import corpus
 from mgrag.confidence import filter_paths
-from mgrag.corpus import Document, segment
+from mgrag.corpus import Document, parse_jsonl_qa, segment
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import BuildError, MgragError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
-from mgrag.generator import parse_jsonl_qa
 from mgrag.memory import LayerMemory, build, load, save, search_layer
 from mgrag.router import FusedContext, Retrieval, RetrievalPath, RouterConfig, assemble, route, search_layers
 

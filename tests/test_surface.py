@@ -1,9 +1,13 @@
-"""Every public function or class of mgrag has a reader outside its own definition.
+"""The package's surface: what it offers is used, what it hides stays hidden.
 
-A public name counts as used when it appears as a word in the package's
-other source, the demos or the benchmark. The package's ``__init__``
-re-exports do not count: exporting a name is not using it, and neither is
-documenting it. A name may go unused only with a reason in EXEMPT.
+Every public function or class of mgrag has a reader outside its own
+definition. A public name counts as used when it appears as a word in the
+package's other source, the demos or the benchmark. The package's
+``__init__`` re-exports do not count: exporting a name is not using it, and
+neither is documenting it. A name may go unused only with a reason in EXEMPT.
+
+No mgrag module reaches into another for a ``_``-prefixed name, by import or
+by attribute, unless the pair is listed with a reason in PRIVATE_IMPORTS.
 """
 
 from __future__ import annotations
@@ -20,6 +24,16 @@ EXEMPT = {
     "read_jsonl_documents": "cli._read calls read_{fmt}_{kind} by a name built at run time",
     "read_jsonl_queries": "cli._read calls read_{fmt}_{kind} by a name built at run time",
     "read_jsonl_qrels": "cli._read calls read_{fmt}_{kind} by a name built at run time",
+}
+
+# (importing module, defining module, private name) -> why the module may reach in
+PRIVATE_IMPORTS = {
+    ("generator", "router", "_softmax"):
+        "the package's one softmax, private so that the benchmark's tracer, which wraps "
+        "every public function, does not wrap it",
+    ("generator", "corpus", "_keyword_documents"):
+        "build_toy_qa stays in generator, where the benchmark and mgrag.__init__ import it, "
+        "and writes its documents with corpus's keyword writer",
 }
 
 
@@ -58,3 +72,35 @@ def test_every_public_name_is_used_or_exempt():
 def test_every_exemption_names_a_public_definition():
     defined = {node.name for _, node in _public_definitions()}
     assert sorted(set(EXEMPT) - defined) == []
+
+
+def _private_reaches() -> set[tuple[str, str, str]]:
+    """(importer, module, name) for each private mgrag name one mgrag module takes from another."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases: dict[str, str] = {}  # a local name bound to a sibling module
+        for node in ast.walk(tree):
+            module = getattr(node, "module", None) or ""
+            if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("mgrag")):
+                source = module.removeprefix("mgrag").strip(".")
+                for alias in node.names:
+                    if not source:  # from . import corpus as corpus_mod
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.add((path.stem, source, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                found.add((path.stem, aliases[node.value.id], node.attr))
+    return found
+
+
+def test_no_module_takes_another_modules_private_name_unlisted():
+    assert sorted(_private_reaches() - set(PRIVATE_IMPORTS)) == [], (
+        "a private name used by another module: make it public, move the caller, or list the pair"
+    )
+
+
+def test_every_listed_private_import_is_still_made():
+    assert sorted(set(PRIVATE_IMPORTS) - _private_reaches()) == []
