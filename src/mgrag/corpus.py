@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -456,9 +457,8 @@ def mix_corpora(
     picked_b = sorted(rng.choice(len(docs_b), size=n_b, replace=False).tolist())
     mixed = [replace(docs_a[i], domain_tag=tag_a) for i in picked_a]
     mixed += [replace(docs_b[i], domain_tag=tag_b) for i in picked_b]
-    ids = [doc.doc_id for doc in mixed]
-    if len(set(ids)) != len(ids):
-        clash = sorted({i for i in ids if ids.count(i) > 1})
+    clash = sorted(doc_id for doc_id, n in Counter(doc.doc_id for doc in mixed).items() if n > 1)
+    if clash:
         raise ValueError(f"document ids collide across sources: {clash[:5]}")
     return mixed
 

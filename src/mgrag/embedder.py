@@ -11,6 +11,14 @@ to ``2 * slot + sign_bit``.  A table is cleared when it reaches
 ``_MEMO_CAP`` entries, which bounds its memory on text that rarely repeats a
 feature.  The counts are summed with one ``np.bincount``; integer counts are
 exact in float64, so the memo changes no bit of any vector.
+
+``embed`` serves one text (a query).  A build embeds every unit of every
+layer, and a unit is a run of whole tokens of its document, so its features
+are contiguous stretches of the document's features.  ``FeatureIndex``
+therefore extracts each document's features once and interns them, and
+``embed_units`` maps the distinct features to codes once per layer and
+counts each unit from slices of its document's codes: the same integer
+counts ``embed`` makes from the unit's text, so the same vector bits.
 """
 
 from __future__ import annotations
@@ -18,11 +26,17 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, fields
+from itertools import count
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .corpus import GranularUnit
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _MASK64 = (1 << 64) - 1
@@ -59,14 +73,28 @@ def layer_salt(layer: int, spec: EmbedderSpec) -> int:
     return 0 if spec.shared_phi else (layer * _SALT_STRIDE) & _MASK64
 
 
+def _key(layer: int, spec: EmbedderSpec) -> bytes:
+    return (spec.hash_seed ^ layer_salt(layer, spec)).to_bytes(8, "little")
+
+
+def _feature_kinds(joined: bytes, spec: EmbedderSpec) -> list[list[bytes]]:
+    """The words of the space-joined words ``joined``, then its character n-grams for each n."""
+    return [joined.split()] + [
+        [joined[i : i + n] for i in range(len(joined) - n + 1)]
+        for n in range(spec.ngram_min, spec.ngram_max + 1)
+    ]
+
+
+def _prefixed(kinds) -> list[bytes]:
+    """Features as hashed: words as ``w:`` unigrams, the n-grams of every n as ``g:``."""
+    words, *grams = kinds
+    return [b"w:" + word for word in words] + [b"g:" + gram for kind in grams for gram in kind]
+
+
 def _features(text: str, spec: EmbedderSpec) -> list[bytes]:
-    """Word unigrams (``w:``) and character n-grams (``g:``), as ASCII bytes."""
+    """Word unigrams and character n-grams of ``text``, as ASCII bytes."""
     # every matched character is [a-z0-9], so the joined words encode once as ASCII
-    joined = " ".join(_WORD_RE.findall(text.lower())).encode("ascii")
-    features = [b"w:" + word for word in joined.split()]
-    for n in range(spec.ngram_min, spec.ngram_max + 1):
-        features += [b"g:" + joined[i : i + n] for i in range(len(joined) - n + 1)]
-    return features
+    return _prefixed(_feature_kinds(" ".join(_WORD_RE.findall(text.lower())).encode("ascii"), spec))
 
 
 _MEMO_CAP = 8192  # entries per table; a full table is cleared
@@ -101,27 +129,88 @@ def _codes(features: list[bytes], key: bytes, dim: int) -> list[int]:
     return codes
 
 
-def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndarray:
-    """Embed ``text`` for one layer; a zero vector marks degenerate input.
-
-    Degenerate means the text yielded no features (e.g. punctuation only);
-    callers detect it with :func:`is_degenerate` and skip the unit.
-    """
-    if layer < 1:
-        raise ValueError(f"layer must be >= 1, got {layer}")
-    features = _features(text, spec)
-    if not features:
-        return np.zeros(spec.dim, dtype=np.float64)
-    key = (spec.hash_seed ^ layer_salt(layer, spec)).to_bytes(8, "little")
-    counts = np.bincount(_codes(features, key, spec.dim), minlength=2 * spec.dim)
+def _unit_vector(codes, dim: int) -> np.ndarray:
+    """The L2-normalized signed slot counts of ``codes``; zero if there are none or they cancel."""
+    counts = np.bincount(np.asarray(codes, dtype=np.intp), minlength=2 * dim)
     # odd codes are the +1 features of a slot, even codes its -1 features
     vec = (counts[1::2] - counts[0::2]).astype(np.float64)
     norm = math.sqrt(float(vec @ vec))
-    if norm == 0.0:
-        return vec
-    return vec / norm
+    return vec / norm if norm else vec
 
 
-def is_degenerate(vec: np.ndarray) -> bool:
-    return not np.any(vec)
+def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndarray:
+    """Embed ``text`` for one layer; a zero vector marks degenerate input.
 
+    Degenerate means the text yielded no features (e.g. punctuation only) or
+    their signed counts all cancel.
+    """
+    if layer < 1:
+        raise ValueError(f"layer must be >= 1, got {layer}")
+    return _unit_vector(_codes(_features(text, spec), _key(layer, spec), spec.dim), spec.dim)
+
+
+@dataclass(frozen=True)
+class _Document:
+    ids: list[np.ndarray]  # per feature kind (words, then each n's n-grams), each feature's id
+    word_starts: np.ndarray  # body offset of each word's first character
+    joined_starts: list[int]  # offset of each word in the space-joined words, then their length + 1
+
+
+class FeatureIndex:
+    """Every document's features, extracted once and interned into one vocabulary.
+
+    ``vocab`` holds the distinct features in first-seen order: the words, then
+    each n's n-grams, each kind ending at the next of ``kind_ends``.  Each
+    document keeps its features as ids into its kind's part of ``vocab``,
+    with the word offsets that map a character span of its body to slices.
+    """
+
+    def __init__(self, bodies: Sequence[str], spec: EmbedderSpec):
+        self.spec = spec
+        # a feature seen first gets the next id of its kind: words, then each n's n-grams
+        kinds = [defaultdict(count().__next__) for _ in range(2 + spec.ngram_max - spec.ngram_min)]
+        self.docs = [self._document(body, kinds) for body in bodies]
+        self.vocab = _prefixed(kinds)
+        self.kind_ends = np.cumsum([len(ids) for ids in kinds])[:-1]
+
+    def _document(self, body: str, kinds: list[defaultdict]) -> _Document:
+        lowered = body.lower()
+        found = list(_WORD_RE.finditer(lowered))
+        joined = " ".join(m.group() for m in found).encode("ascii")
+        word_starts = np.fromiter((m.start() for m in found), dtype=np.int64, count=len(found))
+        if len(lowered) != len(body):  # "İ" lowers to two characters: map back to the body
+            ends = np.cumsum([len(ch.lower()) for ch in body])
+            word_starts = np.searchsorted(ends, word_starts, side="right")
+        joined_starts = [0]
+        for m in found:
+            joined_starts.append(joined_starts[-1] + m.end() - m.start() + 1)
+        ids = [np.fromiter(map(kind.__getitem__, features), dtype=np.int32, count=len(features))
+               for kind, features in zip(kinds, _feature_kinds(joined, self.spec))]
+        return _Document(ids, word_starts, joined_starts)
+
+
+def embed_units(
+    features: FeatureIndex, units: Sequence[Sequence[GranularUnit]], layer: int
+) -> list[np.ndarray]:
+    """Embed one layer's units, ``units[d]`` being those of ``features``' document d.
+
+    Returns each unit's vector in order, equal to ``embed(unit.text, layer,
+    features.spec)`` bit for bit (zero for a degenerate unit).  A unit
+    starts and ends at whitespace or at its body's ends, so its words are a
+    run i..j-1 of its document's words and its n-grams those of the joined
+    words that start in [a, b - n], where [a, b) holds words i..j-1 there.
+    """
+    spec = features.spec
+    codes = np.asarray(_codes(features.vocab, _key(layer, spec), spec.dim), dtype=np.intp)
+    tables = np.split(codes, features.kind_ends)  # one per feature kind
+    vectors = []
+    for doc, doc_units in zip(features.docs, units):
+        words, *grams = [table[ids] for table, ids in zip(tables, doc.ids)]
+        grams = list(zip(range(spec.ngram_min, spec.ngram_max + 1), grams))
+        spans = np.asarray([unit.char_span for unit in doc_units], dtype=np.int64).reshape(-1, 2)
+        first, stop = np.searchsorted(doc.word_starts, spans.T).tolist()
+        for i, j in zip(first, stop):
+            a, b = doc.joined_starts[i], doc.joined_starts[j] - 1
+            parts = [words[i:j]] + [gram[a : b - n + 1] for n, gram in grams if b - a >= n]
+            vectors.append(_unit_vector(np.concatenate(parts), spec.dim))
+    return vectors

@@ -14,13 +14,14 @@ import re
 import stat
 import struct
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import MAX_DEPTH, SEGMENTATION_RULES, Document, corpus_sha256, segment
-from .embedder import EmbedderSpec, embed, is_degenerate
+from .embedder import EmbedderSpec, FeatureIndex, embed_units
 from .errors import BuildError, ConfigError, IndexFormatError
 
 log = logging.getLogger(__name__)
@@ -132,6 +133,8 @@ def build(
 ) -> MemoryHierarchy:
     """Segment and embed every document at layers 1..depth.
 
+    Each document's features are extracted once, into a ``FeatureIndex``
+    that ``embed_units`` counts every layer's units from.
     Zero-feature (degenerate) units are counted on their layer and left out of
     the index. A document with an empty body yields no units at any layer
     and is reported once.
@@ -143,21 +146,22 @@ def build(
     for doc in corpus:
         if not doc.body.strip():
             log.warning("document %d has an empty body; skipped", doc.doc_id)
+    features = FeatureIndex([doc.body for doc in corpus], spec)
     layers = []
     for layer_no in range(1, depth + 1):
+        units = [segment(doc, layer_no) for doc in corpus]
+        vectors = embed_units(features, units, layer_no)
         unit_ids: list[str] = []
         doc_ids: list[int] = []
         rows: list[np.ndarray] = []
         degenerate = 0
-        for doc in corpus:
-            for unit in segment(doc, layer_no):
-                vec = embed(unit.text, layer_no, spec)
-                if is_degenerate(vec):
-                    degenerate += 1
-                    continue
-                unit_ids.append(unit.unit_id)
-                doc_ids.append(unit.doc_id)
-                rows.append(vec)
+        for unit, vec in zip(chain.from_iterable(units), vectors):
+            if not vec.any():
+                degenerate += 1
+                continue
+            unit_ids.append(unit.unit_id)
+            doc_ids.append(unit.doc_id)
+            rows.append(vec)
         matrix = np.stack(rows) if rows else np.zeros((0, spec.dim), dtype=np.float64)
         layers.append(
             LayerMemory(

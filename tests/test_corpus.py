@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,22 @@ def test_mix_rejects_id_collisions():
     b = _tagged(5, 3, "b")  # ids 3..7 overlap ids 1..5
     with pytest.raises(ValueError, match="collide"):
         mix_corpora([(a, "A"), (b, "B")], ratio=0.5, size=4, seed=0)
+
+
+def test_mix_names_the_first_colliding_ids_of_a_large_self_mix_quickly():
+    n = 20_000
+    docs = _tagged(n, 1, "a")
+    # the same lengths and seed draw the same picks; shifted ids show them without a clash
+    picks = mix_corpora([(docs, "A"), (_tagged(n, 100_001, "a"), "B")], ratio=0.5, size=n, seed=0)
+    first = {d.doc_id for d in picks if d.domain_tag == "A"}
+    second = {d.doc_id - 100_000 for d in picks if d.domain_tag == "B"}
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        mix_corpora([(docs, "A"), (docs, "B")], ratio=0.5, size=n, seed=0)
+    elapsed = time.perf_counter() - start
+    assert str(err.value) == f"document ids collide across sources: {sorted(first & second)[:5]}"
+    # a clash check linear in n takes about 0.1 s here; a quadratic one takes several seconds
+    assert elapsed < 1.0
 
 
 def test_mix_rejects_oversized_requests():

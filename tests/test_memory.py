@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +279,25 @@ def test_rebuild_and_save_is_byte_identical(tmp_path):
         save(hier, path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize(
+    "flags, size, digest",
+    [
+        (["--depth", "5"], 807_994,
+         "4b1d45a8931bf1f639e329be4b93412cb3cb127de802988b36194247caad6796"),
+        (["--depth", "3", "--dim", "64", "--hash-seed", "3", "--shared-phi"], 112_757,
+         "83c4f080725a03c9c92ead393c29afea6d426709bd22b7bef359f0e5381e8984"),
+    ],
+    ids=["depth5", "depth3-dim64-seed3-shared"],
+)
+def test_sample_index_bytes_are_pinned(tmp_path, flags, size, digest):
+    # digests measured at 71a55e4; any build must write these bytes
+    corpus = Path(__file__).resolve().parent.parent / "data" / "cisi_sample.all"
+    path = tmp_path / "sample.mgix"
+    assert main(["build", "--corpus", str(corpus), "--out", str(path), *flags]) == 0
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
 
 
 def test_load_rejects_bad_magic(tmp_path):

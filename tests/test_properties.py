@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mgrag import corpus
 from mgrag.confidence import filter_paths
 from mgrag.corpus import Document, parse_jsonl_qa, segment
-from mgrag.embedder import EmbedderSpec
+from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import BuildError, MgragError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
 from mgrag.memory import LayerMemory, build, load, save, search_layer
@@ -156,6 +156,50 @@ def test_a_depth_prefix_of_a_full_build_equals_the_build_at_that_depth(docs):
             assert np.array_equal(a.doc_ids, b.doc_ids)
             assert np.array_equal(a.vectors, b.vectors)
         assert prefix.manifest == built.manifest
+
+
+# --- a build embeds every unit as embed embeds its text ---------------------------------
+
+# "İ" lowers to two characters, "Σ" to "σ" or (word-final) "ς", the Kelvin sign to an ASCII "k"
+_TOKENS = st.one_of(
+    st.text(alphabet="abAB09\u0130\u03a3\u03c2\u212a\u00e9.,!?'", min_size=1, max_size=7),
+    st.sampled_from(["?!", "...", ";", "\u0130stanbul", "\u039f\u0394\u039f\u03a3."]),
+)
+_short_bodies = st.lists(
+    st.tuples(_TOKENS, st.sampled_from([" ", " ", "\t", "\n", "\n\n", " \n\t\n"])), max_size=30,
+).map(lambda pairs: "".join(token + sep for token, sep in pairs))
+# more than 64 tokens and no blank line: layer 2 falls back to 64-token windows
+_long_bodies = st.lists(st.tuples(_TOKENS, st.sampled_from([" ", "\t", "\n"])), min_size=65,
+                        max_size=80).map(lambda pairs: "".join(token + sep for token, sep in pairs))
+_unicode_corpora = st.lists(st.one_of(_short_bodies, _long_bodies), min_size=1, max_size=3).map(
+    lambda bodies: [Document(doc_id=i + 1, title="", body=b) for i, b in enumerate(bodies)])
+
+
+@pytest.mark.parametrize("spec", [
+    EmbedderSpec(),
+    EmbedderSpec(dim=16, ngram_min=1, ngram_max=4, hash_seed=3, shared_phi=True),
+], ids=["default", "dim16-ngrams1to4-seed3-shared"])
+@deterministic
+@given(_unicode_corpora)
+@example([Document(doc_id=1, title="", body="\u0130stanbul \u0130\u0130 x\ty.\n\nK\u212a 42 ?! "
+                                             "\u039f\u0394\u039f\u03a3. b")])
+def test_every_built_unit_is_embed_of_its_text(spec, docs):
+    built = _build_or_error(docs, spec, 5)
+    for layer in range(1, 6):
+        kept, rows, degenerate = [], [], 0
+        for unit in (unit for doc in docs for unit in segment(doc, layer)):
+            vec = embed(unit.text, layer, spec)
+            if np.any(vec):
+                kept.append(unit.unit_id)
+                rows.append(vec)
+            else:
+                degenerate += 1
+        if isinstance(built, str):  # no layer kept a unit
+            assert kept == [], built
+            continue
+        mem = built.layers[layer - 1]
+        assert (mem.unit_ids, mem.n_degenerate) == (kept, degenerate), layer
+        assert mem.vectors.tobytes() == np.asarray(rows, dtype=np.float64).tobytes(), layer
 
 
 # --- routing is one search, then its weighing -------------------------------------------
