@@ -1,9 +1,9 @@
 """Deterministic hashed-feature text embeddings, one keyed variant per layer.
 
 Features are lowercase word unigrams plus character n-grams; each feature is
-hashed with a layer-salted key to a signed slot, counts are accumulated, and
-the vector is L2-normalized.  No model weights, so every downstream number
-is reproducible from text alone.
+hashed with a layer-salted key to a signed slot, and a text's vector is its
+signed slot counts, L2-normalized.  No model weights, so every downstream
+number is reproducible from text alone.
 
 A feature's slot and sign are a pure function of the feature, the key and
 the dimension, so they are memoized: one table per (key, dim) maps a feature
@@ -12,19 +12,18 @@ to ``2 * slot + sign_bit``.  A table is cleared when it reaches
 feature.  The counts are summed with one ``np.bincount``; integer counts are
 exact in float64, so the memo changes no bit of any vector.
 
-``embed`` serves one text (a query).  A build embeds every unit of every
-layer, and a unit is a run of whole tokens of its document, so its features
-are contiguous stretches of the document's features.  ``FeatureIndex``
-therefore extracts each document's features once and interns them, and
-``embed_units`` maps the distinct features to codes once per layer and
-counts each unit from slices of its document's codes: the same integer
-counts ``embed`` makes from the unit's text, so the same vector bits.
+``embed`` serves one text (a query).  A build embeds each layer as one
+``(n_units, dim)`` matrix.  A unit is a run of whole tokens of its document,
+so its features are contiguous stretches of the document's: ``FeatureIndex``
+extracts each document's features once and interns them, and ``embed_units``
+maps the distinct features to codes once per layer, counts each unit's row
+from slices of its document's codes and normalizes the matrix once: the
+same integer counts ``embed`` makes from the unit's text, so the same bits.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -42,6 +41,9 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 _MASK64 = (1 << 64) - 1
 # odd 64-bit multiplier; layer * stride mod 2^64 gives distinct salts for layers 1..5
 _SALT_STRIDE = 0x9E3779B97F4A7C15
+# far past any use: every embed costs O(dim + ngram_max), whatever the length of its text
+_MAX_DIM = 65_536
+_MAX_NGRAM = 32
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,10 @@ class EmbedderSpec:
             value = getattr(self, f.name)
             if type(value).__name__ != f.type:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.dim < 8:
-            raise ConfigError(f"embedding dim must be >= 8, got {self.dim}")
-        if not 1 <= self.ngram_min <= self.ngram_max:
-            raise ConfigError(
-                f"bad n-gram range ({self.ngram_min}, {self.ngram_max})"
-            )
+        if not 8 <= self.dim <= _MAX_DIM:
+            raise ConfigError(f"embedding dim must lie in [8, {_MAX_DIM}], got {self.dim}")
+        if not 1 <= self.ngram_min <= self.ngram_max <= _MAX_NGRAM:
+            raise ConfigError(f"bad n-gram range ({self.ngram_min}, {self.ngram_max}), max {_MAX_NGRAM}")
         if not 0 <= self.hash_seed <= _MASK64:  # the key is 64 bits; a larger seed would alias
             raise ConfigError(f"hash_seed must lie in [0, 2**64 - 1], got {self.hash_seed}")
 
@@ -129,13 +129,19 @@ def _codes(features: list[bytes], key: bytes, dim: int) -> list[int]:
     return codes
 
 
-def _unit_vector(codes, dim: int) -> np.ndarray:
-    """The L2-normalized signed slot counts of ``codes``; zero if there are none or they cancel."""
-    counts = np.bincount(np.asarray(codes, dtype=np.intp), minlength=2 * dim)
-    # odd codes are the +1 features of a slot, even codes its -1 features
-    vec = (counts[1::2] - counts[0::2]).astype(np.float64)
-    norm = math.sqrt(float(vec @ vec))
-    return vec / norm if norm else vec
+def _signed_counts(codes, out: np.ndarray) -> np.ndarray:
+    """Write into the row ``out`` each slot's count of +1 (odd) codes less its -1 (even) codes."""
+    counts = np.bincount(np.asarray(codes, dtype=np.intp), minlength=2 * out.shape[0])
+    return np.subtract(counts[1::2], counts[0::2], out=out)
+
+
+def _normalize(rows: np.ndarray) -> np.ndarray:
+    """Divide each row of signed counts by ``max(its L2 norm, 1)`` in place: a nonzero integer
+    row has norm >= 1, and an all-zero row stays zero.  Integer squares sum exactly in any
+    order, so a row's bits do not depend on the rows beside it."""
+    norms = np.sqrt(np.einsum("...i,...i->...", rows, rows))[..., None]
+    rows /= np.maximum(norms, 1.0)
+    return rows
 
 
 def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndarray:
@@ -146,7 +152,8 @@ def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndar
     """
     if layer < 1:
         raise ValueError(f"layer must be >= 1, got {layer}")
-    return _unit_vector(_codes(_features(text, spec), _key(layer, spec), spec.dim), spec.dim)
+    codes = _codes(_features(text, spec), _key(layer, spec), spec.dim)
+    return _normalize(_signed_counts(codes, np.empty(spec.dim)))
 
 
 @dataclass(frozen=True)
@@ -191,19 +198,20 @@ class FeatureIndex:
 
 def embed_units(
     features: FeatureIndex, units: Sequence[Sequence[GranularUnit]], layer: int
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Embed one layer's units, ``units[d]`` being those of ``features``' document d.
 
-    Returns each unit's vector in order, equal to ``embed(unit.text, layer,
-    features.spec)`` bit for bit (zero for a degenerate unit).  A unit
-    starts and ends at whitespace or at its body's ends, so its words are a
-    run i..j-1 of its document's words and its n-grams those of the joined
-    words that start in [a, b - n], where [a, b) holds words i..j-1 there.
+    Returns one ``(n_units, dim)`` matrix whose row r is the r-th unit's
+    ``embed(unit.text, layer, features.spec)`` bit for bit.  A unit starts and
+    ends at whitespace or at its body's ends, so its words are a run i..j-1 of
+    its document's words and its n-grams those of the joined words that start
+    in [a, b - n], where [a, b) holds words i..j-1 there.
     """
     spec = features.spec
     codes = np.asarray(_codes(features.vocab, _key(layer, spec), spec.dim), dtype=np.intp)
     tables = np.split(codes, features.kind_ends)  # one per feature kind
-    vectors = []
+    vectors = np.empty((sum(map(len, units)), spec.dim))
+    rows = iter(vectors)
     for doc, doc_units in zip(features.docs, units):
         words, *grams = [table[ids] for table, ids in zip(tables, doc.ids)]
         grams = list(zip(range(spec.ngram_min, spec.ngram_max + 1), grams))
@@ -212,5 +220,5 @@ def embed_units(
         for i, j in zip(first, stop):
             a, b = doc.joined_starts[i], doc.joined_starts[j] - 1
             parts = [words[i:j]] + [gram[a : b - n + 1] for n, gram in grams if b - a >= n]
-            vectors.append(_unit_vector(np.concatenate(parts), spec.dim))
-    return vectors
+            _signed_counts(np.concatenate(parts), next(rows))
+    return _normalize(vectors)

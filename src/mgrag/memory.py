@@ -14,7 +14,7 @@ import re
 import stat
 import struct
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Sequence
 
@@ -133,11 +133,10 @@ def build(
 ) -> MemoryHierarchy:
     """Segment and embed every document at layers 1..depth.
 
-    Each document's features are extracted once, into a ``FeatureIndex``
-    that ``embed_units`` counts every layer's units from.
-    Zero-feature (degenerate) units are counted on their layer and left out of
-    the index. A document with an empty body yields no units at any layer
-    and is reported once.
+    Each document's features are extracted once, into a ``FeatureIndex`` that
+    ``embed_units`` counts each layer's units from, as one matrix with a row per
+    unit.  Degenerate (all-zero) rows are counted on their layer and masked out
+    of the index.  A document with an empty body yields no units and is reported once.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
@@ -151,25 +150,15 @@ def build(
     for layer_no in range(1, depth + 1):
         units = [segment(doc, layer_no) for doc in corpus]
         vectors = embed_units(features, units, layer_no)
-        unit_ids: list[str] = []
-        doc_ids: list[int] = []
-        rows: list[np.ndarray] = []
-        degenerate = 0
-        for unit, vec in zip(chain.from_iterable(units), vectors):
-            if not vec.any():
-                degenerate += 1
-                continue
-            unit_ids.append(unit.unit_id)
-            doc_ids.append(unit.doc_id)
-            rows.append(vec)
-        matrix = np.stack(rows) if rows else np.zeros((0, spec.dim), dtype=np.float64)
+        keep = vectors.any(axis=1)
+        kept = list(compress(chain.from_iterable(units), keep))
         layers.append(
             LayerMemory(
                 layer=layer_no,
-                unit_ids=unit_ids,
-                doc_ids=np.asarray(doc_ids, dtype=np.int64),
-                vectors=matrix,
-                n_degenerate=degenerate,
+                unit_ids=[unit.unit_id for unit in kept],
+                doc_ids=np.asarray([unit.doc_id for unit in kept], dtype=np.int64),
+                vectors=vectors[keep],
+                n_degenerate=int(np.count_nonzero(~keep)),
             )
         )
     if not any(mem.n_units for mem in layers):

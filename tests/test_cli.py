@@ -371,13 +371,15 @@ def test_settings_eval_and_sweep_never_read_are_usage_errors(tmp_path, capsys, v
         ("train-gen", ["--ensemble-k", "100000000"], "ensemble_K must be <= 1024, got 100000000"),
         ("build", ["--hash-seed", str(2**64 + 1)],
          "hash_seed must lie in [0, 2**64 - 1], got 18446744073709551617"),
+        # a dim this wide would allocate terabytes before the first unit is counted
+        ("build", ["--dim", "1000000000000"], "embedding dim must lie in [8, 65536], got 1000000000000"),
         ("sweep", ["--temperatures", "0.5,inf"], "temperatures must be finite and positive"),
     ],
     ids=["train-gen-seed", "gradcheck-seed", "sweep-seed", "sweep-mix-size",
          "gradcheck-empty-lambda-grid", "gradcheck-inf-lambda", "gradcheck-nan-lambda",
          "gradcheck-inf-sigma", "gradcheck-nan-tol", "gradcheck-negative-tol", "gradcheck-zero-tol",
          "train-gen-inf-lambda1", "train-gen-inf-lr", "train-gen-ensemble-k-past-cap",
-         "build-hash-seed-past-64-bits",
+         "build-hash-seed-past-64-bits", "build-huge-dim",
          "sweep-inf-temperature"],
 )
 def test_bad_seed_or_size_is_a_usage_error_naming_it(tmp_path, capsys, verb, flags, named):

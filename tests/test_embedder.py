@@ -169,6 +169,12 @@ def test_spec_validation():
         EmbedderSpec(ngram_min=5, ngram_max=3)
     with pytest.raises(ConfigError, match="hash_seed"):
         EmbedderSpec(hash_seed=-1)
+    # every embed costs O(dim + ngram_max) whatever its text, so both are bounded
+    with pytest.raises(ConfigError, match=r"embedding dim must lie in \[8, 65536\], got 65537"):
+        EmbedderSpec(dim=65_537)
+    with pytest.raises(ConfigError, match=r"bad n-gram range \(3, 1000000\), max 32"):
+        EmbedderSpec(ngram_max=10**6)
+    assert EmbedderSpec(dim=65_536, ngram_min=32, ngram_max=32).ngram_max == 32
     # the hash key is 64 bits, so a larger seed would build another seed's vectors
     with pytest.raises(ConfigError, match=r"hash_seed must lie in \[0, 2\*\*64 - 1\], got 18446744073709551617"):
         EmbedderSpec(hash_seed=2**64 + 1)

@@ -355,6 +355,15 @@ def _bump(counts, key):
     counts[key] += 1
 
 
+def _respec(header, **changes):
+    """Edit the embedder spec and store the config hash that matches the edit."""
+    header["embedder_spec"].update(changes)
+    payload = {"embedder": header["embedder_spec"], "segmentation": header["seg_spec"],
+               "depth": header["depth"]}
+    header["manifest"]["config_sha256"] = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -382,6 +391,9 @@ def _bump(counts, key):
          "dim must be int, got 16.0"),
         (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(ngram_max=5.0)),
          "ngram_max must be int, got 5.0"),
+        # under its own config hash, so only the bound stands between it and O(ngram_max) embeds
+        (lambda raw: _rewrite_header(raw, lambda h: _respec(h, ngram_max=10**6)),
+         r"bad n-gram range \(3, 1000000\), max 32"),
         (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(hash_seed=True)),
          "hash_seed must be int, got True"),
         (lambda raw: _rewrite_header(raw, lambda h: h["embedder_spec"].update(shared_phi="no")),
@@ -414,8 +426,9 @@ def _bump(counts, key):
     ids=["missing-header-key", "negative-dim", "nan-row", "trailing-bytes", "depth-above-layers",
          "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed",
          "deep-header", "hash-seed-past-64-bits", "float-hash-seed", "float-dim", "float-ngram-max",
-         "bool-hash-seed", "string-shared-phi", "wrong-unit-counts", "extra-degenerate-count",
-         "missing-degenerate-count", "negative-degenerate-count", "wrong-config-hash",
+         "huge-ngram-max", "bool-hash-seed", "string-shared-phi", "wrong-unit-counts",
+         "extra-degenerate-count", "missing-degenerate-count", "negative-degenerate-count",
+         "wrong-config-hash",
          "spec-edited-under-its-hash", "missing-unit-counts", "int-corpus-hash",
          "uppercase-corpus-hash", "string-n-documents", "bool-n-documents"],
 )

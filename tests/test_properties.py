@@ -186,11 +186,12 @@ _unicode_corpora = st.lists(st.one_of(_short_bodies, _long_bodies), min_size=1, 
 def test_every_built_unit_is_embed_of_its_text(spec, docs):
     built = _build_or_error(docs, spec, 5)
     for layer in range(1, 6):
-        kept, rows, degenerate = [], [], 0
+        kept, kept_docs, rows, degenerate = [], [], [], 0
         for unit in (unit for doc in docs for unit in segment(doc, layer)):
             vec = embed(unit.text, layer, spec)
             if np.any(vec):
                 kept.append(unit.unit_id)
+                kept_docs.append(unit.doc_id)
                 rows.append(vec)
             else:
                 degenerate += 1
@@ -199,6 +200,7 @@ def test_every_built_unit_is_embed_of_its_text(spec, docs):
             continue
         mem = built.layers[layer - 1]
         assert (mem.unit_ids, mem.n_degenerate) == (kept, degenerate), layer
+        assert mem.doc_ids.dtype == np.int64 and mem.doc_ids.tolist() == kept_docs, layer
         assert mem.vectors.tobytes() == np.asarray(rows, dtype=np.float64).tobytes(), layer
 
 
