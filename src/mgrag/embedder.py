@@ -1,29 +1,33 @@
 """Deterministic hashed-feature text embeddings, one keyed variant per layer.
 
 Features are lowercase word unigrams plus character n-grams; each feature is
-hashed with a layer-salted key to a signed slot, and a text's vector is its
-signed slot counts, L2-normalized.  No model weights, so every downstream
+hashed with a layer-salted 64-bit key to a signed slot, and a text's vector is
+its signed slot counts, L2-normalized.  No model weights, so every downstream
 number is reproducible from text alone.
 
-A feature's slot and sign are a pure function of the feature, the key and
-the dimension, so they are memoized: one table per (key, dim) maps a feature
-to ``2 * slot + sign_bit``.  A table is cleared when it reaches
-``_MEMO_CAP`` entries, which bounds its memory on text that rarely repeats a
-feature.  The counts are summed with one ``np.bincount``; integer counts are
-exact in float64, so the memo changes no bit of any vector.
+The hash is feature hashing (Weinberger et al., 2009) computed over arrays.
+``_pack`` sorts the features by length and reads them, null-padded, as
+little-endian ``uint64`` words, in chunks of bounded size; ``_codes`` then
+hashes them under many keys in one pass.  Each (key, feature) state starts
+as ``key ^ len``, folds in each word that lies within the feature's length
+through the splitmix64 finalizer, and is mixed once more; it maps to
+``2 * slot + sign_bit``.  A feature's code is a function of its bytes, the
+key and the dimension alone, whatever batch it is hashed in.  The counts are
+summed with one ``np.bincount``, exact in float64.
 
-``embed`` serves one text (a query).  A build embeds each layer as one
-``(n_units, dim)`` matrix.  A unit is a run of whole tokens of its document,
-so its features are contiguous stretches of the document's: ``FeatureIndex``
-extracts each document's features once and interns them, and ``embed_units``
-maps the distinct features to codes once per layer, counts each unit's row
-from slices of its document's codes and normalizes the matrix once: the
-same integer counts ``embed`` makes from the unit's text, so the same bits.
+``embed_layers`` serves one text (a query): it extracts the features once,
+hashes them for every layer in one 2-D pass, and counts and normalizes all
+layers' rows at once.  A build embeds each layer as one ``(n_units, dim)``
+matrix.  A unit is a run of whole tokens of its document, so its features
+are contiguous stretches of the document's: ``FeatureIndex`` extracts each
+document's features once, interns them and packs the distinct ones, and
+``embed_units`` hashes that pack once per layer, counts each unit's row from
+slices of its document's codes and normalizes the matrix once: the same
+integer counts ``embed`` makes from the unit's text, so the same bits.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -73,8 +77,8 @@ def layer_salt(layer: int, spec: EmbedderSpec) -> int:
     return 0 if spec.shared_phi else (layer * _SALT_STRIDE) & _MASK64
 
 
-def _key(layer: int, spec: EmbedderSpec) -> bytes:
-    return (spec.hash_seed ^ layer_salt(layer, spec)).to_bytes(8, "little")
+def _key(layer: int, spec: EmbedderSpec) -> np.uint64:
+    return np.uint64(spec.hash_seed ^ layer_salt(layer, spec))
 
 
 def _feature_kinds(joined: bytes, spec: EmbedderSpec) -> list[list[bytes]]:
@@ -97,42 +101,79 @@ def _features(text: str, spec: EmbedderSpec) -> list[bytes]:
     return _prefixed(_feature_kinds(" ".join(_WORD_RE.findall(text.lower())).encode("ascii"), spec))
 
 
-_MEMO_CAP = 8192  # entries per table; a full table is cleared
-_MEMO_TABLES = 64  # tables kept, one per (key, dim); all are dropped past this
-_memo: dict[tuple[bytes, int], tuple[dict[bytes, int], hashlib.blake2b]] = {}
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)  # the splitmix64 finalizer's multipliers
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_PAD_BYTES = 1 << 20  # a chunk's padded matrix stays within this, or is one feature's own bytes
 
 
-def _codes(features: list[bytes], key: bytes, dim: int) -> list[int]:
-    """``2 * slot + sign_bit`` for each feature, memoized per (key, dim)."""
-    table = _memo.get((key, dim))
-    if table is None:
-        if len(_memo) >= _MEMO_TABLES:
-            _memo.clear()
-        # the keyed state after the key block; copying it skips that block per hash
-        table = _memo[(key, dim)] = ({}, hashlib.blake2b(key=key, digest_size=8))
-    memo, base = table
-    codes = list(map(memo.get, features))
-    if None not in codes:
-        return codes
-    for i, code in enumerate(codes):
-        if code is None:
-            feature = features[i]
-            code = memo.get(feature)  # a repeat of a miss earlier in this text
-            if code is None:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                state = base.copy()
-                state.update(feature)
-                h = int.from_bytes(state.digest(), "little")
-                code = memo[feature] = ((h >> 1) % dim) * 2 + (h & 1)
-            codes[i] = code
+def _mix(z: np.ndarray) -> None:
+    """The splitmix64 finalizer, in place on a ``uint64`` array (array ops wrap silently)."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+
+
+@dataclass(frozen=True)
+class _Packed:
+    """Features sorted by length and read, null-padded, as little-endian ``uint64`` words."""
+
+    order: np.ndarray  # the feature at each sorted position
+    lengths: np.ndarray  # the sorted features' byte lengths, as uint64
+    chunks: list[tuple[int, np.ndarray, list[int]]]  # (first position, words, firsts) per chunk
+
+
+def _pack(features: Sequence[bytes]) -> _Packed:
+    """Pack features for ``_codes``: the work that does not depend on the key.
+
+    The sorted features are cut into chunks of consecutive features; a chunk's
+    rows are padded to its longest, and it ends before its padded matrix would
+    pass ``_PAD_BYTES``.  ``firsts[j]`` is the chunk's first row longer than
+    ``8 * j`` bytes: word ``j`` lies within that row and every row after it.
+    """
+    lengths = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    n_words = -(-lengths // 8)
+    chunks = []
+    start = 0
+    while start < len(order):
+        padded = np.arange(1, len(order) - start + 1) * (8 * n_words[start:])
+        stop = start + max(1, int(np.searchsorted(padded, _PAD_BYTES, side="right")))
+        width = int(n_words[stop - 1])
+        if width:
+            rows = [features[i] for i in order[start:stop].tolist()]
+            words = np.array(rows, dtype=f"S{8 * width}").view("<u8").reshape(-1, width)
+            firsts = np.searchsorted(n_words[start:stop], np.arange(width), side="right")
+            chunks.append((start, words, firsts.tolist()))
+        start = stop
+    return _Packed(order, lengths.astype(np.uint64), chunks)
+
+
+def _codes(packed: _Packed, keys, dim: int) -> np.ndarray:
+    """``2 * slot + sign_bit`` of each packed feature under each of ``keys``, shape
+    ``keys.shape + (n,)``.  Each row folds in only the words within its own length."""
+    h = np.asarray(keys, dtype=np.uint64)[..., None] ^ packed.lengths
+    for start, words, firsts in packed.chunks:
+        chunk = h[..., start : start + len(words)]
+        for j, first in enumerate(firsts):
+            state = chunk[..., first:]
+            state ^= words[first:, j]
+            _mix(state)
+    _mix(h)
+    codes = np.empty(h.shape, dtype=np.intp)
+    codes[..., packed.order] = (h >> 1) % dim * 2 + (h & 1)
     return codes
 
 
-def _signed_counts(codes, out: np.ndarray) -> np.ndarray:
-    """Write into the row ``out`` each slot's count of +1 (odd) codes less its -1 (even) codes."""
-    counts = np.bincount(np.asarray(codes, dtype=np.intp), minlength=2 * out.shape[0])
-    return np.subtract(counts[1::2], counts[0::2], out=out)
+def _signed_counts(codes, out: np.ndarray) -> None:
+    """Write into ``out`` each slot's count of +1 (odd) codes less its -1 (even) codes.
+
+    ``out`` is a row, or rows whose codes are offset by ``2 * dim`` per row.
+    """
+    counts = np.bincount(np.asarray(codes, dtype=np.intp).ravel(), minlength=2 * out.size)
+    np.subtract(counts[1::2], counts[0::2], out=out.reshape(-1))
 
 
 def _normalize(rows: np.ndarray) -> np.ndarray:
@@ -144,16 +185,28 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndarray:
-    """Embed ``text`` for one layer; a zero vector marks degenerate input.
+def embed_layers(
+    text: str, layers: Sequence[int], spec: EmbedderSpec = EmbedderSpec()
+) -> np.ndarray:
+    """Embed ``text`` for each of ``layers``: row i is its vector at layer ``layers[i]``.
 
-    Degenerate means the text yielded no features (e.g. punctuation only) or
-    their signed counts all cancel.
+    The features are extracted once and hashed for every layer in one pass.  A
+    zero row marks degenerate input: the text yielded no features (e.g.
+    punctuation only) or their signed counts all cancel.
     """
-    if layer < 1:
-        raise ValueError(f"layer must be >= 1, got {layer}")
-    codes = _codes(_features(text, spec), _key(layer, spec), spec.dim)
-    return _normalize(_signed_counts(codes, np.empty(spec.dim)))
+    for layer in layers:
+        if layer < 1:
+            raise ValueError(f"layer must be >= 1, got {layer}")
+    keys = np.array([_key(layer, spec) for layer in layers], dtype=np.uint64)
+    codes = _codes(_pack(_features(text, spec)), keys, spec.dim)
+    rows = np.empty((len(layers), spec.dim))
+    _signed_counts(codes + 2 * spec.dim * np.arange(len(layers))[:, None], rows)
+    return _normalize(rows)
+
+
+def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndarray:
+    """Embed ``text`` for one layer: the one-layer case of ``embed_layers``."""
+    return embed_layers(text, (layer,), spec)[0]
 
 
 @dataclass(frozen=True)
@@ -170,6 +223,7 @@ class FeatureIndex:
     each n's n-grams, each kind ending at the next of ``kind_ends``.  Each
     document keeps its features as ids into its kind's part of ``vocab``,
     with the word offsets that map a character span of its body to slices.
+    ``packed`` is ``vocab`` packed for ``_codes`` once, for every layer's key.
     """
 
     def __init__(self, bodies: Sequence[str], spec: EmbedderSpec):
@@ -179,6 +233,7 @@ class FeatureIndex:
         self.docs = [self._document(body, kinds) for body in bodies]
         self.vocab = _prefixed(kinds)
         self.kind_ends = np.cumsum([len(ids) for ids in kinds])[:-1]
+        self.packed = _pack(self.vocab)
 
     def _document(self, body: str, kinds: list[defaultdict]) -> _Document:
         lowered = body.lower()
@@ -208,7 +263,7 @@ def embed_units(
     in [a, b - n], where [a, b) holds words i..j-1 there.
     """
     spec = features.spec
-    codes = np.asarray(_codes(features.vocab, _key(layer, spec), spec.dim), dtype=np.intp)
+    codes = _codes(features.packed, _key(layer, spec), spec.dim)
     tables = np.split(codes, features.kind_ends)  # one per feature kind
     vectors = np.empty((sum(map(len, units)), spec.dim))
     rows = iter(vectors)

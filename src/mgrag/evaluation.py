@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cache
 
@@ -113,9 +113,10 @@ class EvalConfig:
         if self.agg_mode not in AGG_MODES:
             raise ConfigError(f"agg_mode must be one of {AGG_MODES}, got {self.agg_mode!r}")
         # evaluation reads only the gate's threshold; a training setting here would be ignored
-        default = asdict(GateConfig(tau_path=self.gate.tau_path))
-        ignored = [name for name, value in asdict(self.gate).items() if value != default[name]]
-        if ignored:
+        default = GateConfig(tau_path=self.gate.tau_path)
+        if self.gate != default:  # one tuple comparison per config; names only on failure
+            ignored = [f.name for f in fields(GateConfig)
+                       if getattr(self.gate, f.name) != getattr(default, f.name)]
             raise ConfigError(f"evaluation reads only the gate's tau_path; {', '.join(ignored)} "
                               "must keep their defaults")
 

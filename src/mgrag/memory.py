@@ -27,7 +27,9 @@ from .errors import BuildError, ConfigError, IndexFormatError
 log = logging.getLogger(__name__)
 
 _MAGIC = b"MGIX"
-FORMAT_VERSION = 1
+# 2: features hashed by the splitmix64 array hash (embedder._codes); version 1 hashed
+# them with blake2b, so its vectors cannot be searched with today's query codes
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,8 @@ def load(path: str | Path) -> MemoryHierarchy:
             version = header.get("format_version")
             if version != FORMAT_VERSION:
                 raise IndexFormatError(
-                    f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
-                )
+                    f"{path}: format version {version} unsupported (expected {FORMAT_VERSION}); "
+                    "rebuild it with `mgrag build`")
             dim = header["dim"]
             if type(dim) is not int or dim < 1:
                 raise IndexFormatError(f"{path}: header dim {dim!r} is not a positive integer")

@@ -1,9 +1,10 @@
 """Cross-layer routing in two steps: the per-layer search, then its weighing.
 
-``retrieve`` encodes a query per layer and ``search_layers`` runs the exact
-top-k search of each layer for that encoding, returning it as one immutable
-``Retrieval``; no temperature or gate threshold enters it, and its first d
-layers are the search of the index's depth-d prefix (``Retrieval.prefix``).
+``retrieve`` encodes a query for every layer in one pass and
+``search_layers`` runs the exact top-k search of each layer for that
+encoding, returning it as one immutable ``Retrieval``; no temperature or
+gate threshold enters it, and its first d layers are the search of the
+index's depth-d prefix (``Retrieval.prefix``).
 ``assemble`` weighs a retrieval: the layers get a temperature softmax over
 their evidence scores, and the fused context is the weight-sum of per-layer
 readouts, where a readout is the similarity-softmax-weighted mean of that
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedder import embed
+from .embedder import embed_layers
 from .errors import ConfigError, RoutingError
 from .memory import Hit, MemoryHierarchy, search_layer
 
@@ -156,9 +157,8 @@ def search_layers(hier: MemoryHierarchy, encodings: np.ndarray, k: int) -> Retri
 
 
 def retrieve(hier: MemoryHierarchy, query_text: str, k: int) -> Retrieval:
-    """Encode a query per layer and search every layer for its top ``k``."""
-    layers = range(1, hier.depth + 1)
-    encodings = np.stack([embed(query_text, layer_no, hier.embedder_spec) for layer_no in layers])
+    """Encode a query for every layer at once and search every layer for its top ``k``."""
+    encodings = embed_layers(query_text, range(1, hier.depth + 1), hier.embedder_spec)
     return search_layers(hier, encodings, k)
 
 

@@ -1,5 +1,7 @@
-"""Reference computations the answer-model tests check the library against.
+"""Reference computations the tests check the library against.
 
+``feature_code`` hashes one feature the plain scalar way, with Python ints,
+outside the embedder's array pass.
 ``predict`` and ``nll`` score one example the plain way, outside the
 library's batched objective. ``objective`` reads the joint objective and its
 gradient for one example off one epoch of ``train``, the function the
@@ -15,6 +17,24 @@ import numpy as np
 from mgrag.generator import _P_FLOOR, GeneratorParams, QAExample, TrainConfig, train
 from mgrag.memory import MemoryHierarchy
 from mgrag.router import FusedContext, _softmax
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_finalizer(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def feature_code(feature: bytes, key: int, dim: int) -> int:
+    """``2 * slot + sign_bit`` of one feature: start from ``key ^ len``, fold in each 8-byte
+    little-endian word of the feature (the last one null-padded), then mix once more."""
+    h = key ^ len(feature)
+    for i in range(0, len(feature), 8):
+        h = _splitmix64_finalizer(h ^ int.from_bytes(feature[i : i + 8], "little"))
+    h = _splitmix64_finalizer(h)
+    return 2 * ((h >> 1) % dim) + (h & 1)
 
 
 def predict(params: GeneratorParams, query_vec: np.ndarray, ctx: FusedContext) -> np.ndarray:

@@ -459,6 +459,20 @@ def test_empty_corpus_or_unjudged_queries_is_a_usage_error(index_path, tmp_path,
     assert not (tmp_path / "x.mgix").exists()
 
 
+def test_index_of_an_older_format_asks_for_a_rebuild(index_path, tmp_path, capsys):
+    # a version-1 index hashed its features with another function, so its vectors are stale
+    raw = index_path.read_bytes()
+    old = tmp_path / "old.mgix"
+    old.write_bytes(raw.replace(b'"format_version":2', b'"format_version":1', 1))
+    assert old.read_bytes() != raw
+    assert main(["query", "--index", str(old), "--text", "archives"]) == 2
+    out, err = capsys.readouterr()
+    assert err.rstrip().endswith(
+        "format version 1 unsupported (expected 2); rebuild it with `mgrag build`")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_config_file_outputs_are_written(index_path, tmp_path):
     out = tmp_path / "q.json"
     config = tmp_path / "run.cfg"

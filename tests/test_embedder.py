@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,15 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgrag import embedder
-from mgrag.embedder import EmbedderSpec, embed, layer_salt
+from mgrag.corpus import Document
+from mgrag.embedder import EmbedderSpec, FeatureIndex, embed, embed_layers, layer_salt
 from mgrag.errors import ConfigError
+from mgrag.memory import build
+from oracles import feature_code
 
 GOLDEN = Path(__file__).parent / "data" / "golden_vectors.txt"
 
 
 def _reference_embed(text: str, layer: int, spec: EmbedderSpec) -> np.ndarray:
     """The plain per-feature loop: hash each feature with its layer key, add its sign."""
-    key = ((spec.hash_seed ^ layer_salt(layer, spec)) & (2**64 - 1)).to_bytes(8, "little")
+    key = spec.hash_seed ^ layer_salt(layer, spec)
     words = re.findall(r"[a-z0-9]+", text.lower())
     joined = " ".join(words)
     features = ["w:" + word for word in words] + [
@@ -31,17 +34,10 @@ def _reference_embed(text: str, layer: int, spec: EmbedderSpec) -> np.ndarray:
     ]
     vec = np.zeros(spec.dim, dtype=np.float64)
     for feature in features:
-        digest = hashlib.blake2b(feature.encode("utf-8"), key=key, digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        vec[(h >> 1) % spec.dim] += 1.0 if h & 1 else -1.0
+        code = feature_code(feature.encode("utf-8"), key, spec.dim)
+        vec[code // 2] += 1.0 if code & 1 else -1.0
     norm = math.sqrt(float(vec @ vec))
     return vec if norm == 0.0 else vec / norm
-
-
-def _assert_memo_within_caps():
-    assert len(embedder._memo) <= embedder._MEMO_TABLES
-    for memo, _ in embedder._memo.values():
-        assert len(memo) <= embedder._MEMO_CAP
 
 
 _specs = st.builds(
@@ -53,32 +49,84 @@ _specs = st.builds(
 _texts = st.one_of(st.text(), st.text(alphabet="abAB01 z.,!\n\u00e9\u0130\u212a", max_size=60))
 
 
-@pytest.mark.parametrize("cap", [None, 7], ids=["default-cap", "small-cap"])
 @settings(derandomize=True, database=None, deadline=None)
 @given(_texts, st.integers(1, 5), _specs)
 @example("\u0130STANBUL Kelvin \u212a 42", 1, EmbedderSpec())
 @example("aaaa aaaa", 2, EmbedderSpec(dim=8, ngram_min=1, ngram_max=1))
-def test_embed_matches_the_per_feature_reference(cap, text, layer, spec):
-    # a small cap clears tables mid-text; the memo must never change a bit of a vector
+@example("a word longer than sixteen bytes: incomprehensibilities", 3, EmbedderSpec(dim=16))
+def test_embed_matches_the_per_feature_reference(text, layer, spec):
+    assert np.array_equal(embed(text, layer, spec), _reference_embed(text, layer, spec))
+
+
+def _codes(features, keys, dim):
+    return embedder._codes(embedder._pack(features), keys, dim)
+
+
+_features = st.lists(st.binary(max_size=40), max_size=30)
+_keys = st.integers(0, 2**64 - 1)
+
+
+@pytest.mark.parametrize("pad_bytes", [None, 24], ids=["default-chunks", "24-byte-chunks"])
+@settings(derandomize=True, database=None, deadline=None)
+@given(_features, st.lists(_keys, min_size=1, max_size=4), st.integers(8, 300), st.randoms(),
+       st.binary(min_size=1, max_size=200))
+@example([b"a", b"a\x00", b"", b"12345678", b"123456789"], [0], 8, None, b"w" * 17)
+def test_a_feature_code_depends_on_the_feature_alone(pad_bytes, features, keys, dim, rnd, wide):
+    # not on the batch, its order or its widest member: each row folds only its own words
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embedder, "_memo", {})
-        if cap is not None:
-            mp.setattr(embedder, "_MEMO_CAP", cap)
-        for _ in range(2):  # cold, then warm
-            assert np.array_equal(embed(text, layer, spec), _reference_embed(text, layer, spec))
-            _assert_memo_within_caps()
+        if pad_bytes is not None:  # chunks of a few rows, and a wide feature in one of its own
+            mp.setattr(embedder, "_PAD_BYTES", pad_bytes)
+        codes = _codes(features, np.array(keys, dtype=np.uint64), dim)
+        assert codes.shape == (len(keys), len(features))
+        assert codes.tolist() == [[feature_code(f, key, dim) for f in features] for key in keys]
+        for key, row in zip(keys, codes):
+            alone = [_codes([f], np.uint64(key), dim)[0] for f in features]
+            assert row.tolist() == alone
+            order = list(range(len(features)))
+            if rnd is not None:
+                rnd.shuffle(order)
+            shuffled = _codes([features[i] for i in order] + [wide], np.uint64(key), dim)
+            assert shuffled.tolist() == [row[i] for i in order] + [feature_code(wide, key, dim)]
 
 
-def test_memo_tables_stay_within_their_caps(monkeypatch):
-    monkeypatch.setattr(embedder, "_memo", {})
-    monkeypatch.setattr(embedder, "_MEMO_CAP", 50)
-    monkeypatch.setattr(embedder, "_MEMO_TABLES", 3)
+@settings(derandomize=True, database=None, deadline=None)
+@given(_texts, st.lists(st.integers(1, 5), max_size=6), _specs)
+@example("", [1, 2, 3, 4, 5], EmbedderSpec())
+@example("?!...,;", [1, 2, 3, 4, 5], EmbedderSpec(shared_phi=True))
+@example("Hello, World!", [5, 1, 1], EmbedderSpec(dim=16, shared_phi=True))
+def test_embed_layers_rows_are_embed_of_each_layer(text, layers, spec):
+    rows = embed_layers(text, layers, spec)
+    assert rows.shape == (len(layers), spec.dim)
+    for row, layer in zip(rows, layers):
+        assert np.array_equal(row, embed(text, layer, spec))
+
+
+def test_a_long_feature_is_hashed_in_its_own_bytes():
+    # one 64 KB word among thousands of short ones: rows padded to the widest would need
+    # about 2,100 x 64 KB = 140 MB; chunked, the build stays well under its bound
     rng = np.random.default_rng(0)
-    for i in range(40):
-        text = " ".join("".join(rng.choice(list("abcdefghij"), size=6)) for _ in range(20))
-        spec = EmbedderSpec(dim=16, hash_seed=i % 5)
-        assert np.array_equal(embed(text, 1 + i % 5, spec), _reference_embed(text, 1 + i % 5, spec))
-        _assert_memo_within_caps()
+    words = {"".join(rng.choice(list("abcd"), size=6)) for _ in range(3000)}
+    body = " ".join(sorted(words))
+    docs = [Document(doc_id=1, title="short", body=body),
+            Document(doc_id=2, title="long", body="x" * 65_536 + " " + body[:200])]
+    spec = EmbedderSpec(dim=64, ngram_min=3, ngram_max=3)
+    tracemalloc.start()
+    try:
+        hier = build(docs, spec, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hier.layers[0].n_units == 2
+    assert peak < 16 * 2**20, peak
+    features = FeatureIndex([doc.body for doc in docs], spec)
+    vocab = features.vocab
+    assert max(map(len, vocab)) == 65_538
+    assert sum(words.nbytes for _, words, _ in features.packed.chunks) < 2 * 2**20
+    key = embedder._key(1, spec)
+    codes = embedder._codes(features.packed, key, spec.dim)
+    assert codes.tolist() == [_codes([f], key, spec.dim)[0] for f in vocab]
+    long_word = b"w:" + b"x" * 65_536
+    assert codes[vocab.index(long_word)] == feature_code(long_word, int(key), spec.dim)
 
 
 def test_golden_vectors_unchanged():

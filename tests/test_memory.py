@@ -285,14 +285,14 @@ def test_rebuild_and_save_is_byte_identical(tmp_path):
     "flags, size, digest",
     [
         (["--depth", "5"], 807_994,
-         "4b1d45a8931bf1f639e329be4b93412cb3cb127de802988b36194247caad6796"),
+         "7d9c9d3723a2add89eba358acb94541a58b116eb6d8d2351dc7f49665677222a"),
         (["--depth", "3", "--dim", "64", "--hash-seed", "3", "--shared-phi"], 112_757,
-         "83c4f080725a03c9c92ead393c29afea6d426709bd22b7bef359f0e5381e8984"),
+         "982338ab75f42218d260c9da73736f54a1c5367fa1ce7f603c26d1c9efaf5450"),
     ],
     ids=["depth5", "depth3-dim64-seed3-shared"],
 )
 def test_sample_index_bytes_are_pinned(tmp_path, flags, size, digest):
-    # digests measured at 71a55e4; any build must write these bytes
+    # digests of format 2 (the splitmix64 array hash); any build must write these bytes
     corpus = Path(__file__).resolve().parent.parent / "data" / "cisi_sample.all"
     path = tmp_path / "sample.mgix"
     assert main(["build", "--corpus", str(corpus), "--out", str(path), *flags]) == 0
@@ -439,7 +439,7 @@ def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
     path.write_bytes(mutate(path.read_bytes()))
     with pytest.raises(IndexFormatError, match=message):
         load(path)
-    # the CLI turns it into exit 1 with a one-line error, never a traceback
-    assert main(["query", "--index", str(path), "--text", "report"]) == 1
+    # the CLI turns it into exit 2 (bad input) with a one-line error, never a traceback
+    assert main(["query", "--index", str(path), "--text", "report"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
