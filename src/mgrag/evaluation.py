@@ -4,7 +4,8 @@ Queries are routed through the memory hierarchy, gated, and the surviving
 retrieval paths are collapsed to a document ranking scored per query with
 Recall@k, NDCG@k, and average precision. A sweep builds the index once per
 mixing ratio and searches each query there once; every (depth, temperature)
-cell weighs a depth prefix of those searches, one row per grid cell.
+cell weighs a depth prefix of those searches, one row per grid cell, and the
+answer models of a ratio's cells train together in one stacked descent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import cache
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .confidence import GateConfig, entropy, filter_paths
 from .corpus import MAX_DEPTH, Document, QAExample, Query, mix_corpora
 from .embedder import EmbedderSpec
 from .errors import ConfigError, EvalError, RoutingError
-from .generator import TrainConfig, perturbations, train
+from .generator import TrainConfig, answer_params, descend, features, perturbations
 from .memory import MemoryHierarchy, build
 from .router import FusedContext, Retrieval, RouterConfig, assemble, retrieve, route
 
@@ -30,6 +30,8 @@ AGG_MODES = ("max", "sum")
 SWEEP_COLUMNS = ("depth", "temperature", "mix_ratio", "recall_at_k", "ndcg_at_k", "map",
                  "qa_accuracy", "routing_entropy")
 SWEEP_CSV_HEADER = ",".join(SWEEP_COLUMNS)
+# a batch of cells' stacked W, X, XS and ensemble softmax stays within this, or is one cell
+_QA_STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -282,10 +284,12 @@ def sweep(
     fixed seed (0 unless given), so every cell at the same ratio sees the same
     corpus; a mix the sources cannot give is a ``ConfigError`` naming its
     ratio. ``qa_dataset`` (non-empty) and ``qa_train`` come together; then
-    each cell trains on its prefix of the QA searches, and the ensemble's
-    perturbations are drawn once per sweep. A failing cell records its error
-    and the sweep continues; a failed build or search is not kept, so each
-    cell of its ratio retries it and records the same error.
+    each cell trains on its prefix of the QA searches, from initial
+    parameters and ensemble perturbations drawn once per sweep, before the
+    first build. A ratio's cells train in one ``descend``, or in batches
+    whose stacked arrays stay within ``_QA_STACK_BYTES``. A failing cell
+    records its error and the sweep continues; a failed build or search
+    fails every cell of its ratio with its error.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -301,6 +305,13 @@ def sweep(
         raise ConfigError("qa_dataset is empty")
     judged = [q for q in queries if qrels.get(q.query_id)]
     qa = qa_dataset or []
+    if qa:
+        params = answer_params(qa, embedder_spec.dim, qa_train.gate.seed)  # or a ConfigError
+        noise = perturbations(qa, qa_train.gate, embedder_spec.dim)
+        n, width, v = len(qa), 2 * embedder_spec.dim, params.vocab_size
+        k_count = 0 if noise is None else noise.shape[1]
+        cell_bytes = 8 * (v * width + n * width + n * k_count * (width + v))
+        batch_size = max(1, _QA_STACK_BYTES // cell_bytes)
     corpora = {ratio: corpus_a for ratio in grid.mix_ratios}
     if corpus_b is not None:
         size = mix_size if mix_size is not None else min(len(corpus_a), len(corpus_b))
@@ -311,35 +322,61 @@ def sweep(
             except ValueError as exc:  # too few documents or colliding ids: the input's fault
                 raise ConfigError(f"mix ratio {ratio}: {exc}") from None
 
-    @cache  # an exception is not cached: a failed ratio fails again in each of its cells
-    def searched(ratio: float):
-        full = build(corpora[ratio], embedder_spec, max(grid.depths))
-        return (full, [retrieve(full, q.text, base.router.k_per_layer) for q in judged],
-                [retrieve(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa])
-
-    @cache
-    def noise():
-        return perturbations(qa, qa_train.gate, embedder_spec.dim)
+    def fit(batch: list[tuple[dict, np.ndarray]], golds: np.ndarray) -> None:
+        """Train a batch of cells in one descent; if it raises, each cell alone records its error."""
+        try:
+            results = descend(params, np.stack([X for _, X in batch]), noise, golds, qa_train)
+        except Exception as exc:
+            if len(batch) > 1:
+                for cell in batch:
+                    fit([cell], golds)
+            else:
+                batch[0][0]["error"] = _error(exc)
+            return
+        for (row, _), result in zip(batch, results):
+            row["qa_accuracy"] = result.accuracy
 
     rows = []
+    by_ratio: dict[float, list[dict]] = {}
     for depth, temp, ratio in grid.cells():
         row = dict.fromkeys(SWEEP_COLUMNS)
         row.update(depth=depth, temperature=temp, mix_ratio=ratio)
-        try:
-            full, eval_searches, qa_searches = searched(ratio)
-            hier = replace(full, layers=full.layers[:depth])
-            cfg = replace(base, router=replace(base.router, temperature=temp))
-            report = evaluate(hier, judged, qrels, cfg, [r.prefix(depth) for r in eval_searches])
-            row["recall_at_k"] = report.mean_recall_at_k
-            row["ndcg_at_k"] = report.mean_ndcg_at_k
-            row["map"] = report.map
-            row["routing_entropy"] = report.routing_entropy_mean
-            if qa_dataset is not None:
-                tcfg = replace(qa_train, router=replace(qa_train.router, temperature=temp))
-                prefixes = [r.prefix(depth) for r in qa_searches]
-                row["qa_accuracy"] = train(qa_dataset, hier, tcfg, retrievals=prefixes,
-                                           noise=noise()).accuracy
-        except Exception as exc:  # record and continue; one bad cell must not kill the sweep
-            row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
+        by_ratio.setdefault(ratio, []).append(row)
+    for ratio, ratio_rows in by_ratio.items():
+        try:
+            full = build(corpora[ratio], embedder_spec, max(grid.depths))
+            eval_searches = [retrieve(full, q.text, base.router.k_per_layer) for q in judged]
+            qa_searches = [retrieve(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa]
+        except Exception as exc:  # a failed build or search fails every cell of its ratio
+            for row in ratio_rows:
+                row["error"] = _error(exc)
+            continue
+        batch = []
+        for row in ratio_rows:
+            depth, temp = row["depth"], row["temperature"]
+            try:
+                hier = replace(full, layers=full.layers[:depth])
+                cfg = replace(base, router=replace(base.router, temperature=temp))
+                report = evaluate(hier, judged, qrels, cfg, [r.prefix(depth) for r in eval_searches])
+                row["recall_at_k"] = report.mean_recall_at_k
+                row["ndcg_at_k"] = report.mean_ndcg_at_k
+                row["map"] = report.map
+                row["routing_entropy"] = report.routing_entropy_mean
+                if qa:
+                    tcfg = replace(qa_train, router=replace(qa_train.router, temperature=temp))
+                    prefixes = [r.prefix(depth) for r in qa_searches]
+                    X, golds = features(qa, hier, tcfg, params.vocab_size, prefixes)
+                    batch.append((row, X))
+                    if len(batch) == batch_size:
+                        fit(batch, golds)
+                        batch = []
+            except Exception as exc:  # record and continue; one bad cell must not kill the sweep
+                row["error"] = _error(exc)
+        if batch:
+            fit(batch, golds)
     return SweepResult(rows=rows)
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"

@@ -4,11 +4,15 @@ The model predicts one answer class from the concatenation of the query
 encoding and the fused retrieval context. Training is full-batch gradient
 descent on nll + lambda1 * entropy + lambda2 * predictive-variance, with
 analytic gradients (retrieval is a forward-pass constant, never
-differentiated through).
+differentiated through). ``descend`` trains C independent cells at once,
+stacked along a leading axis: every product is a stacked ``np.matmul`` and
+every reduction runs over a cell's own axes, so each cell's arithmetic is
+that of its run alone, bit for bit. ``train`` is the one-cell case.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +28,7 @@ from .router import Retrieval, RouterConfig, _softmax, assemble, route
 
 PARAMS_FORMAT_VERSION = 1
 _P_FLOOR = 1e-300
+_MAX_WEIGHTS = 1 << 24  # W is V x 2*dim float64s; training holds a few arrays of its size
 
 
 @dataclass
@@ -42,9 +47,6 @@ class GeneratorParams:
     @property
     def vocab_size(self) -> int:
         return self.W.shape[0]
-
-    def copy(self) -> "GeneratorParams":
-        return GeneratorParams(W=self.W.copy(), b=self.b.copy())
 
     def to_dict(self) -> dict:
         return {
@@ -75,8 +77,20 @@ def init_params(vocab_size: int, dim: int, seed: int = 0, scale: float = 0.01) -
     """Random small weights; feature dim is 2*dim (query encoding + context)."""
     if vocab_size < 2:
         raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
+    if vocab_size * 2 * dim > _MAX_WEIGHTS:
+        raise ConfigError(f"an answer model of {vocab_size} classes over {2 * dim} features "
+                          f"exceeds {_MAX_WEIGHTS} weights")
     rng = np.random.default_rng(seed)
     return GeneratorParams(W=scale * rng.standard_normal((vocab_size, 2 * dim)), b=np.zeros(vocab_size))
+
+
+def answer_params(dataset: list[QAExample], dim: int, seed: int) -> GeneratorParams:
+    """``init_params`` with one class per label up to the dataset's largest gold, at least 2."""
+    top = max(ex.gold for ex in dataset)
+    try:
+        return init_params(max(top + 1, 2), dim, seed=seed)
+    except ConfigError as exc:  # the largest gold sets the class count
+        raise ConfigError(f"gold {top}: {exc}") from None
 
 
 def save_params(params: GeneratorParams, path: str | Path) -> None:
@@ -130,23 +144,20 @@ def perturbations(dataset: list[QAExample], gate: GateConfig, dim: int) -> np.nd
     )
 
 
-def _features(
+def features(
     dataset: list[QAExample],
     hier: MemoryHierarchy,
     cfg: TrainConfig,
     vocab_size: int,
     retrievals: list[Retrieval] | None = None,
-    noise: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Retrieval side of the forward pass, each example weighed and gated once.
 
     The only builder of answer-model features, constant in the parameters.
     ``retrievals`` are the examples' searches of ``hier``, aligned by position
-    with ``dataset`` (each example is routed when None); ``noise`` is their
-    ``perturbations`` (drawn here when None). Returns the (N, 2d) rows
-    [layer-1 query encoding ; gated context], the (N, K, 2d) perturbed rows
-    when ``_uses_ensemble`` (else None), and the golds. An example that routes
-    nowhere raises ``RoutingError`` naming its id.
+    with ``dataset`` (each example is routed when None). Returns the (N, 2d)
+    rows [layer-1 query encoding ; gated context] and the golds. An example
+    that routes nowhere raises ``RoutingError`` naming its id.
     """
     golds = np.array([ex.gold for ex in dataset])
     if golds.max() >= vocab_size:
@@ -160,73 +171,88 @@ def _features(
         except RoutingError as exc:
             raise RoutingError(f"query {ex.query.query_id}: {exc}") from None
         rows.append(np.concatenate([ctx.retrieval.encodings[0], ctx.c]))  # layer-1 query encoding
-    X = np.stack(rows)
-    if not _uses_ensemble(cfg.gate):
-        return X, None, golds
-    if noise is None:
-        noise = perturbations(dataset, cfg.gate, hier.dim)
-    n, k_count, dim = noise.shape
-    encodings = np.broadcast_to(X[:, None, :dim], (n, k_count, dim))
-    contexts = X[:, None, dim:] + cfg.gate.noise_sigma * noise  # (N, K, dim)
-    return X, np.concatenate([encodings, contexts], axis=2), golds
+    return np.stack(rows), golds
+
+
+def _perturbed(X: np.ndarray, noise: np.ndarray, sigma: float) -> np.ndarray:
+    """The ensemble's (..., N, K, 2d) passes of the (..., N, 2d) rows ``X``.
+
+    Pass k of a row keeps its query encoding and adds ``sigma`` times the
+    row's ``noise`` draw k, (N, K, dim), to its context.
+    """
+    dim = noise.shape[2]
+    XS = np.empty((*X.shape[:-1], noise.shape[1], 2 * dim))
+    XS[..., :dim] = X[..., None, :dim]
+    np.add(X[..., None, dim:], sigma * noise, out=XS[..., dim:])
+    return XS
 
 
 class _Objective(NamedTuple):
-    p: np.ndarray  # (N, V) predictive distributions
-    nll: np.ndarray  # (N,) per-row terms of the objective
+    p: np.ndarray  # (C, N, V) predictive distributions
+    nll: np.ndarray  # (C, N) per-row terms of the objective
     entropy: np.ndarray
     variance: np.ndarray
     loss: np.ndarray
-    dW: np.ndarray  # gradient of the mean loss over the N rows
-    db: np.ndarray
+    dW: np.ndarray  # (C, V, 2d) gradient of each cell's mean loss over its N rows
+    db: np.ndarray  # (C, V)
 
 
 def _loss_and_grad(
-    params: GeneratorParams,
+    W: np.ndarray,
+    b: np.ndarray,
     X: np.ndarray,
     XS: np.ndarray | None,
     golds: np.ndarray,
     gate: GateConfig,
 ) -> _Objective:
-    """Joint objective of N rows and its analytic gradient.
+    """Joint objective of N rows in each of C cells, and its analytic gradient.
 
-    X holds the (N, 2d) features; XS the (N, K, 2d) perturbed features when
-    the ensemble variance is on (see ``_uses_ensemble``), else None. Each
-    penalty's gradient is pulled back through the softmax: entropy gives
-    -p (ln p + H), a variance gradient g gives p g - p (p . g).
+    W (C, V, 2d) and b (C, V) are the cells' parameters, X their (C, N, 2d)
+    features and XS their (C, N, K, 2d) perturbed features when the ensemble
+    variance is on (see ``_uses_ensemble``), else None; the cells share the
+    golds. Products are stacked ``np.matmul`` and reductions run over a cell's
+    own axes (``np.einsum`` would not be bit-equal), so each cell's values are
+    those of its own C = 1 call. Each penalty's gradient is pulled back
+    through the softmax: entropy gives -p (ln p + H), a variance gradient g
+    gives p g - p (p . g).
     """
-    n, v = X.shape[0], params.vocab_size
+    n_cells, n, _ = X.shape
+    v = W.shape[1]
     rows = np.arange(n)
-    p = _softmax(X @ params.W.T + params.b)
+    Wt, bias = W.transpose(0, 2, 1), b[:, None, :]
+    p = _softmax(X @ Wt + bias)
     lnp = np.log(np.maximum(p, _P_FLOOR))
-    nll_vals = -lnp[rows, golds]
-    h_vals = -np.sum(p * lnp, axis=1)
+    nll_vals = -np.ascontiguousarray(lnp[:, rows, golds])  # row-major: means sum as at C = 1
+    h_vals = -np.sum(p * lnp, axis=2)
     ensemble = _uses_ensemble(gate)
     if ensemble:
-        k_count = XS.shape[1]
-        ps = _softmax(XS.reshape(n * k_count, -1) @ params.W.T + params.b).reshape(n, k_count, v)
-        var_vals = np.mean(np.var(ps, axis=1), axis=1)
+        k_count = XS.shape[2]
+        XS = XS.reshape(n_cells, n * k_count, -1)
+        ps = _softmax(XS @ Wt + bias).reshape(n_cells, n, k_count, v)
+        dev = ps - ps.mean(axis=2, keepdims=True)  # np.var's steps; the gradient reuses dev
+        var_vals = np.mean((dev * dev).sum(axis=2) / k_count, axis=2)
     elif gate.var_mode == "ensemble":
-        var_vals = np.zeros(n)
+        var_vals = np.zeros((n_cells, n))
     else:
-        var_vals = np.mean((p - 1.0 / v) ** 2, axis=1)
+        var_vals = np.mean((p - 1.0 / v) ** 2, axis=2)
     loss_vals = nll_vals + gate.lambda1 * h_vals + gate.lambda2 * var_vals
 
     onehot = np.zeros((n, v))
     onehot[rows, golds] = 1.0
-    dz = (p - onehot) + gate.lambda1 * (-p * (lnp + h_vals[:, None]))
+    dz = (p - onehot) + gate.lambda1 * (-p * (lnp + h_vals[:, :, None]))
     if gate.var_mode == "intra" and gate.lambda2 > 0:
         g = (2.0 / v) * (p - 1.0 / v)
-        dz = dz + gate.lambda2 * (p * g - p * np.sum(p * g, axis=1, keepdims=True))
+        dz = dz + gate.lambda2 * (p * g - p * np.sum(p * g, axis=2, keepdims=True))
     dz /= n
-    dW = dz.T @ X
-    db = dz.sum(axis=0)
+    dW = dz.transpose(0, 2, 1) @ X
+    db = dz.sum(axis=1)
     if ensemble and gate.lambda2 > 0:
-        g = (2.0 / (v * k_count)) * (ps - ps.mean(axis=1, keepdims=True))
-        dzs = ps * g - ps * np.sum(ps * g, axis=2, keepdims=True)
+        g = (2.0 / (v * k_count)) * dev
+        dzs = ps * g - ps * np.sum(ps * g, axis=3, keepdims=True)
         dzs *= gate.lambda2 / n
-        dW += dzs.reshape(n * k_count, v).T @ XS.reshape(n * k_count, -1)
-        db += dzs.sum(axis=(0, 1))
+        dzs = dzs.reshape(n_cells, n * k_count, v)
+        dW += dzs.transpose(0, 2, 1) @ XS
+        db += dzs.sum(axis=1)
     return _Objective(p, nll_vals, h_vals, var_vals, loss_vals, dW, db)
 
 
@@ -245,15 +271,18 @@ def gradient_check(
     instead of amplifying rounding noise. A non-finite objective or gradient
     raises instead of returning NaN.
     """
-    X, XS, golds = _features([example], hier, cfg, params.vocab_size)
+    X, golds = features([example], hier, cfg, params.vocab_size)
+    X = X[None]
+    noise = perturbations([example], cfg.gate, hier.dim)
+    XS = None if noise is None else _perturbed(X, noise, cfg.gate.noise_sigma)
     n_w = params.W.size
 
     def loss_at(theta: np.ndarray) -> float:
-        at = GeneratorParams(W=theta[:n_w].reshape(params.W.shape), b=theta[n_w:])
-        return float(_loss_and_grad(at, X, XS, golds, cfg.gate).loss[0])
+        W, b = theta[:n_w].reshape(1, *params.W.shape), theta[None, n_w:]
+        return float(_loss_and_grad(W, b, X, XS, golds, cfg.gate).loss[0, 0])
 
-    obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
-    analytic = np.concatenate([obj.dW.ravel(), obj.db])
+    obj = _loss_and_grad(params.W[None], params.b[None], X, XS, golds, cfg.gate)
+    analytic = np.concatenate([obj.dW.ravel(), obj.db.ravel()])
     theta = np.concatenate([params.W.ravel(), params.b])
     numeric = np.zeros_like(theta)
     for i in range(theta.size):
@@ -276,9 +305,73 @@ class TrainResult:
     diverged: bool = False
 
 
-def _accuracy(p: np.ndarray, golds: np.ndarray) -> float:
-    """Share of rows whose argmax class is the gold one."""
-    return float(np.mean(np.argmax(p, axis=1) == golds))
+def _accuracy(p: np.ndarray, golds: np.ndarray) -> np.ndarray:
+    """Each cell's share of rows whose argmax class is the gold one."""
+    return np.mean(np.argmax(p, axis=-1) == golds, axis=-1)
+
+
+def descend(
+    params: GeneratorParams,
+    X: np.ndarray,
+    noise: np.ndarray | None,
+    golds: np.ndarray,
+    cfg: TrainConfig,
+) -> list[TrainResult]:
+    """Full-batch gradient descent of C cells from the same ``params``.
+
+    X stacks each cell's ``features`` rows as (C, N, 2d); the cells share
+    ``golds``, ``cfg`` and the rows' ensemble draws ``noise`` (their
+    ``perturbations``, None unless the ensemble variance is on), from which
+    the stack's perturbed rows are built once. All live cells take one
+    ``_loss_and_grad`` per epoch. A cell stops at its first non-finite loss
+    (its history ends before that epoch) or gradient (that epoch is
+    recorded, with no update), is flagged diverged and drops out of the
+    later epochs. History rows record the metrics at the start of each
+    epoch, before that epoch's update; ``accuracy`` is that of the returned
+    parameters, after the last update.
+    """
+    n_cells = X.shape[0]
+    XS = _perturbed(X, noise, cfg.gate.noise_sigma) if _uses_ensemble(cfg.gate) else None
+    final_W = W = np.repeat(params.W[None], n_cells, axis=0)
+    final_b = b = np.repeat(params.b[None], n_cells, axis=0)
+    X_all = X
+    live = np.arange(n_cells)  # the cell of each row of W, b, X and XS
+    histories: list[list[dict]] = [[] for _ in range(n_cells)]
+    diverged = np.zeros(n_cells, dtype=bool)
+    for epoch in range(cfg.epochs):
+        if not live.size:
+            break
+        obj = _loss_and_grad(W, b, X, XS, golds, cfg.gate)
+        loss = obj.loss.mean(axis=1)
+        finite = np.isfinite(loss)
+        stats = zip(live.tolist(), finite.tolist(), loss.tolist(), obj.nll.mean(axis=1).tolist(),
+                    obj.entropy.mean(axis=1).tolist(), obj.variance.mean(axis=1).tolist(),
+                    _accuracy(obj.p, golds).tolist())
+        for cell, ok, mean_loss, nll, entropy, variance, accuracy in stats:
+            if ok:
+                histories[cell].append({"epoch": epoch, "loss": mean_loss, "nll": nll,
+                                        "entropy": entropy, "variance": variance,
+                                        "accuracy": accuracy})
+        finite &= np.isfinite(obj.dW).all(axis=(1, 2)) & np.isfinite(obj.db).all(axis=1)
+        dW, db = obj.dW, obj.db
+        if not finite.all():  # freeze the stopped cells where they are, keep descending the rest
+            diverged[live[~finite]] = True
+            if W is not final_W:
+                final_W[live], final_b[live] = W, b
+            W, b, X, live, dW, db = W[finite], b[finite], X[finite], live[finite], dW[finite], db[finite]
+            XS = None if XS is None else XS[finite]
+        W -= cfg.lr * dW
+        b -= cfg.lr * db
+    if W is not final_W:
+        final_W[live], final_b[live] = W, b
+    accuracy = _accuracy(_softmax(X_all @ final_W.transpose(0, 2, 1) + final_b[:, None, :]), golds)
+    results = []
+    for cell in range(n_cells):
+        cell_params = copy.copy(params)  # no re-validation: a diverged cell's may be non-finite
+        cell_params.W, cell_params.b = final_W[cell], final_b[cell]
+        results.append(TrainResult(params=cell_params, history=histories[cell],
+                                   accuracy=float(accuracy[cell]), diverged=bool(diverged[cell])))
+    return results
 
 
 def train(
@@ -292,44 +385,21 @@ def train(
     """Full-batch gradient descent; deterministic for a fixed config.
 
     Retrieval features never change across epochs, so each example is routed
-    once, up front; given ``retrievals`` and ``noise`` (see ``_features``),
-    it is only weighed, so ``sweep`` searches and draws once for many cells.
-    History rows record the metrics at the start of each epoch, before that
-    epoch's update; ``accuracy`` is that of the returned parameters, after
-    the last update.
+    once, up front; given ``retrievals`` (see ``features``), it is only
+    weighed. ``noise`` is the examples' ``perturbations``, drawn here when
+    None. Training is ``descend`` with one cell: see there for the history,
+    the accuracy and divergence. ``params`` defaults to ``answer_params`` of
+    the dataset.
     """
     if not dataset:
         raise ValueError("dataset is empty")
     if params is None:
-        vocab = max(ex.gold for ex in dataset) + 1
-        params = init_params(max(vocab, 2), hier.dim, seed=cfg.gate.seed)
-    params = params.copy()
-    X, XS, golds = _features(dataset, hier, cfg, params.vocab_size, retrievals, noise)
-    history: list[dict] = []
-    diverged = False
-    for epoch in range(cfg.epochs):
-        obj = _loss_and_grad(params, X, XS, golds, cfg.gate)
-        loss = float(np.mean(obj.loss))
-        if not np.isfinite(loss):
-            diverged = True
-            break
-        history.append(
-            {
-                "epoch": epoch,
-                "loss": loss,
-                "nll": float(np.mean(obj.nll)),
-                "entropy": float(np.mean(obj.entropy)),
-                "variance": float(np.mean(obj.variance)),
-                "accuracy": _accuracy(obj.p, golds),
-            }
-        )
-        if not (np.all(np.isfinite(obj.dW)) and np.all(np.isfinite(obj.db))):
-            diverged = True
-            break
-        params.W -= cfg.lr * obj.dW
-        params.b -= cfg.lr * obj.db
-    accuracy = _accuracy(_softmax(X @ params.W.T + params.b), golds)
-    return TrainResult(params=params, history=history, accuracy=accuracy, diverged=diverged)
+        params = answer_params(dataset, hier.dim, cfg.gate.seed)
+    X, golds = features(dataset, hier, cfg, params.vocab_size, retrievals)
+    if noise is None:
+        noise = perturbations(dataset, cfg.gate, hier.dim)
+    [result] = descend(params, X[None], noise, golds, cfg)
+    return result
 
 
 _QA_TEMPLATES = (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -628,6 +629,26 @@ def test_train_gen_names_a_qa_row_that_routes_nowhere(qa_env, tmp_path, capsys):
     assert "error: query 7: no layer produced any hits" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_train_gen_rejects_a_gold_too_large_to_train(qa_env, tmp_path):
+    # gold 10^7 asks for a 10^7 x 64 weight matrix; the address-space limit turns an attempt
+    # to allocate it into a MemoryError instead of a swapping machine
+    root, idx = qa_env
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text('{"query_id": 1, "text": "information retrieval", "gold": 10000000}\n',
+                  encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgrag", "train-gen", "--index", str(idx), "--qa", str(qa)],
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: gold 10000000: an answer model of 10000001 classes over 64 features exceeds "
+        "16777216 weights"
+    ]
+    assert proc.stdout == ""
 
 
 def test_gradcheck_passes_and_reports(qa_env):

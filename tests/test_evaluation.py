@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,14 @@ import mgrag.evaluation
 import mgrag.generator
 import mgrag.router
 from mgrag.confidence import GateConfig
-from mgrag.corpus import Document, Query, keyword_eval_suite, mix_corpora, synthesize_corpus
+from mgrag.corpus import (
+    Document,
+    QAExample,
+    Query,
+    keyword_eval_suite,
+    mix_corpora,
+    synthesize_corpus,
+)
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import ConfigError, EvalError
 from mgrag.evaluation import (
@@ -539,3 +548,108 @@ def test_sweep_reports_the_zero_unit_error_in_every_cell_of_its_ratio(mixing_inp
     reference = _sweep_building_every_depth(grid, corpus_a, queries, qrels, blank, spec)
     assert result.to_csv() == reference.to_csv()
     assert result.to_json() == reference.to_json()
+
+
+def test_sweep_rejects_a_gold_too_large_to_train_before_any_build(monkeypatch):
+    # every cell would stack its own copy of an answer model too large to allocate
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=12)
+    monkeypatch.setattr(mgrag.evaluation, "build", lambda *a, **k: pytest.fail("built"))
+    huge = [QAExample(query=queries[0], gold=10_000_000)]
+    with pytest.raises(ConfigError, match="gold 10000000: .* exceeds 16777216 weights"):
+        sweep(SweepGrid(depths=(1,), temperatures=(1.0,)), docs, queries, qrels,
+              qa_dataset=huge, qa_train=TrainConfig())
+
+
+# --- a ratio's cells train in one descent ---------------------------------------------
+
+_QA_GRID = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
+# small steps: the accuracies still differ from cell to cell after ten epochs
+_QA_TRAIN = TrainConfig(lr=0.005, epochs=10, gate=GateConfig(lambda1=0.01, lambda2=0.1))
+
+
+def _qa_sweep(mixing_inputs, qa_train=_QA_TRAIN):
+    corpus_a, corpus_b, queries, qrels, qa = mixing_inputs
+    return sweep(_QA_GRID, corpus_a, queries, qrels, corpus_b=corpus_b,
+                 embedder_spec=EmbedderSpec(dim=32), qa_dataset=qa, qa_train=qa_train)
+
+
+@pytest.fixture(scope="module")
+def qa_sweep(mixing_inputs):
+    return _qa_sweep(mixing_inputs)
+
+
+def test_qa_sweep_outputs_are_pinned(qa_sweep):
+    # the digest of the sweep that trained one cell at a time
+    assert len({row["qa_accuracy"] for row in qa_sweep.rows}) > 1
+    digest = hashlib.sha256(qa_sweep.to_json().encode()).hexdigest()
+    assert digest == "dbd54dd67fdc84920b4c8357fb4035a6df5bc721b371b6f8c404175cd4071019"
+
+
+# bytes of one cell's stacked arrays in _qa_sweep: W (2 x 64), X (4 x 64), XS (4 x 8 x 64) and
+# the ensemble softmax (4 x 8 x 2)
+_QA_CELL_BYTES = 8 * (2 * 64 + 4 * 64 + 4 * 8 * 64 + 4 * 8 * 2)
+
+
+@pytest.mark.parametrize("cells_per_batch, batches", [(None, [6]), (4, [4, 2]), (1, [1] * 6)],
+                         ids=["one-batch", "cap-binds", "cell-by-cell"])
+def test_a_ratio_trains_its_cells_in_one_objective_call_per_epoch_and_batch(
+        monkeypatch, mixing_inputs, qa_sweep, cells_per_batch, batches):
+    if cells_per_batch is not None:
+        monkeypatch.setattr(mgrag.evaluation, "_QA_STACK_BYTES", cells_per_batch * _QA_CELL_BYTES)
+    stacked = []
+    objective = mgrag.generator._loss_and_grad
+
+    def counted(W, *args):
+        stacked.append(W.shape[0])
+        return objective(W, *args)
+
+    monkeypatch.setattr(mgrag.generator, "_loss_and_grad", counted)
+    result = _qa_sweep(mixing_inputs)
+    epochs = _QA_TRAIN.epochs
+    assert stacked == [c for c in batches for _ in range(epochs)] * len(_QA_GRID.mix_ratios)
+    assert result.to_json() == qa_sweep.to_json()
+
+
+@pytest.mark.parametrize("failure", ["features-raise", "descent-fails"])
+def test_a_failing_cell_fails_alone_in_its_batch(monkeypatch, mixing_inputs, qa_sweep, failure):
+    # the depth-3 cells fail: building their features raises, or their infinite feature rows
+    # make an invalid value under numpy's raise mode; the batches they share train the rest
+    # as before
+    built = mgrag.evaluation.features
+
+    def failing(dataset, hier, *args):
+        if hier.depth != 3:
+            return built(dataset, hier, *args)
+        if failure == "features-raise":
+            raise ValueError("no features")
+        X, golds = built(dataset, hier, *args)
+        return np.full_like(X, np.inf), golds
+
+    monkeypatch.setattr(mgrag.evaluation, "features", failing)
+    with np.errstate(invalid="raise"):
+        result = _qa_sweep(mixing_inputs)
+    message = {"features-raise": "ValueError: no features",
+               "descent-fails": "FloatingPointError: invalid value encountered in "}[failure]
+    for got, want in zip(result.rows, qa_sweep.rows, strict=True):
+        if got["depth"] == 3:
+            assert got.pop("error").startswith(message)
+            assert got == {**want, "qa_accuracy": None}
+        else:
+            assert got == want
+
+
+def test_the_stacked_cells_stay_within_the_byte_cap(monkeypatch, mixing_inputs):
+    # 1024 ensemble passes make each cell's perturbed rows ~2 MB, the bulk of the sweep's memory;
+    # with the cap at two cells the peak stays near three cells' arrays (the stack, the draws
+    # and the sweep itself), where one batch of the ratio's six cells peaks past seven
+    cell_bytes = 8 * (2 * 64 + 4 * 64 + 4 * 1024 * (64 + 2))
+    monkeypatch.setattr(mgrag.evaluation, "_QA_STACK_BYTES", 2 * cell_bytes)
+    qa_train = TrainConfig(lr=0.005, epochs=3, gate=GateConfig(ensemble_K=1024, lambda2=0.1))
+    tracemalloc.start()
+    try:
+        result = _qa_sweep(mixing_inputs, qa_train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all("error" not in row for row in result.rows)
+    assert peak < 4 * cell_bytes

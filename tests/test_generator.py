@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -17,6 +18,8 @@ from mgrag.generator import (
     QAExample,
     TrainConfig,
     build_toy_qa,
+    descend,
+    features,
     gradient_check,
     init_params,
     load_params,
@@ -391,6 +394,82 @@ def test_divergence_is_flagged_not_raised(toy):
     assert result.history == []
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [GateConfig(ensemble_K=3, lambda1=1e6, lambda2=0.5),
+     GateConfig(var_mode="intra", lambda1=1e6, lambda2=0.5)],
+    ids=["ensemble", "intra"],
+)
+def test_a_batch_of_cells_descends_as_each_cell_alone(gate):
+    # one stacked descent gives every cell the bits of its own one-cell run, and a cell that
+    # diverges, at its loss or at its gradient after a finite loss, drops out without touching
+    # the others
+    docs, examples = build_toy_qa(n_classes=4, n_per_class=2, seed=1)
+    deep = build(docs, EmbedderSpec(dim=DIM), depth=3)
+    # the huge entropy weight lets a finite loss have an overflowing gradient; the tiny step
+    # keeps the other cells finite
+    cfg = TrainConfig(lr=1e-7, epochs=5, gate=gate, router=RouterConfig(k_per_layer=3))
+    params = init_params(4, DIM, seed=11, scale=0.5)
+    params.W[:, 0] = 0.0  # feature 0 moves no logit until the first update
+    cells = [features(examples, replace(deep, layers=deep.layers[:depth]),
+                      replace(cfg, router=replace(cfg.router, temperature=temp)), 4)
+             for depth, temp in ((1, 0.5), (3, 2.0), (2, 1.0), (3, 0.7), (2, 1.5))]
+    X = np.stack([x for x, _ in cells])
+    golds = cells[0][1]
+    noise = perturbations(examples, gate, DIM)
+    X[1, 0, 1] = np.nan  # non-finite loss at epoch 0
+    X[2, 0, 0] = 1e308  # finite loss, overflowing gradient at epoch 0
+    X[3, 0, 0] = 1e200  # finite epoch 0, whose update makes epoch 1's loss overflow
+    with np.errstate(all="ignore"):
+        batched = descend(params, X, noise, golds, cfg)
+        alone = [descend(params, X[c : c + 1], noise, golds, cfg)[0] for c in range(len(cells))]
+    assert [(len(r.history), r.diverged) for r in batched] == [(5, False), (0, True), (1, True),
+                                                               (1, True), (5, False)]
+    for got, want in zip(batched, alone, strict=True):
+        assert got.params.W.tobytes() == want.params.W.tobytes()
+        assert got.params.b.tobytes() == want.params.b.tobytes()
+        assert got.history == want.history
+        assert (got.accuracy, got.diverged) == (want.accuracy, want.diverged)
+    assert params.W[0, 0] == 0.0  # the caller's parameters stay untouched
+
+
+def _train_digest(result) -> str:
+    digest = hashlib.sha256(json.dumps(result.history, sort_keys=True).encode())
+    digest.update(result.params.W.tobytes())
+    digest.update(result.params.b.tobytes())
+    digest.update(repr((result.accuracy, result.diverged)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "gate, digest",
+    [
+        (GateConfig(ensemble_K=4, lambda1=0.1, lambda2=0.3),
+         "5689956a495e12af6d826b2a803877ede10efafb14533c107da258e1acddb457"),
+        (GateConfig(var_mode="intra", lambda1=0.1, lambda2=0.5),
+         "45fb7457d7a2aab6b11af65833c8cb0ca0885420f2a2581e71cf3bb9aeeac96a"),
+        (GateConfig(tau_path=0.05, ensemble_K=16, lambda2=0.3),
+         "fe441a1224c6e8a9ab489a53b34a2502a0a3f0a669ed4e1cb18e753bbb5a02f5"),
+    ],
+    ids=["ensemble", "intra", "gated"],
+)
+def test_training_outputs_are_pinned(toy, gate, digest):
+    # digests of the per-example training loop that the stacked descent replaced: history,
+    # parameters and accuracy must keep every bit (a different BLAS may round differently)
+    hier, examples = toy
+    result = train(examples, hier, TrainConfig(lr=0.5, epochs=30, gate=gate,
+                                               router=RouterConfig(k_per_layer=3)))
+    assert _train_digest(result) == digest
+
+
+def test_a_gold_too_large_to_train_is_a_config_error(toy):
+    # the class count is the largest gold + 1: refuse it before allocating W
+    hier, examples = toy
+    huge = [QAExample(query=examples[0].query, gold=10_000_000)]
+    with pytest.raises(ConfigError, match="gold 10000000: .* exceeds 16777216 weights"):
+        train(huge, hier, TrainConfig(epochs=1))
+
+
 def test_train_rejects_empty_dataset(toy):
     hier, _ = toy
     with pytest.raises(ValueError, match="empty"):
@@ -470,6 +549,9 @@ def test_init_params_seeded_and_validated():
     assert np.array_equal(a.b, np.zeros(4))
     with pytest.raises(ConfigError, match="vocab_size"):
         init_params(1, DIM)
+    assert init_params((1 << 23) // DIM, DIM).W.size == 1 << 24
+    with pytest.raises(ConfigError, match="1048576 classes over 32 features exceeds 16777216 weights"):
+        init_params(1 << 20, DIM)
 
 
 def test_qa_example_rejects_negative_gold(toy):
