@@ -183,16 +183,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     payload = {
         "query_id": args.query_id,
         "weights": [float(w) for w in gated.weights],
-        "paths": [
-            {
-                "layer": p.layer,
-                "unit_id": p.unit_id,
-                "doc_id": p.doc_id,
-                "sim": p.sim,
-                "path_confidence": p.path_confidence,
-            }
-            for p in gated.paths
-        ],
+        "paths": [vars(p) for p in gated.paths],
         "context_norm": float(np.linalg.norm(gated.c)),
         "confidence": {
             "routing_entropy": entropy(gated.weights),

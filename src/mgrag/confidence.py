@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -73,22 +74,22 @@ class GateConfig:
 def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
     """Drop paths with confidence below tau and re-weigh the surviving hits.
 
-    tau = 0 is a no-op that returns the input object. If every path would be
-    dropped, gating is skipped and the context comes back flagged as bypassed
-    rather than empty.
+    A path's confidence is its layer's weight times its within-layer weight,
+    so each layer's keep-mask is ``weights[l] * within[l] >= tau``, in hit
+    order. tau = 0 is a no-op that returns the input object, as is a tau
+    that keeps every path. If every path would be dropped, gating is skipped
+    and the context comes back flagged as bypassed rather than empty.
     """
     if not 0.0 <= tau_path <= 1.0:
         raise ConfigError(f"tau_path must be in [0, 1], got {tau_path}")
     if tau_path == 0.0:
         return ctx
-    survivors = {(p.layer, p.unit_id) for p in ctx.paths if p.path_confidence >= tau_path}
-    if not survivors:
+    keep = [weight * within >= tau_path for weight, within in zip(ctx.weights, ctx.within)]
+    if not any(mask.any() for mask in keep):
         return replace(ctx, gate_bypassed=True)
-    if len(survivors) == len(ctx.paths):
+    if all(mask.all() for mask in keep):
         return ctx
     r = ctx.retrieval
-    kept = [[i for i, h in enumerate(hits) if (layer_no, h.unit_id) in survivors]
-            for layer_no, hits in enumerate(r.hits, start=1)]
-    hits = tuple([layer_hits[i] for i in keep] for layer_hits, keep in zip(r.hits, kept))
-    vectors = tuple(layer_vectors[keep] for layer_vectors, keep in zip(r.vectors, kept))
+    hits = tuple(list(compress(layer_hits, mask)) for layer_hits, mask in zip(r.hits, keep))
+    vectors = tuple(layer_vectors[mask] for layer_vectors, mask in zip(r.vectors, keep))
     return assemble(replace(r, hits=hits, vectors=vectors), ctx.config)

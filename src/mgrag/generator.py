@@ -379,25 +379,20 @@ def train(
     hier: MemoryHierarchy,
     cfg: TrainConfig,
     params: GeneratorParams | None = None,
-    retrievals: list[Retrieval] | None = None,
-    noise: np.ndarray | None = None,
 ) -> TrainResult:
     """Full-batch gradient descent; deterministic for a fixed config.
 
     Retrieval features never change across epochs, so each example is routed
-    once, up front; given ``retrievals`` (see ``features``), it is only
-    weighed. ``noise`` is the examples' ``perturbations``, drawn here when
-    None. Training is ``descend`` with one cell: see there for the history,
-    the accuracy and divergence. ``params`` defaults to ``answer_params`` of
-    the dataset.
+    once, up front. Training is ``descend`` with one cell: see there for the
+    history, the accuracy and divergence. ``params`` defaults to
+    ``answer_params`` of the dataset.
     """
     if not dataset:
         raise ValueError("dataset is empty")
     if params is None:
         params = answer_params(dataset, hier.dim, cfg.gate.seed)
-    X, golds = features(dataset, hier, cfg, params.vocab_size, retrievals)
-    if noise is None:
-        noise = perturbations(dataset, cfg.gate, hier.dim)
+    X, golds = features(dataset, hier, cfg, params.vocab_size)
+    noise = perturbations(dataset, cfg.gate, hier.dim)
     [result] = descend(params, X[None], noise, golds, cfg)
     return result
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import MAX_DEPTH, SEGMENTATION_RULES, Document, corpus_sha256, segment
+from .corpus import MAX_DEPTH, MAX_DOC_ID, SEGMENTATION_RULES, Document, corpus_sha256, segment
 from .embedder import EmbedderSpec, FeatureIndex, embed_units
 from .errors import BuildError, ConfigError, IndexFormatError
 
@@ -267,9 +267,17 @@ def load(path: str | Path) -> MemoryHierarchy:
             stored = header["manifest"]  # a count it lacks is read as 0, then fails the check below
             layers = []
             for meta in header["layers"]:
-                n = meta["n_units"]
-                if len(meta["unit_ids"]) != n or len(meta["doc_ids"]) != n:
+                n, unit_ids, doc_ids = meta["n_units"], meta["unit_ids"], meta["doc_ids"]
+                if len(unit_ids) != n or len(doc_ids) != n:
                     raise IndexFormatError(f"{path}: layer {meta['layer']} metadata inconsistent")
+                # exact types: a bool is no doc id, and a JSON string is no list of ids
+                if type(unit_ids) is not list or {*map(type, unit_ids)} - {str} or len({*unit_ids}) != n:
+                    raise IndexFormatError(
+                        f"{path}: layer {meta['layer']} unit ids are not distinct strings")
+                if (type(doc_ids) is not list or {*map(type, doc_ids)} - {int}
+                        or n and not 1 <= min(doc_ids) <= max(doc_ids) <= MAX_DOC_ID):
+                    raise IndexFormatError(
+                        f"{path}: layer {meta['layer']} doc ids are not integers in [1, {MAX_DOC_ID}]")
                 count = n * dim
                 if size < offset + 8 * count:
                     raise IndexFormatError(
@@ -285,8 +293,8 @@ def load(path: str | Path) -> MemoryHierarchy:
                 layers.append(
                     LayerMemory(
                         layer=meta["layer"],
-                        unit_ids=list(meta["unit_ids"]),
-                        doc_ids=np.asarray(meta["doc_ids"], dtype=np.int64),
+                        unit_ids=unit_ids,
+                        doc_ids=np.asarray(doc_ids, dtype=np.int64),
                         # already native float64 on a little-endian host, so no copy
                         vectors=block.reshape(n, dim).astype(np.float64, copy=False),
                         n_degenerate=stored["degenerate_counts"].get(str(meta["layer"]), 0),

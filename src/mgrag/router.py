@@ -13,7 +13,8 @@ layer's retrieved unit vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class RetrievalPath:
     unit_id: str
     doc_id: int
     sim: float
-    within_layer_weight: float
-    path_confidence: float
+    path_confidence: float  # the layer's routing weight times the hit's within-layer weight
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,27 @@ class Retrieval:
 
 @dataclass(frozen=True)
 class FusedContext:
+    """What ``assemble`` computes, stored once; ``paths`` are derived from it on first read."""
+
     c: np.ndarray  # (dim,) weighted sum of layer readouts, not re-normalized
-    paths: list[RetrievalPath]
     weights: np.ndarray  # (depth,) routing weights, zeros for empty layers
     scores: np.ndarray  # (depth,) layer scores, -inf sentinel for empty layers
+    within: tuple[np.ndarray, ...]  # within[l-1]: layer l's softmax over its hit sims, in hit order
     retrieval: Retrieval  # the hits weighed: after gating, only the survivors
     config: RouterConfig
-    gate_bypassed: bool = field(default=False)
+    gate_bypassed: bool = False
+
+    @cached_property
+    def paths(self) -> list[RetrievalPath]:
+        """One path per hit, by descending confidence, then layer, then unit id."""
+        paths = [
+            RetrievalPath(layer_no, hit.unit_id, hit.doc_id, hit.sim, conf)
+            for layer_no, (hits, weight, within) in enumerate(
+                zip(self.retrieval.hits, self.weights, self.within, strict=True), start=1)
+            for hit, conf in zip(hits, (weight * within).tolist(), strict=True)
+        ]
+        paths.sort(key=lambda p: (-p.path_confidence, p.layer, p.unit_id))
+        return paths
 
 
 def _softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -108,42 +122,26 @@ def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
 
     Shared by routing and by confidence gating, so a gated context is
     recomputed through exactly the same formulas as the original. Layers with
-    no hits score -inf and get routing weight zero.
+    no hits score -inf, get routing weight zero and an empty ``within``.
     """
     sims = [np.array([h.sim for h in hits]) for hits in retrieval.hits]
     scores = np.array([_layer_score(s, cfg.layer_score_mode) if s.size else -np.inf for s in sims])
     if not np.any(np.isfinite(scores)):
         raise RoutingError("no layer produced any hits")
     weights = routing_weights(scores, cfg.temperature)
+    within = tuple(_softmax(s) if s.size else s for s in sims)  # softmax over each layer's hit sims
     readouts = np.zeros(retrieval.encodings.shape)
-    paths: list[RetrievalPath] = []
-    for layer_no, (layer_sims, hits, vectors) in enumerate(
-        zip(sims, retrieval.hits, retrieval.vectors, strict=True), start=1
-    ):
-        if not layer_sims.size:
-            continue
-        within = _softmax(layer_sims)  # softmax over the layer's hit similarities
-        readouts[layer_no - 1] = within @ vectors
-        for hit, w in zip(hits, within):
-            paths.append(
-                RetrievalPath(
-                    layer=layer_no,
-                    unit_id=hit.unit_id,
-                    doc_id=hit.doc_id,
-                    sim=hit.sim,
-                    within_layer_weight=float(w),
-                    path_confidence=float(weights[layer_no - 1] * w),
-                )
-            )
-    paths.sort(key=lambda p: (-p.path_confidence, p.layer, p.unit_id))
+    for readout, layer_within, vectors in zip(readouts, within, retrieval.vectors, strict=True):
+        if layer_within.size:
+            readout[:] = layer_within @ vectors
     c = weights @ readouts
     if not np.all(np.isfinite(c)):
         raise ValueError("fused context has non-finite components")
     return FusedContext(
         c=c,
-        paths=paths,
         weights=weights,
         scores=scores,
+        within=within,
         retrieval=retrieval,
         config=cfg,
     )

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from mgrag.evaluation import (
 )
 from mgrag.generator import TrainConfig, build_toy_qa, perturbations, train
 from mgrag.memory import build
-from mgrag.router import FusedContext, Retrieval, RetrievalPath, RouterConfig, route, search_layers
+from mgrag.router import RetrievalPath, RouterConfig, route, search_layers
 
 # --- reference metrics, written straight off the definitions -------------------------
 
@@ -124,14 +125,8 @@ def test_metric_argument_validation():
 
 
 def _ctx_with(paths):
-    return FusedContext(
-        c=np.zeros(8),
-        paths=tuple(paths),
-        weights=np.array([1.0]),
-        scores=np.array([0.5]),
-        retrieval=Retrieval(np.zeros((1, 8)), ([],), (np.zeros((0, 8)),)),
-        config=RouterConfig(),
-    )
+    # aggregate_ranking reads only a context's paths
+    return SimpleNamespace(paths=tuple(paths))
 
 
 def _path(doc_id, conf, layer=1, unit=1):
@@ -140,7 +135,6 @@ def _path(doc_id, conf, layer=1, unit=1):
         unit_id=f"{unit:08d}:{layer}:00000",
         doc_id=doc_id,
         sim=0.5,
-        within_layer_weight=conf,
         path_confidence=conf,
     )
 

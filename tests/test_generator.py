@@ -17,6 +17,7 @@ from mgrag.generator import (
     GeneratorParams,
     QAExample,
     TrainConfig,
+    answer_params,
     build_toy_qa,
     descend,
     features,
@@ -314,20 +315,22 @@ def test_train_on_given_prefix_searches_equals_train_that_routes(gate):
     searches = [retrieve(deep, ex.query.text, 2) for ex in examples]
     noise = perturbations(examples, gate, DIM)
     assert (noise is None) == (gate.noise_sigma == 0 or gate.var_mode == "intra")
+    params = answer_params(examples, DIM, gate.seed)
     for depth in (1, 3, 5):
-        given = train(examples, replace(deep, layers=deep.layers[:depth]), cfg,
-                      retrievals=[r.prefix(depth) for r in searches], noise=noise)
+        X, golds = features(examples, replace(deep, layers=deep.layers[:depth]), cfg, params.vocab_size,
+                            retrievals=[r.prefix(depth) for r in searches])
+        [given] = descend(params, X[None], noise, golds, cfg)
         routed = train(examples, build(docs, spec, depth), cfg)
         assert given.params.W.tobytes() == routed.params.W.tobytes()
         assert given.params.b.tobytes() == routed.params.b.tobytes()
         assert given.history == routed.history
 
 
-def test_train_rejects_searches_not_aligned_with_its_dataset(toy):
+def test_features_rejects_searches_not_aligned_with_its_dataset(toy):
     hier, examples = toy
     searches = [retrieve(hier, ex.query.text, 3) for ex in examples[1:]]
     with pytest.raises(ValueError):
-        train(examples, hier, _cfg(), retrievals=searches)
+        features(examples, hier, _cfg(), answer_params(examples, DIM, 0).vocab_size, retrievals=searches)
 
 
 def test_entropy_penalty_sharpens_predictions(toy):

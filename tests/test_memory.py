@@ -422,6 +422,17 @@ def _respec(header, **changes):
          "n_documents 'many' is not a non-negative integer"),
         (lambda raw: _rewrite_header(raw, lambda h: h["manifest"].update(n_documents=True)),
          "n_documents True is not a non-negative integer"),
+        # ids are checked before they become arrays: a huge int would overflow int64, a float truncate
+        (lambda raw: _rewrite_header(raw, lambda h: h["layers"][1]["doc_ids"].__setitem__(0, 2**70)),
+         r"layer 2 doc ids are not integers in \[1, 99999999\]"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["layers"][1]["doc_ids"].__setitem__(0, 1.5)),
+         r"layer 2 doc ids are not integers in \[1, 99999999\]"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["layers"][1]["doc_ids"].__setitem__(0, True)),
+         r"layer 2 doc ids are not integers in \[1, 99999999\]"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["layers"][1]["unit_ids"].__setitem__(0, 7)),
+         "layer 2 unit ids are not distinct strings"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["layers"][1]["unit_ids"].__setitem__(
+            1, h["layers"][1]["unit_ids"][0])), "layer 2 unit ids are not distinct strings"),
     ],
     ids=["missing-header-key", "negative-dim", "nan-row", "trailing-bytes", "depth-above-layers",
          "depth-below-layers", "layer-renumbered", "dim-mismatch", "seg-spec-changed",
@@ -430,7 +441,8 @@ def _respec(header, **changes):
          "extra-degenerate-count", "missing-degenerate-count", "negative-degenerate-count",
          "wrong-config-hash",
          "spec-edited-under-its-hash", "missing-unit-counts", "int-corpus-hash",
-         "uppercase-corpus-hash", "string-n-documents", "bool-n-documents"],
+         "uppercase-corpus-hash", "string-n-documents", "bool-n-documents", "doc-id-past-64-bits",
+         "float-doc-id", "bool-doc-id", "int-unit-id", "repeated-unit-id"],
 )
 def test_load_rejects_malformed_index(tmp_path, capsys, mutate, message):
     hier, _ = _sample_hier(depth=2)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from mgrag import corpus
 from mgrag.confidence import filter_paths
 from mgrag.corpus import Document, parse_jsonl_qa, segment
 from mgrag.embedder import EmbedderSpec, embed
-from mgrag.errors import BuildError, MgragError
+from mgrag.errors import BuildError, MgragError, RoutingError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
 from mgrag.memory import LayerMemory, build, load, save, search_layer
-from mgrag.router import FusedContext, Retrieval, RetrievalPath, RouterConfig, assemble, route, search_layers
+from mgrag.router import RetrievalPath, RouterConfig, assemble, route, search_layers
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -73,12 +74,10 @@ _paths = st.lists(
 def test_aggregate_ranking_matches_a_brute_force_collapse(rows, mode):
     paths = [
         RetrievalPath(layer=layer, unit_id=f"{doc:08d}:{layer}:{i:05d}", doc_id=doc, sim=0.0,
-                      within_layer_weight=0.0, path_confidence=eighths / 8)
+                      path_confidence=eighths / 8)
         for i, (doc, layer, eighths) in enumerate(rows)
     ]
-    ctx = FusedContext(c=np.zeros(DIM), paths=paths, weights=np.ones(1), scores=np.zeros(1),
-                       retrieval=Retrieval(np.zeros((1, DIM)), ([],), (np.zeros((0, DIM)),)),
-                       config=RouterConfig())
+    ctx = SimpleNamespace(paths=paths)  # aggregate_ranking reads only a context's paths
     combine = max if mode == "max" else sum
     score = {d: combine(p.path_confidence for p in paths if p.doc_id == d)
              for d in {p.doc_id for p in paths}}
@@ -222,9 +221,20 @@ def _weighed(ctx):
     return ctx.c.tobytes(), ctx.weights.tobytes(), ctx.scores.tobytes(), ctx.paths
 
 
+def _weighed_or_nowhere(weigh, *args):
+    """``_weighed`` of the context, or the error of a search that routes nowhere."""
+    try:
+        return _weighed(weigh(*args))
+    except RoutingError as exc:
+        return str(exc)
+
+
 @deterministic
 @given(_seam_corpora, st.lists(st.sampled_from([*_WORDS, "yak"]), min_size=1, max_size=6).map(" ".join),
        _seam_configs, st.floats(0.05, 20.0), st.floats(0.0, 1.0, exclude_min=True))
+# "bee" encodes to zero on layer 1 at dim 16 (its signed features cancel): the depth-1 prefix
+# routes nowhere, the full route does not
+@example([Document(doc_id=1, title="", body="ant")], "bee", RouterConfig(k_per_layer=1), 1.0, 1.0)
 def test_route_is_its_search_weighed_at_any_temperature_depth_and_gate(docs, text, cfg, temp, share):
     hier = build(docs, EmbedderSpec(dim=16), 5)
     ctx = route(hier, text, cfg)
@@ -235,18 +245,29 @@ def test_route_is_its_search_weighed_at_any_temperature_depth_and_gate(docs, tex
     # (b) the search does not depend on the temperature: re-weighing it is routing at T
     at_temp = replace(cfg, temperature=temp)
     assert _weighed(assemble(r, at_temp)) == _weighed(route(hier, text, at_temp))
-    # (c) the first d layers of the search are the search of the depth-d prefix
+    # (c) the first d layers of the search are the search of the depth-d prefix, which may
+    # route nowhere though the full search does
     for depth in range(1, 6):
         shallow = replace(hier, layers=hier.layers[:depth])
-        assert _weighed(assemble(r.prefix(depth), cfg)) == _weighed(route(shallow, text, cfg))
+        assert (_weighed_or_nowhere(assemble, r.prefix(depth), cfg)
+                == _weighed_or_nowhere(route, shallow, text, cfg))
     # (d) the gate keeps, per layer, a subsequence of the hits with their own vectors; a
-    # threshold at most the strongest path's confidence keeps at least that path
-    gated = filter_paths(ctx, share * ctx.paths[0].path_confidence).retrieval
-    assert gated.encodings is r.encodings
-    for kept, hits, kept_vectors, vectors in zip(gated.hits, r.hits, gated.vectors, r.vectors, strict=True):
-        picked = [i for i, hit in enumerate(hits) if hit in kept]  # unit ids are unique in a layer
-        assert [hits[i] for i in picked] == kept
-        assert np.array_equal(kept_vectors, vectors[picked])
+    # threshold at most the strongest path's confidence keeps at least that path, also at
+    # share 1; unless the gate keeps everything, it keeps exactly the paths at or above tau
+    for tau in (share * ctx.paths[0].path_confidence, ctx.paths[0].path_confidence):
+        gated_ctx = filter_paths(ctx, tau)
+        gated = gated_ctx.retrieval
+        assert gated.encodings is r.encodings and not gated_ctx.gate_bypassed
+        for kept, hits, kept_vectors, vectors in zip(gated.hits, r.hits, gated.vectors, r.vectors,
+                                                     strict=True):
+            picked = [i for i, hit in enumerate(hits) if hit in kept]  # unit ids are unique in a layer
+            assert [hits[i] for i in picked] == kept
+            assert np.array_equal(kept_vectors, vectors[picked])
+        kept = {(layer_no, hit.unit_id)
+                for layer_no, hits in enumerate(gated.hits, start=1) for hit in hits}
+        assert (ctx.paths[0].layer, ctx.paths[0].unit_id) in kept
+        if gated_ctx is not ctx:  # the old set rule is the oracle of the mask
+            assert kept == {(p.layer, p.unit_id) for p in ctx.paths if p.path_confidence >= tau}
 
 
 # --- parsers and the index loader fail only with their typed errors ---------------------

@@ -8,16 +8,23 @@ neither is documenting it. A name may go unused only with a reason in EXEMPT.
 
 No mgrag module reaches into another for a ``_``-prefixed name, by import or
 by attribute, unless the pair is listed with a reason in PRIVATE_IMPORTS.
+
+Every trace name the benchmark reads names a function its tracer wraps,
+unless it is listed in DEAD_TRACE_NAMES with a reason; a refactor that
+renames or moves a traced function would otherwise zero a metric silently.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "mgrag"
+BENCH_SESSION = REPO / "bench" / "session.py"
 
 EXEMPT = {
     "load_params": "API reader of the file `train-gen --out-params` writes",
@@ -104,3 +111,72 @@ def test_no_module_takes_another_modules_private_name_unlisted():
 
 def test_every_listed_private_import_is_still_made():
     assert sorted(set(PRIVATE_IMPORTS) - _private_reaches()) == []
+
+
+# trace names bench/session.py still reads, though nothing traced has them: a benchmark
+# change re-points or drops them (ROADMAP item 6a), and then they leave this list
+DEAD_TRACE_NAMES = {
+    "generator.qa_accuracy": "qa_accuracy was deleted; generator.qa_accuracy_s reads 0",
+    "mgrag.memory.embed": "a build embeds through embed_units; embedder.embed_s.l* read 0",
+    "mgrag.router.embed": "retrieve embeds through embed_layers; embedder.query_embed_ms reads 0",
+    "mgrag.generator.embed": "generator no longer imports embed",
+}
+
+
+def _trace_names() -> tuple[set[str], set[str]]:
+    """The ``spans.func`` and ``spans.site`` names the benchmark session reads.
+
+    A name is a string given to ``func(...)`` or ``site(...)``, or one of a tuple
+    of strings a loop binds to the name that such a call is given.
+    """
+    tree = ast.parse(BENCH_SESSION.read_text(encoding="utf-8"))
+    looped: dict[str, set[str]] = {}  # loop variable -> the string constants it runs over
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            looped.setdefault(node.target.id, set()).update(
+                e.value for e in node.iter.elts if isinstance(e, ast.Constant))
+    names: dict[str, set[str]] = {"func": set(), "site": set()}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in names and len(node.args) == 1):
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant):
+                names[node.func.attr].add(arg.value)
+            elif isinstance(arg, ast.Name):
+                names[node.func.attr] |= looped.get(arg.id, set())
+    # "bench.*" sites are the session's own operations, not mgrag's
+    return names["func"], {site for site in names["site"] if site.startswith("mgrag.")}
+
+
+def _traced_modules() -> list[str]:
+    """``LAYERS`` of bench/spans.py: the tracer wraps every public function in their namespaces."""
+    tree = ast.parse((REPO / "bench" / "spans.py").read_text(encoding="utf-8"))
+    [layers] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]]
+    return ast.literal_eval(layers)
+
+
+def _traced(name: str) -> bool:
+    """Whether the benchmark's tracer wraps a function under this func or site name."""
+    *site, module, attr = name.split(".")
+    if module not in _traced_modules() or attr.startswith("_"):
+        return False
+    fn = vars(importlib.import_module(f"mgrag.{module}")).get(attr)
+    if not (inspect.isfunction(fn) and fn.__module__.startswith("mgrag.")):
+        return False
+    return bool(site) or fn.__module__ == f"mgrag.{module}"  # a func is read where it is defined
+
+
+def test_every_trace_name_the_benchmark_reads_is_traced_or_listed_dead():
+    funcs, sites = _trace_names()
+    assert {"router.assemble", "confidence.filter_paths", "evaluation.aggregate_ranking"} <= funcs
+    assert sorted(n for n in funcs | sites if n not in DEAD_TRACE_NAMES and not _traced(n)) == [], (
+        "the benchmark reads a trace name nothing traced has: keep the function's name, or "
+        "re-point the metric in a benchmark change"
+    )
+
+
+def test_every_listed_dead_trace_name_is_read_and_still_dead():
+    funcs, sites = _trace_names()
+    assert sorted(n for n in DEAD_TRACE_NAMES if n not in funcs | sites or _traced(n)) == []
