@@ -377,7 +377,8 @@ def _sentence_spans(body: str) -> list[tuple[int, int]]:
         if carry is not None:
             start = carry
             carry = None
-        non_space = sum(1 for ch in body[start:end] if not ch.isspace())
+        # split() cuts at exactly the characters isspace() accepts
+        non_space = len("".join(body[start:end].split()))
         if non_space < SENTENCE_MIN_CHARS:
             carry = start
         else:

@@ -17,21 +17,23 @@ summed with one ``np.bincount``, exact in float64.
 
 ``embed_layers`` serves one text (a query): it extracts the features once,
 hashes them for every layer in one 2-D pass, and counts and normalizes all
-layers' rows at once.  A build embeds each layer as one ``(n_units, dim)``
-matrix.  A unit is a run of whole tokens of its document, so its features
-are contiguous stretches of the document's: ``FeatureIndex`` extracts each
-document's features once, interns them and packs the distinct ones, and
-``embed_units`` hashes that pack once per layer, counts each unit's row from
-slices of its document's codes and normalizes the matrix once: the same
-integer counts ``embed`` makes from the unit's text, so the same bits.
+layers' rows at once.  A build is array code, with no loop per n-gram and
+no count call per unit.  ``FeatureIndex`` reads all documents' words as one
+``uint8`` array, interns each n's n-grams as integer words with one
+``np.unique`` and packs the distinct features once.  A unit is a run of whole
+tokens of its document, so its features are stretches of the feature
+stream: ``embed_units`` hashes the pack with its layer's key, turns every
+unit's stretches into one flat index array (``np.repeat`` and
+``np.cumsum``), counts a block of rows with one ``np.bincount`` and
+normalizes the matrix once.  These are the same integer counts ``embed``
+makes from the unit's text, so the rows have the same bits.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass, fields
-from itertools import count
+from itertools import count, groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -81,24 +83,15 @@ def _key(layer: int, spec: EmbedderSpec) -> np.uint64:
     return np.uint64(spec.hash_seed ^ layer_salt(layer, spec))
 
 
-def _feature_kinds(joined: bytes, spec: EmbedderSpec) -> list[list[bytes]]:
-    """The words of the space-joined words ``joined``, then its character n-grams for each n."""
-    return [joined.split()] + [
-        [joined[i : i + n] for i in range(len(joined) - n + 1)]
-        for n in range(spec.ngram_min, spec.ngram_max + 1)
-    ]
-
-
-def _prefixed(kinds) -> list[bytes]:
-    """Features as hashed: words as ``w:`` unigrams, the n-grams of every n as ``g:``."""
-    words, *grams = kinds
-    return [b"w:" + word for word in words] + [b"g:" + gram for kind in grams for gram in kind]
-
-
 def _features(text: str, spec: EmbedderSpec) -> list[bytes]:
-    """Word unigrams and character n-grams of ``text``, as ASCII bytes."""
+    """Word unigrams (``w:``), then each n's character n-grams (``g:``), as ASCII bytes."""
     # every matched character is [a-z0-9], so the joined words encode once as ASCII
-    return _prefixed(_feature_kinds(" ".join(_WORD_RE.findall(text.lower())).encode("ascii"), spec))
+    joined = " ".join(_WORD_RE.findall(text.lower())).encode("ascii")
+    return [b"w:" + word for word in joined.split()] + [
+        b"g:" + joined[i : i + n]
+        for n in range(spec.ngram_min, spec.ngram_max + 1)
+        for i in range(len(joined) - n + 1)
+    ]
 
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)  # the splitmix64 finalizer's multipliers
@@ -117,10 +110,11 @@ def _mix(z: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _Packed:
-    """Features sorted by length and read, null-padded, as little-endian ``uint64`` words."""
+    """Features read, null-padded, as little-endian ``uint64`` words, in chunks of rows
+    sorted by length."""
 
-    order: np.ndarray  # the feature at each sorted position
-    lengths: np.ndarray  # the sorted features' byte lengths, as uint64
+    order: np.ndarray  # the feature at each position
+    lengths: np.ndarray  # the byte length at each position, as uint64
     chunks: list[tuple[int, np.ndarray, list[int]]]  # (first position, words, firsts) per chunk
 
 
@@ -209,46 +203,119 @@ def embed(text: str, layer: int, spec: EmbedderSpec = EmbedderSpec()) -> np.ndar
     return embed_layers(text, (layer,), spec)[0]
 
 
-@dataclass(frozen=True)
-class _Document:
-    ids: list[np.ndarray]  # per feature kind (words, then each n's n-grams), each feature's id
-    word_starts: np.ndarray  # body offset of each word's first character
-    joined_starts: list[int]  # offset of each word in the space-joined words, then their length + 1
+_WORD_BYTE = np.array([bool(_WORD_RE.fullmatch(chr(b))) for b in range(256)])  # a word's bytes
+_GRAM_TAG = np.uint64(int.from_bytes(b"g:", "little"))  # the low bytes of an n-gram's first word
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[r] + arange(lengths[r])`` for every r, concatenated (the CSR segment idiom)."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _intern(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an ``(m, w)`` ``uint64`` array, and each row's index among them.
+
+    A row is compared as one ``uint64`` when w is 1, and as its ``8 * w`` bytes otherwise.
+    """
+    width = rows.shape[1]
+    keys = np.ascontiguousarray(rows).view(np.uint64 if width == 1 else f"V{8 * width}")[:, 0]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct.view(np.uint64).reshape(-1, width), inverse
+
+
+def _gram_rows(window: np.ndarray, n: int) -> np.ndarray:
+    """``b"g:" + joined[i : i + n]`` for each start i, as a row of ``ceil((n + 2) / 8)``
+    little-endian ``uint64`` words, null-padded as ``_pack`` reads a feature.  ``window[i]``
+    is the little-endian word of ``joined[i : i + 8]``, zero past its end."""
+    n_starts = max(len(window) - n + 1, 0)
+    rows = np.empty((n_starts, -(-(n + 2) // 8)), dtype=np.uint64)
+    rows[:, 0] = window[:n_starts] << np.uint64(16) | _GRAM_TAG
+    for j in range(1, rows.shape[1]):  # word j holds the gram's bytes 8j - 2 .. 8j + 5
+        rows[:, j] = window[8 * j - 2 : 8 * j - 2 + n_starts]
+    if (n + 2) % 8:
+        rows[:, -1] &= np.uint64((1 << 8 * ((n + 2) % 8)) - 1)
+    return rows
 
 
 class FeatureIndex:
     """Every document's features, extracted once and interned into one vocabulary.
 
-    ``vocab`` holds the distinct features in first-seen order: the words, then
-    each n's n-grams, each kind ending at the next of ``kind_ends``.  Each
-    document keeps its features as ids into its kind's part of ``vocab``,
-    with the word offsets that map a character span of its body to slices.
-    ``packed`` is ``vocab`` packed for ``_codes`` once, for every layer's key.
+    The bodies are read as one text, joined by newlines, and its words, joined
+    by spaces, as one ``uint8`` array ``joined``.  Words are interned by a dict.
+    The n-grams of each n are the windows of ``joined``: ``b"g:" + gram`` as
+    ``ceil((n + 2) / 8)`` little-endian ``uint64`` words, interned as rows by one
+    ``np.unique``; a window across two documents is no feature.  ``stream``
+    holds the feature id of each word, then of each n's window at each start.
+    ``packed`` holds the distinct features for ``_codes``, once for every
+    layer's key: the words by ``_pack``, then the n-grams in chunks of one word count.
     """
 
     def __init__(self, bodies: Sequence[str], spec: EmbedderSpec):
         self.spec = spec
-        # a feature seen first gets the next id of its kind: words, then each n's n-grams
-        kinds = [defaultdict(count().__next__) for _ in range(2 + spec.ngram_max - spec.ngram_min)]
-        self.docs = [self._document(body, kinds) for body in bodies]
-        self.vocab = _prefixed(kinds)
-        self.kind_ends = np.cumsum([len(ids) for ids in kinds])[:-1]
-        self.packed = _pack(self.vocab)
+        lowered = [body.lower() for body in bodies]
+        # no non-ASCII character is in a word; read as "?", each keeps its offset
+        chars = np.frombuffer("\n".join(lowered).encode("ascii", "replace"), dtype=np.uint8)
+        edges = np.diff(_WORD_BYTE[chars].view(np.int8), prepend=np.int8(0), append=np.int8(0))
+        starts = np.flatnonzero(edges > 0)
+        lengths = np.flatnonzero(edges < 0) - starts
+        at = np.cumsum(lengths + 1) - (lengths + 1)  # word w is joined[at[w] : at[w] + lengths[w]]
+        joined = np.full(int(lengths.sum()) + max(len(at) - 1, 0), ord(" "), dtype=np.uint8)
+        joined[_ranges(at, lengths)] = chars[_ranges(starts, lengths)]
+        sizes = np.array([len(body) + 1 for body in bodies], dtype=np.int64)
+        lowered_sizes = np.array([len(body) + 1 for body in lowered], dtype=np.int64)
+        lowered_ends = np.cumsum(lowered_sizes)
+        in_doc = np.searchsorted(lowered_ends, starts, side="right")  # each word's document
+        offsets = starts - (lowered_ends - lowered_sizes)[in_doc]  # in its lowered body
+        for d in np.flatnonzero(lowered_sizes != sizes):  # "İ" lowers to two characters
+            lo, hi = np.searchsorted(in_doc, [d, d + 1])
+            ends = np.cumsum([len(ch.lower()) for ch in bodies[d]])
+            offsets[lo:hi] = np.searchsorted(ends, offsets[lo:hi], side="right")  # in the body
+        self.doc_starts = np.cumsum(sizes) - sizes  # each body's offset in the bodies' text
+        self.word_starts = self.doc_starts[in_doc] + offsets
+        # words i..j-1 are joined[joined_starts[i] : joined_ends[j - 1]]; the appended 0 is
+        # read at index len(words) and -1, only for a unit with no words
+        self.joined_starts, self.joined_ends = np.append(at, 0), np.append(at + lengths, 0)
+        crossings = (at + lengths)[:-1][in_doc[1:] != in_doc[:-1]]  # the space after a document
 
-    def _document(self, body: str, kinds: list[defaultdict]) -> _Document:
-        lowered = body.lower()
-        found = list(_WORD_RE.finditer(lowered))
-        joined = " ".join(m.group() for m in found).encode("ascii")
-        word_starts = np.fromiter((m.start() for m in found), dtype=np.int64, count=len(found))
-        if len(lowered) != len(body):  # "İ" lowers to two characters: map back to the body
-            ends = np.cumsum([len(ch.lower()) for ch in body])
-            word_starts = np.searchsorted(ends, word_starts, side="right")
-        joined_starts = [0]
-        for m in found:
-            joined_starts.append(joined_starts[-1] + m.end() - m.start() + 1)
-        ids = [np.fromiter(map(kind.__getitem__, features), dtype=np.int32, count=len(features))
-               for kind, features in zip(kinds, _feature_kinds(joined, self.spec))]
-        return _Document(ids, word_starts, joined_starts)
+        words = joined.tobytes().split()
+        word_ids = dict(zip(dict.fromkeys(words), count()))
+        stream = [np.fromiter(map(word_ids.__getitem__, words), dtype=np.intp, count=len(words))]
+        padded = np.concatenate([joined, np.zeros(8, dtype=np.uint8)])
+        window = np.lib.stride_tricks.sliding_window_view(padded, 8)[: len(joined)]
+        window = np.ascontiguousarray(window).view("<u8")[:, 0]
+        grams = []  # each n's distinct rows
+        vocab_size = len(word_ids)
+        for n in range(spec.ngram_min, spec.ngram_max + 1):
+            rows = _gram_rows(window, n)
+            keep = np.ones(len(rows), dtype=bool)
+            crossed = (crossings[:, None] - np.arange(n)).ravel()
+            keep[crossed[(crossed >= 0) & (crossed < len(rows))]] = False
+            distinct, inverse = _intern(rows[keep])
+            ids = np.zeros(len(rows), dtype=np.intp)
+            ids[keep] = inverse + vocab_size
+            stream.append(ids)
+            grams.append(distinct)
+            vocab_size += len(distinct)
+        self.stream = np.concatenate(stream, dtype=np.int32 if vocab_size < 2**31 else np.intp)
+        self.gram_starts = np.cumsum([len(ids) for ids in stream])[:-1]  # each n's first in stream
+
+        word_pack = _pack([b"w:" + word for word in word_ids])
+        chunks, start = list(word_pack.chunks), len(word_ids)
+        for width, group in groupby(grams, key=lambda rows: rows.shape[1]):
+            rows = np.concatenate(list(group))
+            step = max(1, _PAD_BYTES // (8 * width))
+            # every row is longer than 8 * (width - 1) bytes
+            chunks += [(start + i, rows[i : i + step], [0] * width)
+                       for i in range(0, len(rows), step)]
+            start += len(rows)
+        gram_lengths = np.repeat(np.arange(spec.ngram_min, spec.ngram_max + 1) + 2,
+                                 list(map(len, grams)))
+        self.packed = _Packed(
+            np.concatenate([word_pack.order, np.arange(len(word_ids), vocab_size)]),
+            np.concatenate([word_pack.lengths, gram_lengths.astype(np.uint64)]),
+            chunks,
+        )
 
 
 def embed_units(
@@ -259,21 +326,27 @@ def embed_units(
     Returns one ``(n_units, dim)`` matrix whose row r is the r-th unit's
     ``embed(unit.text, layer, features.spec)`` bit for bit.  A unit starts and
     ends at whitespace or at its body's ends, so its words are a run i..j-1 of
-    its document's words and its n-grams those of the joined words that start
-    in [a, b - n], where [a, b) holds words i..j-1 there.
+    the words and its n-grams those of the joined words that start in
+    [a, b - n], where [a, b) holds words i..j-1 there.  Every unit's stretches
+    of ``features.stream`` become one flat index array, counted with one
+    ``np.bincount`` per block of rows whose slot counts fit in ``_PAD_BYTES``:
+    the same integer counts ``embed`` makes from the unit's text, so the same bits.
     """
     spec = features.spec
-    codes = _codes(features.packed, _key(layer, spec), spec.dim)
-    tables = np.split(codes, features.kind_ends)  # one per feature kind
-    vectors = np.empty((sum(map(len, units)), spec.dim))
-    rows = iter(vectors)
-    for doc, doc_units in zip(features.docs, units):
-        words, *grams = [table[ids] for table, ids in zip(tables, doc.ids)]
-        grams = list(zip(range(spec.ngram_min, spec.ngram_max + 1), grams))
-        spans = np.asarray([unit.char_span for unit in doc_units], dtype=np.int64).reshape(-1, 2)
-        first, stop = np.searchsorted(doc.word_starts, spans.T).tolist()
-        for i, j in zip(first, stop):
-            a, b = doc.joined_starts[i], doc.joined_starts[j] - 1
-            parts = [words[i:j]] + [gram[a : b - n + 1] for n, gram in grams if b - a >= n]
-            _signed_counts(np.concatenate(parts), next(rows))
+    codes = _codes(features.packed, _key(layer, spec), spec.dim)[features.stream]
+    spans = np.array([unit.char_span for doc_units in units for unit in doc_units], dtype=np.int64)
+    spans = spans.reshape(-1, 2) + np.repeat(features.doc_starts, list(map(len, units)))[:, None]
+    first, stop = np.searchsorted(features.word_starts, spans.T)
+    a = features.joined_starts[first]
+    span = np.where(stop > first, features.joined_ends[stop - 1] - a, 0)  # b - a
+    n = np.arange(spec.ngram_min, spec.ngram_max + 1)
+    starts = np.column_stack([first, a[:, None] + features.gram_starts])
+    lengths = np.column_stack([stop - first, np.maximum(span[:, None] - n + 1, 0)])
+    vectors = np.empty((len(spans), spec.dim))
+    step = max(1, _PAD_BYTES // (16 * spec.dim))  # rows whose 2 * dim int64 counts fit
+    for r in range(0, len(vectors), step):
+        block = lengths[r : r + step]
+        rows = np.repeat(np.arange(len(block)) * (2 * spec.dim), block.sum(axis=1))
+        _signed_counts(codes[_ranges(starts[r : r + step].ravel(), block.ravel())] + rows,
+                       vectors[r : r + step])
     return _normalize(vectors)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -266,6 +267,12 @@ def test_short_sentence_fragments_merge_forward():
     units = segment(_doc("! Proper sentence here. Done."), 3)
     # "!" has one non-space char, below the floor of 2: it merges into the next
     assert [u.text for u in units] == ["! Proper sentence here.", "Done."]
+
+
+def test_split_drops_exactly_the_isspace_characters():
+    # a sentence's non-space characters are counted as len("".join(piece.split()))
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(every.split()) == "".join(ch for ch in every if not ch.isspace())
 
 
 def test_minimal_sentences_survive_at_default_floor():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgrag import embedder
-from mgrag.corpus import Document
+from mgrag.corpus import Document, synthesize_corpus
 from mgrag.embedder import EmbedderSpec, FeatureIndex, embed, embed_layers, layer_salt
 from mgrag.errors import ConfigError
 from mgrag.memory import build
@@ -101,6 +101,15 @@ def test_embed_layers_rows_are_embed_of_each_layer(text, layers, spec):
         assert np.array_equal(row, embed(text, layer, spec))
 
 
+def _vocab(packed) -> list[bytes]:
+    """The packed features' bytes in feature order: each sorted row read to its length."""
+    vocab = [b""] * len(packed.order)
+    for start, words, _ in packed.chunks:
+        for pos, row in enumerate(words, start):
+            vocab[packed.order[pos]] = row.tobytes()[: packed.lengths[pos]]
+    return vocab
+
+
 def test_a_long_feature_is_hashed_in_its_own_bytes():
     # one 64 KB word among thousands of short ones: rows padded to the widest would need
     # about 2,100 x 64 KB = 140 MB; chunked, the build stays well under its bound
@@ -119,7 +128,8 @@ def test_a_long_feature_is_hashed_in_its_own_bytes():
     assert hier.layers[0].n_units == 2
     assert peak < 16 * 2**20, peak
     features = FeatureIndex([doc.body for doc in docs], spec)
-    vocab = features.vocab
+    vocab = _vocab(features.packed)
+    assert sorted(vocab) == sorted({f for doc in docs for f in embedder._features(doc.body, spec)})
     assert max(map(len, vocab)) == 65_538
     assert sum(words.nbytes for _, words, _ in features.packed.chunks) < 2 * 2**20
     key = embedder._key(1, spec)
@@ -127,6 +137,45 @@ def test_a_long_feature_is_hashed_in_its_own_bytes():
     assert codes.tolist() == [_codes([f], key, spec.dim)[0] for f in vocab]
     long_word = b"w:" + b"x" * 65_536
     assert codes[vocab.index(long_word)] == feature_code(long_word, int(key), spec.dim)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(_texts, min_size=1, max_size=4), _specs, st.integers(1, 5))
+@example(["ab cd", "", "\u0130f gh", "ij"], EmbedderSpec(ngram_min=1, ngram_max=9), 2)
+@example(["a long word: incomprehensibilities, and more", "x"], EmbedderSpec(ngram_max=32), 1)
+def test_the_vocabulary_is_every_distinct_feature_once(bodies, spec, layer):
+    # no window across two documents is a feature, and every code is the scalar hash's
+    features = FeatureIndex(bodies, spec)
+    vocab = _vocab(features.packed)
+    assert sorted(vocab) == sorted({f for body in bodies for f in embedder._features(body, spec)})
+    key = embedder._key(layer, spec)
+    codes = embedder._codes(features.packed, key, spec.dim)
+    assert codes.tolist() == [feature_code(f, int(key), spec.dim) for f in vocab]
+
+
+def test_a_build_counts_its_units_in_bounded_blocks():
+    # 9,421 units, whose kept vectors take 18.4 MiB, and a peak of about 31 MiB; one bincount
+    # over layer 5's 4,113 rows would hold 2 * 256 int64 slots a row, 16 MiB more
+    docs = synthesize_corpus(300)
+    tracemalloc.start()
+    try:
+        hier = build(docs, EmbedderSpec(), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [mem.n_units for mem in hier.layers] == [300, 746, 2288, 1974, 4113]
+    assert peak < 36 * 2**20, peak
+
+
+def test_a_build_has_the_same_bits_in_any_blocks(monkeypatch):
+    docs = synthesize_corpus(20)
+    spec = EmbedderSpec(dim=64)
+    whole = build(docs, spec, 5)  # every layer in one block
+    monkeypatch.setattr(embedder, "_PAD_BYTES", 3 * 16 * spec.dim)  # three rows a block
+    blocks = build(docs, spec, 5)
+    assert max(mem.n_units for mem in blocks.layers) > 3 * 40
+    for a, b in zip(whole.layers, blocks.layers, strict=True):
+        assert (a.unit_ids, a.vectors.tobytes()) == (b.unit_ids, b.vectors.tobytes())
 
 
 def test_golden_vectors_unchanged():

@@ -177,11 +177,18 @@ _unicode_corpora = st.lists(st.one_of(_short_bodies, _long_bodies), min_size=1, 
 @pytest.mark.parametrize("spec", [
     EmbedderSpec(),
     EmbedderSpec(dim=16, ngram_min=1, ngram_max=4, hash_seed=3, shared_phi=True),
-], ids=["default", "dim16-ngrams1to4-seed3-shared"])
+    EmbedderSpec(dim=32, ngram_min=7, ngram_max=9),  # b"g:" + gram crosses the 8-byte word
+    EmbedderSpec(dim=64, ngram_max=32),
+    EmbedderSpec(dim=8, ngram_min=1, ngram_max=1, hash_seed=2**64 - 1),
+], ids=["default", "dim16-ngrams1to4-seed3-shared", "dim32-ngrams7to9", "dim64-ngrams3to32",
+        "dim8-ngrams1to1-maxseed"])
 @deterministic
 @given(_unicode_corpora)
 @example([Document(doc_id=1, title="", body="\u0130stanbul \u0130\u0130 x\ty.\n\nK\u212a 42 ?! "
                                              "\u039f\u0394\u039f\u03a3. b")])
+# only the middle body lowers longer; the bodies around it keep their own offsets
+@example([Document(doc_id=i + 1, title="", body=body) for i, body in enumerate(
+    ["alpha beta. gamma", "\u0130stanbul \u0130\u0130 x.\n\nK\u212a \u0130y z", "omega psi. chi"])])
 def test_every_built_unit_is_embed_of_its_text(spec, docs):
     built = _build_or_error(docs, spec, 5)
     for layer in range(1, 6):
