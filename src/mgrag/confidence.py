@@ -15,7 +15,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_type
 from .router import FusedContext, assemble
 
 VAR_MODES = ("ensemble", "intra")
@@ -41,7 +41,7 @@ def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats, with 0*ln(0) taken as 0."""
     p = validate_distribution(p)
     mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask])))
+    return float(0.0 - np.sum(p[mask] * np.log(p[mask])))  # +0.0, not -0.0, for a point mass
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ class GateConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        require_type("ensemble_K", self.ensemble_K, "int")
+        require_type("seed", self.seed, "int")
         if self.ensemble_K < 2:
             raise ConfigError(f"ensemble_K must be >= 2, got {self.ensemble_K}")
         if self.ensemble_K > _MAX_ENSEMBLE_K:

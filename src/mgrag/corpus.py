@@ -6,6 +6,9 @@ answer model's QA rows are JSONL records too.
 Documents are split into granularity layers 1..5 (document, paragraphs,
 sentences, 16-token windows, 8-token windows) and tagged corpora can be
 mixed at a controlled ratio for domain-sensitivity sweeps.
+Segmentation is span arithmetic: paragraphs and sentences are the trimmed,
+non-blank pieces between regex cuts, and a window layer's starts are a
+``range`` whose last start is computed in closed form.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ SEGMENTATION_RULES = {"paragraph_fallback_tokens": PARAGRAPH_FALLBACK_TOKENS,
 _MARKER_RE = re.compile(r"^\.([A-Z])(\s+(.*))?$")
 _TOKEN_RE = re.compile(r"\S+")
 _SENT_END_RE = re.compile(r"[.!?]+(?=\s|$)")
+_BLANK_LINE_RE = re.compile(r"\n[ \t]*\n")
 
 
 def _parse_marker_records(text: str) -> list[tuple[int, dict[str, str]]]:
@@ -326,84 +330,51 @@ def validate_qrels(qrels: dict[int, set[int]], doc_ids: set[int]) -> list[tuple[
 # --- segmentation ----------------------------------------------------------
 
 
-def _unit(doc: Document, layer: int, seq: int, start: int, end: int) -> GranularUnit:
-    return GranularUnit(
-        unit_id=f"{doc.doc_id:08d}:{layer}:{seq:05d}",
-        doc_id=doc.doc_id,
-        layer=layer,
-        text=doc.body[start:end],
-        char_span=(start, end),
-    )
-
-
-def _trim_span(body: str, start: int, end: int) -> tuple[int, int] | None:
-    """Shrink [start, end) to its non-space extent; None if all whitespace."""
-    while start < end and body[start].isspace():
-        start += 1
-    while end > start and body[end - 1].isspace():
-        end -= 1
-    return (start, end) if start < end else None
+def _trimmed_pieces(body: str, cuts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The non-blank pieces of ``body`` between the ascending ``cuts`` (start, end), trimmed."""
+    spans = []
+    pos = 0
+    for cut_start, cut_end in [*cuts, (len(body), len(body))]:
+        piece = body[pos:cut_start]
+        kept = piece.strip()  # strip() drops exactly the characters isspace() accepts
+        if kept:
+            start = pos + len(piece) - len(piece.lstrip())
+            spans.append((start, start + len(kept)))
+        pos = cut_end
+    return spans
 
 
 def _paragraph_spans(body: str) -> list[tuple[int, int]]:
-    blank = re.compile(r"\n[ \t]*\n")
-    if not blank.search(body):
+    blank_lines = [m.span() for m in _BLANK_LINE_RE.finditer(body)]
+    if not blank_lines:
         return _window_spans(body, PARAGRAPH_FALLBACK_TOKENS, overlap=False)
-    spans = []
-    pos = 0
-    for m in blank.finditer(body):
-        spans.append((pos, m.start()))
-        pos = m.end()
-    spans.append((pos, len(body)))
-    trimmed = [_trim_span(body, s, e) for s, e in spans]
-    return [span for span in trimmed if span is not None]
+    return _trimmed_pieces(body, blank_lines)
 
 
 def _sentence_spans(body: str) -> list[tuple[int, int]]:
-    cuts = [m.end() for m in _SENT_END_RE.finditer(body)]
-    if not cuts or cuts[-1] < len(body):
-        cuts.append(len(body))
-    pieces = []
-    pos = 0
-    for cut in cuts:
-        span = _trim_span(body, pos, cut)
-        if span is not None:
-            pieces.append(span)
-        pos = cut
-    # short fragments do not end a sentence: merge forward, trailing ones backward
+    pieces = _trimmed_pieces(body, ((m.end(), m.end()) for m in _SENT_END_RE.finditer(body)))
+    # short fragments do not end a sentence: merge forward, a trailing one backward
     merged: list[tuple[int, int]] = []
-    carry: int | None = None
+    short = False  # the last merged span is a short fragment waiting for the next piece
     for start, end in pieces:
-        if carry is not None:
-            start = carry
-            carry = None
-        # split() cuts at exactly the characters isspace() accepts
-        non_space = len("".join(body[start:end].split()))
-        if non_space < SENTENCE_MIN_CHARS:
-            carry = start
-        else:
-            merged.append((start, end))
-    if carry is not None:
-        if merged:
-            merged[-1] = (merged[-1][0], pieces[-1][1])
-        else:
-            merged.append((carry, pieces[-1][1]))
+        if short:
+            start = merged.pop()[0]
+        merged.append((start, end))
+        short = len("".join(body[start:end].split())) < SENTENCE_MIN_CHARS
+    if short and len(merged) > 1:
+        merged[-2:] = [(merged[-2][0], merged[-1][1])]
     return merged
 
 
 def _window_spans(body: str, width: int, overlap: bool) -> list[tuple[int, int]]:
-    tokens = [(m.start(), m.end()) for m in _TOKEN_RE.finditer(body)]
-    if not tokens:
-        return []
+    """Token windows of a non-blank ``body``: from every stride-th token up to the first
+    window that reaches the last token."""
+    tokens = [m.span() for m in _TOKEN_RE.finditer(body)]
     stride = max(1, width // 2) if overlap else width
-    spans = []
-    pos = 0
-    while True:
-        window = tokens[pos : pos + width]
-        spans.append((window[0][0], window[-1][1]))
-        if pos + width >= len(tokens):
-            break
-        pos += stride
+    last = -(-max(len(tokens) - width, 0) // stride) * stride  # ceil to a stride multiple
+    # every window before the last start is full; the last one ends at the last token
+    spans = [(tokens[pos][0], tokens[pos + width - 1][1]) for pos in range(0, last, stride)]
+    spans.append((tokens[last][0], tokens[-1][1]))
     return spans
 
 
@@ -411,17 +382,20 @@ def segment(doc: Document, layer: int) -> list[GranularUnit]:
     """Split one document into layer-``layer`` units with exact char spans."""
     if not 1 <= layer <= MAX_DEPTH:
         raise ValueError(f"layer must be in [1, {MAX_DEPTH}], got {layer}")
-    if not doc.body.strip():
+    body = doc.body
+    if not body.strip():
         return []
     if layer == 1:
-        spans = [(0, len(doc.body))]
+        spans = [(0, len(body))]
     elif layer == 2:
-        spans = _paragraph_spans(doc.body)
+        spans = _paragraph_spans(body)
     elif layer == 3:
-        spans = _sentence_spans(doc.body)
+        spans = _sentence_spans(body)
     else:
-        spans = _window_spans(doc.body, WINDOW_TOKENS[layer], overlap=True)
-    return [_unit(doc, layer, seq, start, end) for seq, (start, end) in enumerate(spans)]
+        spans = _window_spans(body, WINDOW_TOKENS[layer], overlap=True)
+    return [GranularUnit(f"{doc.doc_id:08d}:{layer}:{seq:05d}", doc.doc_id, layer, body[start:end],
+                         (start, end))
+            for seq, (start, end) in enumerate(spans)]
 
 
 # --- mixing and synthesis --------------------------------------------------

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_type
 
 if TYPE_CHECKING:
     from .corpus import GranularUnit
@@ -63,10 +63,8 @@ class EmbedderSpec:
     shared_phi: bool = False
 
     def __post_init__(self):
-        for f in fields(self):  # the exact annotated type: a bool or a float would alias or crash
-            value = getattr(self, f.name)
-            if type(value).__name__ != f.type:
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        for f in fields(self):
+            require_type(f.name, getattr(self, f.name), f.type)
         if not 8 <= self.dim <= _MAX_DIM:
             raise ConfigError(f"embedding dim must lie in [8, {_MAX_DIM}], got {self.dim}")
         if not 1 <= self.ngram_min <= self.ngram_max <= _MAX_NGRAM:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exact-type rule for settings."""
 
 
 class MgragError(Exception):
@@ -17,6 +17,16 @@ class ParseError(MgragError):
 
 class ConfigError(MgragError):
     """Invalid configuration value."""
+
+
+def require_type(name: str, value: object, kind: str) -> None:
+    """A ``ConfigError`` naming ``name`` unless ``value``'s type is exactly ``kind``.
+
+    Exact, not ``isinstance``: a bool is an int and would alias 0 or 1, and a
+    float in an int setting would fail far from its cause.
+    """
+    if type(value).__name__ != kind:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 class BuildError(MgragError):

@@ -20,7 +20,7 @@ import numpy as np
 from .confidence import GateConfig, entropy, filter_paths
 from .corpus import MAX_DEPTH, Document, QAExample, Query, mix_corpora
 from .embedder import EmbedderSpec
-from .errors import ConfigError, EvalError, RoutingError
+from .errors import ConfigError, EvalError, RoutingError, require_type
 from .generator import TrainConfig, answer_params, descend, features, perturbations
 from .memory import MemoryHierarchy, build
 from .router import FusedContext, Retrieval, RouterConfig, assemble, retrieve, route
@@ -110,6 +110,7 @@ class EvalConfig:
     agg_mode: str = "max"
 
     def __post_init__(self):
+        require_type("k", self.k, "int")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.agg_mode not in AGG_MODES:
@@ -222,6 +223,8 @@ class SweepGrid:
     def __post_init__(self):
         if not self.depths or not self.temperatures or not self.mix_ratios:
             raise ConfigError("every sweep axis needs at least one value")
+        for depth in self.depths:
+            require_type("depths", depth, "int")
         if any(not 1 <= d <= MAX_DEPTH for d in self.depths):
             raise ConfigError(f"depths must lie in [1, {MAX_DEPTH}], got {self.depths}")
         if any(not 0 < t < math.inf for t in self.temperatures):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .confidence import GateConfig, filter_paths
 from .corpus import Document, QAExample, Query, _keyword_documents
-from .errors import ConfigError, ParseError, RoutingError
+from .errors import ConfigError, ParseError, RoutingError, require_type
 from .memory import MemoryHierarchy
 from .router import Retrieval, RouterConfig, _softmax, assemble, route
 
@@ -118,6 +118,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        require_type("epochs", self.epochs, "int")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 

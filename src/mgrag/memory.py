@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import MAX_DEPTH, MAX_DOC_ID, SEGMENTATION_RULES, Document, corpus_sha256, segment
 from .embedder import EmbedderSpec, FeatureIndex, embed_units
-from .errors import BuildError, ConfigError, IndexFormatError
+from .errors import BuildError, ConfigError, IndexFormatError, require_type
 
 log = logging.getLogger(__name__)
 
@@ -140,6 +140,7 @@ def build(
     unit.  Degenerate (all-zero) rows are counted on their layer and masked out
     of the index.  A document with an empty body yields no units and is reported once.
     """
+    require_type("depth", depth, "int")
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
     if not corpus:

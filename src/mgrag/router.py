@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .embedder import embed_layers
-from .errors import ConfigError, RoutingError
+from .errors import ConfigError, RoutingError, require_type
 from .memory import Hit, MemoryHierarchy, search_layer
 
 SCORE_MODES = ("mean_topk", "max")
@@ -32,6 +32,7 @@ class RouterConfig:
     layer_score_mode: str = "mean_topk"
 
     def __post_init__(self):
+        require_type("k_per_layer", self.k_per_layer, "int")
         if self.k_per_layer < 1:
             raise ConfigError(f"k_per_layer must be >= 1, got {self.k_per_layer}")
         if not 0 < self.temperature < np.inf:
@@ -110,7 +111,9 @@ def routing_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).any():
         raise RoutingError("all layer scores are -inf")
-    return _softmax(scores, temperature)
+    # at T below about 1e-308, (z - max) / T overflows to -inf: exp -> 0, as intended
+    with np.errstate(over="ignore"):
+        return _softmax(scores, temperature)
 
 
 def _layer_score(sims: np.ndarray, mode: str) -> float:

@@ -305,8 +305,9 @@ def test_09_entropy_penalty_lowers_final_predictive_entropy():
 
 
 def _run(*argv):
-    proc = subprocess.run([sys.executable, "-m", "mgrag", *map(str, argv)],
-                          capture_output=True, text=True, timeout=300)
+    # a silent NaN or overflow fails the child process too, as it does the in-process tests
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mgrag",
+                           *map(str, argv)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, f"{argv}: {proc.stderr}"
     return proc.stdout
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -21,9 +22,13 @@ QUERIES = REPO / "data" / "cisi_sample.qry"
 QRELS = REPO / "data" / "cisi_sample.rel"
 
 
+# a child process fails on a silent NaN or overflow too, as the in-process tests do
+MGRAG = [sys.executable, "-W", "error::RuntimeWarning", "-m", "mgrag"]
+
+
 def run_cli(*argv: str):
     return subprocess.run(
-        [sys.executable, "-m", "mgrag", *map(str, argv)],
+        [*MGRAG, *map(str, argv)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -142,6 +147,16 @@ def test_query_tau_zero_matches_omitted_gate(index_path):
 def test_query_rejects_zero_temperature(index_path):
     proc = run_cli("query", "--index", index_path, "--text", "x", "--temperature", "0")
     assert proc.returncode == 2
+
+
+def test_query_at_a_subnormal_temperature_routes_to_the_top_layer_silently(index_path):
+    proc = run_cli("query", "--index", index_path, "--text", "information retrieval",
+                   "--temperature", "1e-320")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert sorted(payload["weights"]) == [0.0, 0.0, 1.0]
+    assert math.copysign(1.0, payload["confidence"]["routing_entropy"]) == 1.0  # not -0.0
 
 
 def test_query_positive_tau_drops_paths(index_path):
@@ -639,7 +654,7 @@ def test_train_gen_rejects_a_gold_too_large_to_train(qa_env, tmp_path):
     qa.write_text('{"query_id": 1, "text": "information retrieval", "gold": 10000000}\n',
                   encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "mgrag", "train-gen", "--index", str(idx), "--qa", str(qa)],
+        [*MGRAG, "train-gen", "--index", str(idx), "--qa", str(qa)],
         capture_output=True, text=True, timeout=300,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
     )

@@ -28,6 +28,11 @@ def test_entropy_of_one_hot_is_zero():
     assert entropy(np.array([0.0, 1.0, 0.0])) == 0.0
 
 
+def test_entropy_of_a_point_mass_is_positive_zero():
+    # -sum would give -0.0, and depth-1 query and eval JSON would print it
+    assert math.copysign(1.0, entropy(np.array([1.0]))) == 1.0
+
+
 def test_entropy_hand_value():
     # -(1/2)ln(1/2) - 2*(1/4)ln(1/4) = 1.5 ln 2
     assert entropy(np.array([0.5, 0.25, 0.25])) == pytest.approx(1.5 * math.log(2), abs=1e-12)

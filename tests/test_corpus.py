@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import time
@@ -81,6 +82,11 @@ def test_marker_duplicate_id_names_line():
 def test_marker_field_before_record_rejected():
     with pytest.raises(ParseError, match="before any .I record"):
         parse_cisi_documents(".W\norphan text\n")
+
+
+def test_marker_keeps_content_on_the_marker_line():
+    docs = parse_cisi_documents(".I 1\n.T  Inline Title \n.W first line.\nsecond line.\n")
+    assert (docs[0].title, docs[0].body) == ("Inline Title", "first line.\nsecond line.")
 
 
 def test_marker_queries():
@@ -318,6 +324,25 @@ def test_segmentation_is_deterministic():
         assert segment(doc, layer) == segment(doc, layer)
 
 
+# terminators, the blank-line characters, and whitespace that only isspace() knows
+_FUZZ_ALPHABET = np.array(list("abcdefgh.!? \t\n\r\u00a0\u3000"))
+
+
+def test_segment_units_are_pinned():
+    # every unit of every layer over seeded random bodies, plus a long body with no blank line
+    rng = np.random.default_rng(22)
+    bodies = ["".join(_FUZZ_ALPHABET[rng.integers(0, _FUZZ_ALPHABET.size, size=n)])
+              for n in rng.integers(0, 160, size=2000)]
+    bodies.append(" ".join(f"w{i}." if i % 7 == 0 else f"w{i}" for i in range(150)))
+    digest = hashlib.sha256()
+    for doc_id, body in enumerate(bodies, 1):
+        for layer in range(1, 6):
+            for unit in segment(_doc(body, doc_id), layer):
+                row = [unit.unit_id, unit.doc_id, unit.layer, *unit.char_span, unit.text]
+                digest.update(json.dumps(row).encode("ascii") + b"\n")
+    assert digest.hexdigest() == "4464a233ec37b7ba47bbb14d084fd6693fa642a9c70e09387791a9239ca83331"
+
+
 # --- mixing and synthesis ----------------------------------------------------
 
 
@@ -399,6 +424,19 @@ def test_mix_rejects_oversized_requests():
     a, b = _tagged(3, 1, "a"), _tagged(3, 100, "b")
     with pytest.raises(ValueError, match="need"):
         mix_corpora([(a, "A"), (b, "B")], ratio=0.0, size=5, seed=0)
+    with pytest.raises(ValueError, match="source 'B' has 3 documents, need 4"):
+        mix_corpora([(a, "A"), (b, "B")], ratio=0.8, size=5, seed=0)
+
+
+@pytest.mark.parametrize("sources, ratio, size, message", [
+    (1, 0.5, 4, "exactly two tagged corpora required, got 1"),
+    (2, 1.5, 4, r"ratio must be in \[0, 1\], got 1.5"),
+    (2, 0.5, 0, "size must be positive, got 0"),
+])
+def test_mix_rejects_bad_settings(sources, ratio, size, message):
+    corpora = [(_tagged(5, 1, "a"), "A"), (_tagged(5, 100, "b"), "B")][:sources]
+    with pytest.raises(ValueError, match=message):
+        mix_corpora(corpora, ratio=ratio, size=size, seed=0)
 
 
 def test_synthesize_corpus_is_deterministic_and_multi_paragraph():

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -240,6 +241,34 @@ def test_eval_config_rejects_gate_settings_evaluation_never_reads():
     for name, value in [("lambda2", 0.1), ("noise_sigma", 0.0), ("seed", 3), ("var_mode", "intra")]:
         with pytest.raises(ConfigError, match=f"tau_path; {name} must keep"):
             EvalConfig(gate=GateConfig(**{name: value}))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": 0}, "k must be >= 1, got 0"),
+    ({"agg_mode": "mean"}, "agg_mode must be one of"),
+])
+def test_eval_config_validation(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        EvalConfig(**kwargs)
+
+
+@pytest.mark.parametrize("make, kwargs, message", [
+    (RouterConfig, {"k_per_layer": True}, "k_per_layer must be int, got True"),
+    (RouterConfig, {"k_per_layer": 2.5}, "k_per_layer must be int, got 2.5"),
+    (partial(build, [Document(1, "", "text")], EmbedderSpec(dim=8)), {"depth": True},
+     "depth must be int, got True"),
+    (SweepGrid, {"depths": (2, True)}, "depths must be int, got True"),
+    (EvalConfig, {"k": 2.5}, "k must be int, got 2.5"),
+    (GateConfig, {"ensemble_K": 2.5}, "ensemble_K must be int, got 2.5"),
+    (GateConfig, {"seed": 1.5}, "seed must be int, got 1.5"),
+    (TrainConfig, {"epochs": 2.5}, "epochs must be int, got 2.5"),
+], ids=["router-k-bool", "router-k-float", "build-depth-bool", "sweep-depth-bool", "eval-k-float",
+        "gate-K-float", "gate-seed-float", "train-epochs-float"])
+def test_an_integer_setting_rejects_a_bool_or_a_float(make, kwargs, message):
+    # a bool would alias 0 or 1, and a float would fail later with a bare TypeError
+    with pytest.raises(ConfigError) as exc_info:
+        make(**kwargs)
+    assert str(exc_info.value) == message
 
 
 def test_depth_one_ranking_equals_plain_cosine_retrieval():

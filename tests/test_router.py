@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ def test_route_path_confidence_is_product_of_weights(suite_hier):
         within = ctx.within[path.layer - 1][[h.unit_id for h in hits].index(path.unit_id)]
         expected = ctx.weights[path.layer - 1] * within
         assert path.path_confidence == pytest.approx(expected, abs=1e-15)
+
+
+def test_a_subnormal_temperature_puts_all_weight_on_the_top_layers(suite_hier):
+    # (z - max) / T overflows to -inf below T ~ 1e-308: exp -> 0 is intended, with no warning
+    hier, queries, _ = suite_hier
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tied = routing_weights(np.array([0.9, 0.7, 0.9, -np.inf]), 1e-320)
+        ctx = route(hier, queries[6].text, RouterConfig(temperature=1e-320))
+    assert tied.tolist() == [0.5, 0.0, 0.5, 0.0]
+    top = ctx.scores == ctx.scores.max()
+    assert ctx.weights.tolist() == (top / top.sum()).tolist()
 
 
 def test_a_retrieval_prefix_is_its_first_layers_and_no_more(suite_hier):
