@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
@@ -80,7 +79,9 @@ def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
     so each layer's keep-mask is ``weights[l] * within[l] >= tau``, in hit
     order. tau = 0 is a no-op that returns the input object, as is a tau
     that keeps every path. If every path would be dropped, gating is skipped
-    and the context comes back flagged as bypassed rather than empty.
+    and the context comes back flagged as bypassed rather than empty. A
+    layer's survivors under one mask are made and weighed once per search
+    and shared by every context that gates the layer the same way.
     """
     if not 0.0 <= tau_path <= 1.0:
         raise ConfigError(f"tau_path must be in [0, 1], got {tau_path}")
@@ -91,7 +92,4 @@ def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
         return replace(ctx, gate_bypassed=True)
     if all(mask.all() for mask in keep):
         return ctx
-    r = ctx.retrieval
-    hits = tuple(list(compress(layer_hits, mask)) for layer_hits, mask in zip(r.hits, keep))
-    vectors = tuple(layer_vectors[mask] for layer_vectors, mask in zip(r.vectors, keep))
-    return assemble(replace(r, hits=hits, vectors=vectors), ctx.config)
+    return assemble(ctx.retrieval.kept(keep), ctx.config)

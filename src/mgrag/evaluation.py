@@ -159,7 +159,9 @@ def evaluate(
     Queries without judgments are counted as skipped, never averaged in. A query
     that routes nowhere (no indexable feature) raises ``RoutingError`` naming its id.
     ``retrievals``, aligned by position with ``queries``, are their searches of
-    ``hier``, which are then only weighed; when None, each query is routed.
+    ``hier``, which are then only weighed; when None, each query is routed. A
+    retrieval with other than ``hier.depth`` layers, or with more than
+    ``k_per_layer`` hits in a layer, is a ``ValueError`` naming its query.
     """
     per_query = []
     bypassed = 0
@@ -171,7 +173,8 @@ def evaluate(
             skipped += 1
             continue
         try:
-            ctx = route(hier, query.text, cfg.router) if r is None else assemble(r, cfg.router)
+            ctx = (route(hier, query.text, cfg.router) if r is None
+                   else assemble(r.check(hier.depth, cfg.router.k_per_layer, query.query_id), cfg.router))
         except RoutingError as exc:
             raise RoutingError(f"query {query.query_id}: {exc}") from None
         gated = filter_paths(ctx, cfg.gate.tau_path)

@@ -156,9 +156,11 @@ def features(
 
     The only builder of answer-model features, constant in the parameters.
     ``retrievals`` are the examples' searches of ``hier``, aligned by position
-    with ``dataset`` (each example is routed when None). Returns the (N, 2d)
-    rows [layer-1 query encoding ; gated context] and the golds. An example
-    that routes nowhere raises ``RoutingError`` naming its id.
+    with ``dataset`` (each example is routed when None); one with other than
+    ``hier.depth`` layers, or with more than ``k_per_layer`` hits in a layer,
+    is a ``ValueError`` naming its query. Returns the (N, 2d) rows [layer-1
+    query encoding ; gated context] and the golds. An example that routes
+    nowhere raises ``RoutingError`` naming its id.
     """
     golds = np.array([ex.gold for ex in dataset])
     if golds.max() >= vocab_size:
@@ -167,7 +169,8 @@ def features(
     rows = []
     for ex, r in zip(dataset, searched, strict=True):
         try:
-            ctx = route(hier, ex.query.text, cfg.router) if r is None else assemble(r, cfg.router)
+            ctx = (route(hier, ex.query.text, cfg.router) if r is None
+                   else assemble(r.check(hier.depth, cfg.router.k_per_layer, ex.query.query_id), cfg.router))
             ctx = filter_paths(ctx, cfg.gate.tau_path)
         except RoutingError as exc:
             raise RoutingError(f"query {ex.query.query_id}: {exc}") from None

@@ -9,12 +9,19 @@ index's depth-d prefix (``Retrieval.prefix``).
 their evidence scores, and the fused context is the weight-sum of per-layer
 readouts, where a readout is the similarity-softmax-weighted mean of that
 layer's retrieved unit vectors.
+
+A layer's within-layer softmax, readout and score in each mode depend on
+its hits alone, so each layer of a ``Retrieval`` computes them once, on
+first use, for every prefix, temperature and gate that weighs it; so does
+the child holding a gate's survivors, once per distinct keep-mask. All of
+it lives as long as the ``Retrieval``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -54,19 +61,94 @@ class RetrievalPath:
     path_confidence: float  # the layer's routing weight times the hit's within-layer weight
 
 
+class _Layer:
+    """One searched layer: its hits, their vectors and sims, and their weighing.
+
+    Each part of the weighing is computed on first use and shared by every context that
+    weighs the layer.
+    """
+
+    __slots__ = ("hits", "vectors", "sims", "_weighed", "_scores", "_kept")
+
+    def __init__(self, hits: list[Hit], vectors: np.ndarray, sims: np.ndarray | None = None):
+        self.hits = hits
+        self.vectors = vectors
+        self.sims = np.array([h.sim for h in hits]) if sims is None else sims
+        self._weighed = None
+        self._scores: dict[str, float] = {}
+        self._kept: dict[bytes, _Layer] = {}
+
+    def weighed(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(within, readout); an empty layer has its empty sims as within and no readout."""
+        if self._weighed is None:
+            self._weighed = _weigh(self) if self.sims.size else (self.sims, None)
+        return self._weighed
+
+    def score(self, mode: str) -> float:
+        """The max or the mean of the hit sims, by ``mode``; -inf for a layer with no hits."""
+        if mode not in self._scores:
+            sims = self.sims
+            # the reductions np.max and np.mean run, without their wrappers: the same bits
+            self._scores[mode] = (float(sims.max() if mode == "max" else sims.sum() / sims.size)
+                                  if sims.size else -np.inf)
+        return self._scores[mode]
+
+    def kept(self, mask: np.ndarray) -> "_Layer":
+        """The hits a boolean ``mask`` keeps, in hit order, as a layer (this one if all)."""
+        key = mask.tobytes()
+        if 0 not in key:
+            return self
+        if key not in self._kept:
+            self._kept[key] = _Layer(list(compress(self.hits, mask)), self.vectors[mask], self.sims[mask])
+        return self._kept[key]
+
+
+def _weigh(layer: _Layer) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's softmax over its hit sims, and the readout: that softmax times its vectors."""
+    within = _softmax(layer.sims)
+    return within, within @ layer.vectors
+
+
 @dataclass(frozen=True)
 class Retrieval:
-    """One query's exact per-layer search; it does not depend on temperature or gate."""
+    """One query's exact per-layer search; it does not depend on temperature or gate.
+
+    Each layer's weighing is kept with it and shared by its prefixes and gated children.
+    """
 
     encodings: np.ndarray  # (depth, dim) query encodings, row l-1 for layer l
     hits: tuple[list[Hit], ...]  # hits[l-1]: layer l's top-k, best first
     vectors: tuple[np.ndarray, ...]  # vectors[l-1]: (n_hits, dim) unit vectors of those hits
+    _layers: InitVar[tuple[_Layer, ...] | None] = None  # made from hits and vectors when None
+
+    def __post_init__(self, _layers):
+        if _layers is None:
+            _layers = tuple(_Layer(h, v) for h, v in zip(self.hits, self.vectors, strict=True))
+        object.__setattr__(self, "_layers", _layers)
 
     def prefix(self, depth: int) -> "Retrieval":
         """The first ``depth`` layers: the search of the index's depth-``depth`` prefix."""
         if not 1 <= depth <= len(self.hits):
             raise ValueError(f"prefix depth must lie in [1, {len(self.hits)}], got {depth}")
-        return Retrieval(self.encodings[:depth], self.hits[:depth], self.vectors[:depth])
+        return Retrieval(self.encodings[:depth], self.hits[:depth], self.vectors[:depth],
+                         self._layers[:depth])
+
+    def kept(self, keep: list[np.ndarray]) -> "Retrieval":
+        """The hits each layer's keep-mask selects, with their vectors, in hit order."""
+        layers = tuple(layer.kept(mask) for layer, mask in zip(self._layers, keep, strict=True))
+        return Retrieval(self.encodings, tuple(layer.hits for layer in layers),
+                         tuple(layer.vectors for layer in layers), layers)
+
+    def check(self, depth: int, k: int, query_id: int) -> "Retrieval":
+        """This retrieval, if it can be a top-``k`` search of a depth-``depth`` index.
+
+        Otherwise a ``ValueError`` naming ``query_id``: it would weigh other layers or more hits.
+        """
+        most = max(map(len, self.hits), default=0)
+        if len(self.hits) != depth or most > k:
+            raise ValueError(f"query {query_id}: a retrieval of {len(self.hits)} layers and up to {most} "
+                             f"hits a layer cannot be weighed at depth {depth} and k_per_layer {k}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -116,27 +198,25 @@ def routing_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
         return _softmax(scores, temperature)
 
 
-def _layer_score(sims: np.ndarray, mode: str) -> float:
-    return float(np.max(sims) if mode == "max" else np.mean(sims))
-
-
 def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
     """Weigh a retrieval into the full fused context.
 
     Shared by routing and by confidence gating, so a gated context is
     recomputed through exactly the same formulas as the original. Layers with
-    no hits score -inf, get routing weight zero and an empty ``within``.
+    no hits score -inf, get routing weight zero and an empty ``within``. Each
+    layer's softmax, readout and score come from the retrieval's layers,
+    computed there once; only the routing weights and ``c`` are computed here.
     """
-    sims = [np.array([h.sim for h in hits]) for hits in retrieval.hits]
-    scores = np.array([_layer_score(s, cfg.layer_score_mode) if s.size else -np.inf for s in sims])
+    layers = retrieval._layers
+    scores = np.array([layer.score(cfg.layer_score_mode) for layer in layers])
     if not np.any(np.isfinite(scores)):
         raise RoutingError("no layer produced any hits")
     weights = routing_weights(scores, cfg.temperature)
-    within = tuple(_softmax(s) if s.size else s for s in sims)  # softmax over each layer's hit sims
+    weighed = [layer.weighed() for layer in layers]
     readouts = np.zeros(retrieval.encodings.shape)
-    for readout, layer_within, vectors in zip(readouts, within, retrieval.vectors, strict=True):
-        if layer_within.size:
-            readout[:] = layer_within @ vectors
+    for row, (_, readout) in zip(readouts, weighed, strict=True):
+        if readout is not None:
+            row[:] = readout
     c = weights @ readouts
     if not np.all(np.isfinite(c)):
         raise ValueError("fused context has non-finite components")
@@ -144,7 +224,7 @@ def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
         c=c,
         weights=weights,
         scores=scores,
-        within=within,
+        within=tuple(within for within, _ in weighed),
         retrieval=retrieval,
         config=cfg,
     )

@@ -676,3 +676,50 @@ def test_the_stacked_cells_stay_within_the_byte_cap(monkeypatch, mixing_inputs):
         tracemalloc.stop()
     assert all("error" not in row for row in result.rows)
     assert peak < 4 * cell_bytes
+
+
+# --- a sweep weighs each searched layer once -------------------------------------------
+
+
+def test_a_sweep_weighs_each_search_layer_and_kept_set_once(monkeypatch, mixing_inputs):
+    # the within-layer softmax and readout depend only on a layer's hits, so every depth
+    # prefix, temperature and gate that keeps the same hits reads one weighing of them
+    corpus_a, _, queries, qrels, qa = mixing_inputs
+    weighed = {}
+    held = []  # keeps every weighed hit alive, so no id is reused within the sweep
+
+    def counted(layer):
+        held.append(layer.hits)
+        key = tuple(map(id, layer.hits))  # a search's hits are its own objects
+        weighed[key] = weighed.get(key, 0) + 1
+        return weigh(layer)
+
+    weigh = mgrag.router._weigh
+    monkeypatch.setattr(mgrag.router, "_weigh", counted)
+    grid = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0))
+    gate = GateConfig(tau_path=0.05)
+    result = sweep(grid, corpus_a, queries, qrels, EvalConfig(gate=gate),
+                   embedder_spec=EmbedderSpec(dim=32), qa_dataset=qa,
+                   qa_train=TrainConfig(epochs=1, gate=gate))
+    assert all("error" not in row for row in result.rows)
+    assert weighed and set(weighed.values()) == {1}
+    # the gate dropped paths: some weighed hits are a strict subset of others
+    assert any(set(a) < set(b) for a in weighed for b in weighed)
+
+
+def test_evaluate_rejects_searches_of_another_depth_or_k():
+    # weighed as given, they would report depth 3 and k 5 while weighing 5 layers, or more
+    # than 5 hits a layer
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=1)
+    spec = EmbedderSpec(dim=64)
+    shallow = build(docs, spec, 3)
+    cfg = EvalConfig(router=RouterConfig(k_per_layer=5))
+    judged = sorted(q.query_id for q in queries if qrels.get(q.query_id))
+    deep = [mgrag.router.retrieve(build(docs, spec, 5), q.text, 5) for q in queries]
+    with pytest.raises(ValueError, match=rf"^query {judged[0]}: a retrieval of 5 layers .* depth 3 "):
+        evaluate(shallow, queries, qrels, cfg, deep)
+    wide = [mgrag.router.retrieve(shallow, q.text, 10) for q in queries]
+    over = min(q.query_id for q, r in zip(queries, wide)
+               if q.query_id in judged and max(map(len, r.hits)) > 5)
+    with pytest.raises(ValueError, match=rf"^query {over}: .* k_per_layer 5$"):
+        evaluate(shallow, queries, qrels, cfg, wide)

@@ -614,3 +614,20 @@ def test_qa_jsonl_rejects_mistyped_rows(line, message):
     with pytest.raises(ParseError, match="line 2") as exc_info:
         parse_jsonl_qa(good + "\n" + line)
     assert message in str(exc_info.value)
+
+
+def test_features_rejects_searches_of_another_depth_or_k(toy):
+    # weighed as given, they would weigh other layers, or more hits, than the config says
+    hier, examples = toy
+    docs, _ = build_toy_qa(n_classes=4, n_per_class=2, seed=1)
+    cfg = TrainConfig(router=RouterConfig(k_per_layer=2))
+    vocab = answer_params(examples, DIM, 0).vocab_size
+    deep = build(docs, EmbedderSpec(dim=DIM), depth=3)
+    searches = [retrieve(deep, ex.query.text, 2) for ex in examples]
+    first = examples[0].query.query_id
+    with pytest.raises(ValueError, match=rf"^query {first}: a retrieval of 3 layers .* depth 2 "):
+        features(examples, hier, cfg, vocab, retrievals=searches)
+    wide = [retrieve(hier, ex.query.text, 4) for ex in examples]
+    over = next(ex.query.query_id for ex, r in zip(examples, wide) if max(map(len, r.hits)) > 2)
+    with pytest.raises(ValueError, match=rf"^query {over}: .* k_per_layer 2$"):
+        features(examples, hier, cfg, vocab, retrievals=wide)

@@ -22,7 +22,8 @@ from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import BuildError, MgragError, RoutingError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
 from mgrag.memory import LayerMemory, build, load, save, search_layer
-from mgrag.router import RetrievalPath, RouterConfig, assemble, route, search_layers
+from mgrag.router import (Retrieval, RetrievalPath, RouterConfig, assemble, retrieve, route,
+                          search_layers)
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -275,6 +276,57 @@ def test_route_is_its_search_weighed_at_any_temperature_depth_and_gate(docs, tex
         assert (ctx.paths[0].layer, ctx.paths[0].unit_id) in kept
         if gated_ctx is not ctx:  # the old set rule is the oracle of the mask
             assert kept == {(p.layer, p.unit_id) for p in ctx.paths if p.path_confidence >= tau}
+
+
+def _bits(ctx) -> tuple:
+    """Every field of a fused context, each float as its bytes."""
+    return (ctx.c.tobytes(), ctx.weights.tobytes(), ctx.scores.tobytes(),
+            tuple(within.tobytes() for within in ctx.within), ctx.gate_bypassed,
+            [(p.layer, p.unit_id, p.doc_id, struct.pack("<d", p.sim), struct.pack("<d", p.path_confidence))
+             for p in ctx.paths])
+
+
+def _weighed_and_gated(r, cfg, tau):
+    """The bits of a retrieval's weighing and of its gating at tau, or the routing error."""
+    try:
+        ctx = assemble(r, cfg)
+    except RoutingError as exc:
+        return str(exc)
+    return _bits(ctx), _bits(filter_paths(ctx, tau))
+
+
+_weighings = st.lists(
+    st.tuples(st.integers(1, 5), st.floats(0.05, 20.0), st.sampled_from(["mean_topk", "max"]),
+              st.floats(0.0, 0.08),  # tau up to 0.08 covers the band where the gate drops paths
+              st.integers(0, 2**20 - 1)),  # 4 keep bits a layer: any subset of hits, not only a top
+    min_size=1, max_size=6,
+)
+
+
+@deterministic
+@given(_seam_corpora, st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(" ".join),
+       st.integers(1, 4), _weighings)
+def test_a_memoized_weighing_equals_a_fresh_one_bit_for_bit(docs, text, k, weighings):
+    # one search weighed again and again, through its prefixes, at any temperature, score
+    # mode and gate, reads what it keeps of earlier weighings; a copy built from its hits and
+    # vectors alone keeps nothing, so it weighs every layer afresh
+    hier = build(docs, EmbedderSpec(dim=16), 5)
+    r = retrieve(hier, text, k)
+    for depth, temp, mode, tau, bits in weighings + weighings[::-1]:
+        cfg = RouterConfig(k_per_layer=k, temperature=temp, layer_score_mode=mode)
+        fresh = Retrieval(r.encodings[:depth], r.hits[:depth], r.vectors[:depth])
+        assert _weighed_and_gated(r.prefix(depth), cfg, tau) == _weighed_and_gated(fresh, cfg, tau)
+        keep = [np.array([bits >> (4 * l + i) & 1 for i in range(len(hits))], dtype=bool)
+                for l, hits in enumerate(fresh.hits)]
+        survivors = Retrieval(fresh.encodings, tuple([h for h, m in zip(hits, mask) if m]
+                                                     for hits, mask in zip(fresh.hits, keep)),
+                              tuple(vectors[mask] for vectors, mask in zip(fresh.vectors, keep)))
+        assert (_weighed_and_gated(r.prefix(depth).kept(keep), cfg, 0.0)
+                == _weighed_and_gated(survivors, cfg, 0.0))
+        reduce = np.max if mode == "max" else np.mean  # the reference score, to the bit
+        want = [float(reduce([h.sim for h in hits])) if hits else -np.inf for hits in fresh.hits]
+        if any(fresh.hits):
+            assert assemble(fresh, cfg).scores.tobytes() == np.array(want).tobytes()
 
 
 # --- parsers and the index loader fail only with their typed errors ---------------------
