@@ -34,7 +34,7 @@ def main() -> None:
 
     for layer_no in range(1, hier.depth + 1):
         print(f"\nlayer {layer_no} top hits (evidence score {ctx.scores[layer_no - 1]:.4f}):")
-        for hit in ctx.retrieval.hits[layer_no - 1]:
+        for hit in ctx.retrieval.layers[layer_no - 1].hits:
             print(f"  doc {hit.doc_id:>3}  sim {hit.sim:+.4f}  unit {hit.unit_id}")
 
     print("\nrouting weights by temperature:")

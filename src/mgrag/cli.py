@@ -188,7 +188,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         "confidence": {
             "routing_entropy": entropy(gated.weights),
             "kept_paths": len(gated.paths),
-            "dropped_paths": sum(map(len, ctx.retrieval.hits)) - len(gated.paths),
+            "dropped_paths": sum(len(layer.hits) for layer in ctx.retrieval.layers) - len(gated.paths),
             "gate_bypassed": gated.gate_bypassed,
         },
     }

@@ -2,24 +2,25 @@
 
 ``retrieve`` encodes a query for every layer in one pass and
 ``search_layers`` runs the exact top-k search of each layer for that
-encoding, returning it as one immutable ``Retrieval``; no temperature or
-gate threshold enters it, and its first d layers are the search of the
-index's depth-d prefix (``Retrieval.prefix``).
+encoding, returning it as one immutable ``Retrieval(encodings, layers)``,
+one ``SearchedLayer`` per layer; no temperature or gate threshold enters it,
+and its first d layers are the search of the index's depth-d prefix
+(``Retrieval.prefix``).
 ``assemble`` weighs a retrieval: the layers get a temperature softmax over
 their evidence scores, and the fused context is the weight-sum of per-layer
 readouts, where a readout is the similarity-softmax-weighted mean of that
 layer's retrieved unit vectors.
 
-A layer's within-layer softmax, readout and score in each mode depend on
-its hits alone, so each layer of a ``Retrieval`` computes them once, on
-first use, for every prefix, temperature and gate that weighs it; so does
-the child holding a gate's survivors, once per distinct keep-mask. All of
-it lives as long as the ``Retrieval``.
+A layer's within-layer softmax, readout and scores depend on its hits alone,
+so a ``SearchedLayer`` computes them when it is made, and every prefix,
+temperature and gate that weighs the layer reads those same arrays: write to
+copies. A gate's survivors are made, and weighed, once per layer and distinct
+keep-mask (``SearchedLayer.kept``), and live as long as the ``Retrieval``.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -61,49 +62,42 @@ class RetrievalPath:
     path_confidence: float  # the layer's routing weight times the hit's within-layer weight
 
 
-class _Layer:
+class SearchedLayer:
     """One searched layer: its hits, their vectors and sims, and their weighing.
 
-    Each part of the weighing is computed on first use and shared by every context that
-    weighs the layer.
+    The weighing is computed when the record is made: ``within`` (the softmax over the
+    hit sims, in hit order), ``readout`` (``within`` times the vectors; zeros for a
+    layer with no hits) and the ``max`` and ``mean`` of the sims (-inf with no hits).
+    It is shared by every prefix, temperature and gate that weighs the layer, so
+    write to copies, never to these arrays.
     """
 
-    __slots__ = ("hits", "vectors", "sims", "_weighed", "_scores", "_kept")
+    __slots__ = ("hits", "vectors", "sims", "within", "readout", "max", "mean", "_kept")
 
-    def __init__(self, hits: list[Hit], vectors: np.ndarray, sims: np.ndarray | None = None):
-        self.hits = hits
-        self.vectors = vectors
-        self.sims = np.array([h.sim for h in hits]) if sims is None else sims
-        self._weighed = None
-        self._scores: dict[str, float] = {}
-        self._kept: dict[bytes, _Layer] = {}
-
-    def weighed(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(within, readout); an empty layer has its empty sims as within and no readout."""
-        if self._weighed is None:
-            self._weighed = _weigh(self) if self.sims.size else (self.sims, None)
-        return self._weighed
-
-    def score(self, mode: str) -> float:
-        """The max or the mean of the hit sims, by ``mode``; -inf for a layer with no hits."""
-        if mode not in self._scores:
-            sims = self.sims
+    def __init__(self, hits: list[Hit], vectors: np.ndarray):
+        self.hits = hits  # best first
+        self.vectors = vectors  # (n_hits, dim) unit vectors of the hits
+        self.sims = sims = np.array([h.sim for h in hits])
+        if hits:
+            self.within, self.readout = _weigh(self)
             # the reductions np.max and np.mean run, without their wrappers: the same bits
-            self._scores[mode] = (float(sims.max() if mode == "max" else sims.sum() / sims.size)
-                                  if sims.size else -np.inf)
-        return self._scores[mode]
+            self.max, self.mean = float(sims.max()), float(sims.sum() / sims.size)
+        else:
+            self.within, self.readout = sims, np.zeros(vectors.shape[1])
+            self.max = self.mean = -np.inf
+        self._kept: dict[bytes, SearchedLayer] = {}
 
-    def kept(self, mask: np.ndarray) -> "_Layer":
+    def kept(self, mask: np.ndarray) -> "SearchedLayer":
         """The hits a boolean ``mask`` keeps, in hit order, as a layer (this one if all)."""
         key = mask.tobytes()
         if 0 not in key:
             return self
         if key not in self._kept:
-            self._kept[key] = _Layer(list(compress(self.hits, mask)), self.vectors[mask], self.sims[mask])
+            self._kept[key] = SearchedLayer(list(compress(self.hits, mask)), self.vectors[mask])
         return self._kept[key]
 
 
-def _weigh(layer: _Layer) -> tuple[np.ndarray, np.ndarray]:
+def _weigh(layer: SearchedLayer) -> tuple[np.ndarray, np.ndarray]:
     """A layer's softmax over its hit sims, and the readout: that softmax times its vectors."""
     within = _softmax(layer.sims)
     return within, within @ layer.vectors
@@ -111,42 +105,30 @@ def _weigh(layer: _Layer) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Retrieval:
-    """One query's exact per-layer search; it does not depend on temperature or gate.
-
-    Each layer's weighing is kept with it and shared by its prefixes and gated children.
-    """
+    """One query's exact per-layer search; it does not depend on temperature or gate."""
 
     encodings: np.ndarray  # (depth, dim) query encodings, row l-1 for layer l
-    hits: tuple[list[Hit], ...]  # hits[l-1]: layer l's top-k, best first
-    vectors: tuple[np.ndarray, ...]  # vectors[l-1]: (n_hits, dim) unit vectors of those hits
-    _layers: InitVar[tuple[_Layer, ...] | None] = None  # made from hits and vectors when None
-
-    def __post_init__(self, _layers):
-        if _layers is None:
-            _layers = tuple(_Layer(h, v) for h, v in zip(self.hits, self.vectors, strict=True))
-        object.__setattr__(self, "_layers", _layers)
+    layers: tuple[SearchedLayer, ...]  # layers[l-1]: layer l's top-k and its weighing
 
     def prefix(self, depth: int) -> "Retrieval":
         """The first ``depth`` layers: the search of the index's depth-``depth`` prefix."""
-        if not 1 <= depth <= len(self.hits):
-            raise ValueError(f"prefix depth must lie in [1, {len(self.hits)}], got {depth}")
-        return Retrieval(self.encodings[:depth], self.hits[:depth], self.vectors[:depth],
-                         self._layers[:depth])
+        if not 1 <= depth <= len(self.layers):
+            raise ValueError(f"prefix depth must lie in [1, {len(self.layers)}], got {depth}")
+        return Retrieval(self.encodings[:depth], self.layers[:depth])
 
     def kept(self, keep: list[np.ndarray]) -> "Retrieval":
         """The hits each layer's keep-mask selects, with their vectors, in hit order."""
-        layers = tuple(layer.kept(mask) for layer, mask in zip(self._layers, keep, strict=True))
-        return Retrieval(self.encodings, tuple(layer.hits for layer in layers),
-                         tuple(layer.vectors for layer in layers), layers)
+        layers = tuple(layer.kept(mask) for layer, mask in zip(self.layers, keep, strict=True))
+        return Retrieval(self.encodings, layers)
 
     def check(self, depth: int, k: int, query_id: int) -> "Retrieval":
         """This retrieval, if it can be a top-``k`` search of a depth-``depth`` index.
 
         Otherwise a ``ValueError`` naming ``query_id``: it would weigh other layers or more hits.
         """
-        most = max(map(len, self.hits), default=0)
-        if len(self.hits) != depth or most > k:
-            raise ValueError(f"query {query_id}: a retrieval of {len(self.hits)} layers and up to {most} "
+        most = max((len(layer.hits) for layer in self.layers), default=0)
+        if len(self.layers) != depth or most > k:
+            raise ValueError(f"query {query_id}: a retrieval of {len(self.layers)} layers and up to {most} "
                              f"hits a layer cannot be weighed at depth {depth} and k_per_layer {k}")
         return self
 
@@ -168,9 +150,9 @@ class FusedContext:
         """One path per hit, by descending confidence, then layer, then unit id."""
         paths = [
             RetrievalPath(layer_no, hit.unit_id, hit.doc_id, hit.sim, conf)
-            for layer_no, (hits, weight, within) in enumerate(
-                zip(self.retrieval.hits, self.weights, self.within, strict=True), start=1)
-            for hit, conf in zip(hits, (weight * within).tolist(), strict=True)
+            for layer_no, (layer, weight, within) in enumerate(
+                zip(self.retrieval.layers, self.weights, self.within, strict=True), start=1)
+            for hit, conf in zip(layer.hits, (weight * within).tolist(), strict=True)
         ]
         paths.sort(key=lambda p: (-p.path_confidence, p.layer, p.unit_id))
         return paths
@@ -204,27 +186,22 @@ def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
     Shared by routing and by confidence gating, so a gated context is
     recomputed through exactly the same formulas as the original. Layers with
     no hits score -inf, get routing weight zero and an empty ``within``. Each
-    layer's softmax, readout and score come from the retrieval's layers,
-    computed there once; only the routing weights and ``c`` are computed here.
+    layer's softmax, readout and score come from its ``SearchedLayer``, weighed
+    when it was made; only the routing weights and ``c`` are computed here.
     """
-    layers = retrieval._layers
-    scores = np.array([layer.score(cfg.layer_score_mode) for layer in layers])
+    layers = retrieval.layers
+    scores = np.array([layer.max if cfg.layer_score_mode == "max" else layer.mean for layer in layers])
     if not np.any(np.isfinite(scores)):
         raise RoutingError("no layer produced any hits")
     weights = routing_weights(scores, cfg.temperature)
-    weighed = [layer.weighed() for layer in layers]
-    readouts = np.zeros(retrieval.encodings.shape)
-    for row, (_, readout) in zip(readouts, weighed, strict=True):
-        if readout is not None:
-            row[:] = readout
-    c = weights @ readouts
+    c = weights @ np.array([layer.readout for layer in layers])
     if not np.all(np.isfinite(c)):
         raise ValueError("fused context has non-finite components")
     return FusedContext(
         c=c,
         weights=weights,
         scores=scores,
-        within=tuple(within for within, _ in weighed),
+        within=tuple(layer.within for layer in layers),
         retrieval=retrieval,
         config=cfg,
     )
@@ -232,9 +209,11 @@ def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
 
 def search_layers(hier: MemoryHierarchy, encodings: np.ndarray, k: int) -> Retrieval:
     """Exact top-k of every layer for its row of ``encodings``, with the hits' vectors."""
-    hits = tuple(search_layer(mem, q, k) for mem, q in zip(hier.layers, encodings, strict=True))
-    vectors = tuple(mem.vectors[[h.row for h in found]] for mem, found in zip(hier.layers, hits))
-    return Retrieval(encodings, hits, vectors)
+    layers = []
+    for mem, q in zip(hier.layers, encodings, strict=True):
+        hits = search_layer(mem, q, k)
+        layers.append(SearchedLayer(hits, mem.vectors[[h.row for h in hits]]))
+    return Retrieval(encodings, tuple(layers))
 
 
 def retrieve(hier: MemoryHierarchy, query_text: str, k: int) -> Retrieval:

@@ -293,7 +293,7 @@ def test_gated_fusion_recomputes_through_readout():
     gated = filter_paths(ctx, tau)
     manual = np.zeros(DIM)
     for layer_no in (1, 2):
-        hits = gated.retrieval.hits[layer_no - 1]
+        hits = gated.retrieval.layers[layer_no - 1].hits
         if hits:
             manual += gated.weights[layer_no - 1] * _readout(hits, hier.layers[layer_no - 1])
     assert np.max(np.abs(gated.c - manual)) < 1e-12

@@ -720,6 +720,6 @@ def test_evaluate_rejects_searches_of_another_depth_or_k():
         evaluate(shallow, queries, qrels, cfg, deep)
     wide = [mgrag.router.retrieve(shallow, q.text, 10) for q in queries]
     over = min(q.query_id for q, r in zip(queries, wide)
-               if q.query_id in judged and max(map(len, r.hits)) > 5)
+               if q.query_id in judged and max(len(layer.hits) for layer in r.layers) > 5)
     with pytest.raises(ValueError, match=rf"^query {over}: .* k_per_layer 5$"):
         evaluate(shallow, queries, qrels, cfg, wide)

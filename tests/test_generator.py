@@ -628,6 +628,7 @@ def test_features_rejects_searches_of_another_depth_or_k(toy):
     with pytest.raises(ValueError, match=rf"^query {first}: a retrieval of 3 layers .* depth 2 "):
         features(examples, hier, cfg, vocab, retrievals=searches)
     wide = [retrieve(hier, ex.query.text, 4) for ex in examples]
-    over = next(ex.query.query_id for ex, r in zip(examples, wide) if max(map(len, r.hits)) > 2)
+    over = next(ex.query.query_id for ex, r in zip(examples, wide)
+                if max(len(layer.hits) for layer in r.layers) > 2)
     with pytest.raises(ValueError, match=rf"^query {over}: .* k_per_layer 2$"):
         features(examples, hier, cfg, vocab, retrievals=wide)

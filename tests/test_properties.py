@@ -22,8 +22,8 @@ from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import BuildError, MgragError, RoutingError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
 from mgrag.memory import LayerMemory, build, load, save, search_layer
-from mgrag.router import (Retrieval, RetrievalPath, RouterConfig, assemble, retrieve, route,
-                          search_layers)
+from mgrag.router import (Retrieval, RetrievalPath, RouterConfig, SearchedLayer, assemble, retrieve,
+                          route, search_layers)
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -266,13 +266,13 @@ def test_route_is_its_search_weighed_at_any_temperature_depth_and_gate(docs, tex
         gated_ctx = filter_paths(ctx, tau)
         gated = gated_ctx.retrieval
         assert gated.encodings is r.encodings and not gated_ctx.gate_bypassed
-        for kept, hits, kept_vectors, vectors in zip(gated.hits, r.hits, gated.vectors, r.vectors,
-                                                     strict=True):
+        for kept_layer, layer in zip(gated.layers, r.layers, strict=True):
+            kept, hits = kept_layer.hits, layer.hits
             picked = [i for i, hit in enumerate(hits) if hit in kept]  # unit ids are unique in a layer
             assert [hits[i] for i in picked] == kept
-            assert np.array_equal(kept_vectors, vectors[picked])
+            assert np.array_equal(kept_layer.vectors, layer.vectors[picked])
         kept = {(layer_no, hit.unit_id)
-                for layer_no, hits in enumerate(gated.hits, start=1) for hit in hits}
+                for layer_no, layer in enumerate(gated.layers, start=1) for hit in layer.hits}
         assert (ctx.paths[0].layer, ctx.paths[0].unit_id) in kept
         if gated_ctx is not ctx:  # the old set rule is the oracle of the mask
             assert kept == {(p.layer, p.unit_id) for p in ctx.paths if p.path_confidence >= tau}
@@ -314,18 +314,20 @@ def test_a_memoized_weighing_equals_a_fresh_one_bit_for_bit(docs, text, k, weigh
     r = retrieve(hier, text, k)
     for depth, temp, mode, tau, bits in weighings + weighings[::-1]:
         cfg = RouterConfig(k_per_layer=k, temperature=temp, layer_score_mode=mode)
-        fresh = Retrieval(r.encodings[:depth], r.hits[:depth], r.vectors[:depth])
+        fresh = Retrieval(r.encodings[:depth],
+                          tuple(SearchedLayer(layer.hits, layer.vectors) for layer in r.layers[:depth]))
         assert _weighed_and_gated(r.prefix(depth), cfg, tau) == _weighed_and_gated(fresh, cfg, tau)
-        keep = [np.array([bits >> (4 * l + i) & 1 for i in range(len(hits))], dtype=bool)
-                for l, hits in enumerate(fresh.hits)]
-        survivors = Retrieval(fresh.encodings, tuple([h for h, m in zip(hits, mask) if m]
-                                                     for hits, mask in zip(fresh.hits, keep)),
-                              tuple(vectors[mask] for vectors, mask in zip(fresh.vectors, keep)))
+        keep = [np.array([bits >> (4 * l + i) & 1 for i in range(len(layer.hits))], dtype=bool)
+                for l, layer in enumerate(fresh.layers)]
+        survivors = Retrieval(fresh.encodings, tuple(
+            SearchedLayer([h for h, m in zip(layer.hits, mask) if m], layer.vectors[mask])
+            for layer, mask in zip(fresh.layers, keep)))
         assert (_weighed_and_gated(r.prefix(depth).kept(keep), cfg, 0.0)
                 == _weighed_and_gated(survivors, cfg, 0.0))
         reduce = np.max if mode == "max" else np.mean  # the reference score, to the bit
-        want = [float(reduce([h.sim for h in hits])) if hits else -np.inf for hits in fresh.hits]
-        if any(fresh.hits):
+        want = [float(reduce([h.sim for h in layer.hits])) if layer.hits else -np.inf
+                for layer in fresh.layers]
+        if any(layer.hits for layer in fresh.layers):
             assert assemble(fresh, cfg).scores.tobytes() == np.array(want).tobytes()
 
 

@@ -11,7 +11,8 @@ from mgrag.corpus import keyword_eval_suite
 from mgrag.embedder import EmbedderSpec
 from mgrag.errors import ConfigError, RoutingError
 from mgrag.memory import LayerMemory, MemoryHierarchy, build
-from mgrag.router import RouterConfig, assemble, retrieve, route, routing_weights, search_layers
+from mgrag.router import (RouterConfig, SearchedLayer, assemble, retrieve, route, routing_weights,
+                          search_layers)
 
 DIM = 8
 
@@ -68,7 +69,7 @@ def test_mean_topk_score_is_mean_of_hit_sims():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
     ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
     assert ctx.scores[0] == pytest.approx(0.8, abs=1e-12)
-    assert [h.sim for h in ctx.retrieval.hits[0]] == [pytest.approx(0.9), pytest.approx(0.7)]
+    assert [h.sim for h in ctx.retrieval.layers[0].hits] == [pytest.approx(0.9), pytest.approx(0.7)]
 
 
 def test_max_score_mode():
@@ -81,7 +82,7 @@ def test_empty_layer_gets_sentinel_and_zero_weight():
     hier = _hier([[_basis(0)], np.zeros((0, DIM))])
     ctx = _assemble(hier, [_basis(0), _basis(0)], RouterConfig())
     assert ctx.scores[1] == -np.inf
-    assert ctx.retrieval.hits[1] == []
+    assert ctx.retrieval.layers[1].hits == []
     assert ctx.weights[1] == 0.0
     assert ctx.weights[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -225,7 +226,7 @@ def test_fuse_single_layer_is_identity():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2)]])
     ctx = _assemble(hier, [_basis(0)], RouterConfig(k_per_layer=2))
     assert ctx.weights.tolist() == [1.0]
-    assert np.array_equal(ctx.c, _readout(ctx.retrieval.hits[0], hier.layers[0]))
+    assert np.array_equal(ctx.c, _readout(ctx.retrieval.layers[0].hits, hier.layers[0]))
 
 
 def test_fuse_zero_weight_drops_layer_exactly():
@@ -252,7 +253,7 @@ def test_fuse_is_linear_in_weights(suite_hier):
         t1, t2 = rng.uniform(0.2, 4.0, size=2)
         c1 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t1))
         c2 = route(hier, q.text, RouterConfig(k_per_layer=3, temperature=t2))
-        readouts = np.stack([_readout(c1.retrieval.hits[l - 1], hier.layers[l - 1]) for l in (1, 2, 3)])
+        readouts = np.stack([_readout(c1.retrieval.layers[l - 1].hits, hier.layers[l - 1]) for l in (1, 2, 3)])
         alpha = float(rng.uniform())
         mixed = alpha * c1.c + (1 - alpha) * c2.c
         assert np.max(np.abs(mixed - (alpha * c1.weights + (1 - alpha) * c2.weights) @ readouts)) < 1e-12
@@ -293,7 +294,7 @@ def test_route_context_matches_manual_fusion(suite_hier):
     ctx = route(hier, queries[2].text, cfg)
     manual = np.zeros(hier.dim)
     for layer_no in range(1, hier.depth + 1):
-        hits = ctx.retrieval.hits[layer_no - 1]
+        hits = ctx.retrieval.layers[layer_no - 1].hits
         manual += ctx.weights[layer_no - 1] * _readout(hits, hier.layers[layer_no - 1])
     assert np.max(np.abs(ctx.c - manual)) < 1e-12
 
@@ -310,7 +311,7 @@ def test_route_path_confidence_is_product_of_weights(suite_hier):
     hier, queries, _ = suite_hier
     ctx = route(hier, queries[4].text, RouterConfig(k_per_layer=3))
     for path in ctx.paths:
-        hits = ctx.retrieval.hits[path.layer - 1]
+        hits = ctx.retrieval.layers[path.layer - 1].hits
         within = ctx.within[path.layer - 1][[h.unit_id for h in hits].index(path.unit_id)]
         expected = ctx.weights[path.layer - 1] * within
         assert path.path_confidence == pytest.approx(expected, abs=1e-15)
@@ -333,10 +334,29 @@ def test_a_retrieval_prefix_is_its_first_layers_and_no_more(suite_hier):
     r = retrieve(hier, queries[5].text, 3)
     top = r.prefix(2)
     assert top.encodings.shape == (2, hier.dim)
-    assert top.hits == r.hits[:2]
-    assert all(a is b for a, b in zip(top.vectors, r.vectors[:2], strict=True))
+    assert [layer.hits for layer in top.layers] == [layer.hits for layer in r.layers[:2]]
+    assert all(a.vectors is b.vectors for a, b in zip(top.layers, r.layers[:2], strict=True))
     whole = r.prefix(hier.depth)
-    assert whole.hits == r.hits and np.array_equal(whole.encodings, r.encodings)
+    assert whole.layers == r.layers and np.array_equal(whole.encodings, r.encodings)
     for depth in (0, hier.depth + 1):
         with pytest.raises(ValueError, match=rf"prefix depth must lie in \[1, 3\], got {depth}"):
             r.prefix(depth)
+
+
+def test_a_searched_layer_without_hits_weighs_to_nothing():
+    empty = SearchedLayer([], np.zeros((0, DIM)))
+    assert empty.within.size == 0
+    assert empty.readout.shape == (DIM,) and empty.readout.tobytes() == bytes(8 * DIM)  # all +0.0
+    assert empty.max == empty.mean == -np.inf
+
+
+def test_a_searched_layer_makes_each_kept_set_once_and_keeps_itself_whole():
+    hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2), _at_sim(0.5, other=3)]])
+    layer = search_layers(hier, np.stack([_basis(0)]), 3).layers[0]
+    assert len(layer.hits) == 3
+    for bits in range(8):  # every mask of three hits
+        mask = np.array([bits >> i & 1 for i in range(3)], dtype=bool)
+        kept = layer.kept(mask)
+        assert layer.kept(mask) is kept
+        assert (kept is layer) == mask.all()
+        assert kept.hits == [hit for hit, m in zip(layer.hits, mask) if m]
