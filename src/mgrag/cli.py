@@ -6,8 +6,8 @@ for a fixed seed; the default seed is 0, never the clock. Exit codes:
 0 success, 1 runtime failure (including a sweep with failed cells), 2 usage
 or validation error (including a query with no indexable feature).
 
-Each option, its type and its default are declared once, in ``build_parser``;
-a ``--config`` file sets the same options under their underscored names.
+Options are declared once per command, in ``COMMANDS``, and a call builds only
+its own command's parser; a ``--config`` file sets them by underscored name.
 """
 
 from __future__ import annotations
@@ -303,29 +303,25 @@ def _axis(kind: type, raw: str) -> tuple:
         raise argparse.ArgumentTypeError(f"cannot parse {raw!r} as a {kind.__name__} list")
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="'key = value' file of optional flags (underscored); flags win")
-
-
 def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["auto", "cisi", "jsonl"], default="auto",
                    help="input format (default %(default)s: .jsonl files are JSONL)")
 
 
-def _add_router_flags(p: argparse.ArgumentParser) -> None:
+def _add_router_flags(p: argparse.ArgumentParser, temperature: bool = True) -> None:
     p.add_argument("--k", type=int, default=5, help="hits per layer (default %(default)s)")
     p.add_argument("--layer-score-mode", dest="layer_score_mode", choices=SCORE_MODES,
                    default="mean_topk", help="layer evidence score (default %(default)s)")
-
-
-def _add_temperature_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--temperature", type=float, default=1.0,
-                   help="routing temperature (default %(default)s)")
+    if temperature:  # sweep's cells take theirs from its --temperatures axis
+        p.add_argument("--temperature", type=float, default=1.0,
+                       help="routing temperature (default %(default)s)")
 
 
 def _add_tau_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=0.0,
-                   help="path confidence threshold (default %(default)s: off)")
+                   help="path confidence threshold (default %(default)s: off); confidences sum to "
+                   "1 per query (0.04 on average at depth 5, k 5), and a tau above all of them "
+                   "bypasses the gate")
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
@@ -351,43 +347,35 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
                    help="per-document score aggregation (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # no prefix matching: `sweep --temperature` must not pass for `--temperatures`
-    parser = argparse.ArgumentParser(
-        prog="mgrag", description="Multi-granularity retrieval with confidence-gated generation.",
-        allow_abbrev=False)
-    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
-                         allow_abbrev=False)
-
-    p = add_parser("ingest", help="normalize a corpus to canonical JSONL")
+def _declare_ingest(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--cisi-docs", help="marker-format document file")
     src.add_argument("--jsonl", help="JSONL document file")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_ingest)
 
-    p = add_parser("build", help="segment, embed, and index a corpus")
+
+def _declare_build(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="document file")
     _add_format_flag(p)
     p.add_argument("--depth", type=int, default=3, help="granularity layers (default %(default)s)")
     _add_embedder_flags(p)
     p.add_argument("--out", required=True, help="output index path")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_build)
 
-    p = add_parser("query", help="route one query and print its paths")
+
+def _declare_query(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--query-id", dest="query_id", type=int, default=0,
                    help="id echoed in the output (default %(default)s)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     _add_router_flags(p)
-    _add_temperature_flag(p)
     _add_tau_flag(p)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_query)
 
-    p = add_parser("eval", help="score retrieval on queries with judgments")
+
+def _declare_eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
@@ -395,12 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_flags(p)
     p.add_argument("--out", help="write report JSON here instead of stdout")
     _add_router_flags(p)
-    _add_temperature_flag(p)
     _add_tau_flag(p)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_eval)
 
-    p = add_parser("sweep", help="grid over depth, temperature, mixing ratio")
+
+def _declare_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="first corpus source")
     p.add_argument("--corpus-b", dest="corpus_b", help="second corpus source for mixing")
     p.add_argument("--queries", required=True)
@@ -420,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_flags(p)
     p.add_argument("--out-csv", dest="out_csv", help="write CSV here instead of stdout")
     p.add_argument("--out-json", dest="out_json", help="also write the full JSON grid here")
-    _add_router_flags(p)
+    _add_router_flags(p, temperature=False)
     _add_tau_flag(p)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = add_parser("train-gen", help="train the answer model on QA examples")
+
+def _declare_train_gen(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", required=True)
     p.add_argument("--qa", required=True, help="JSONL: {query_id, text, gold}")
     p.add_argument("--lr", type=float, default=0.1, help="learning rate (default %(default)s)")
@@ -433,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-params", dest="out_params", help="write trained parameters JSON here")
     p.add_argument("--out", help="write history JSON here instead of stdout")
     _add_router_flags(p)
-    _add_temperature_flag(p)
     _add_tau_flag(p)
     p.add_argument("--lambda1", type=float, default=0.0,
                    help="entropy coefficient (default %(default)s)")
@@ -442,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var-mode", dest="var_mode", choices=VAR_MODES, default="ensemble",
                    help="variance estimate (default %(default)s)")
     _add_noise_flags(p)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_train_gen)
 
-    p = add_parser("gradcheck", help="compare analytic and numeric gradients")
+
+def _declare_gradcheck(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, default=4, help="answer classes (default %(default)s)")
     p.add_argument("--dim", type=int, default=8, help="embedding dimension (default %(default)s)")
     p.add_argument("--lambda-grid", dest="lambda_grid", type=partial(_axis, float),
@@ -455,17 +441,43 @@ def build_parser() -> argparse.ArgumentParser:
                    help="failure threshold (default %(default)s)")
     _add_noise_flags(p)
     _add_router_flags(p)
-    _add_temperature_flag(p)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 
+
+COMMANDS = {  # name -> (help, the function that declares the command's flags and handler)
+    "ingest": ("normalize a corpus to canonical JSONL", _declare_ingest),
+    "build": ("segment, embed, and index a corpus", _declare_build),
+    "query": ("route one query and print its paths", _declare_query),
+    "eval": ("score retrieval on queries with judgments", _declare_eval),
+    "sweep": ("grid over depth, temperature, mixing ratio", _declare_sweep),
+    "train-gen": ("train the answer model on QA examples", _declare_train_gen),
+    "gradcheck": ("compare analytic and numeric gradients", _declare_gradcheck),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``mgrag`` parser with only ``command``'s subparser, or with every command's if None."""
+    # no prefix matching: `sweep --temperature` must not pass for `--temperatures`
+    parser = argparse.ArgumentParser(
+        prog="mgrag", description="Multi-granularity retrieval with confidence-gated generation.",
+        allow_abbrev=False)
+    # usage lists every command either way (the full parser's errors keep the name "command")
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        help_text, declare = COMMANDS[name]
+        declare(p := commands.add_parser(name, help=help_text, allow_abbrev=False))
+        if name != "ingest":  # its only options are its input and output
+            p.add_argument("--config",
+                           help="'key = value' file of optional flags (underscored); flags win")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
-        args = parse_args(build_parser(), argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = parse_args(build_parser(argv[0] if argv and argv[0] in COMMANDS else None), argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: --help or a usage error
         return int(exc.code) if exc.code is not None else 0

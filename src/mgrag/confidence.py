@@ -87,7 +87,7 @@ def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
         raise ConfigError(f"tau_path must be in [0, 1], got {tau_path}")
     if tau_path == 0.0:
         return ctx
-    keep = [weight * within >= tau_path for weight, within in zip(ctx.weights, ctx.within)]
+    keep = [w * layer.within >= tau_path for w, layer in zip(ctx.weights, ctx.retrieval.layers)]
     if not any(mask.any() for mask in keep):
         return replace(ctx, gate_bypassed=True)
     if all(mask.all() for mask in keep):

@@ -140,7 +140,6 @@ class FusedContext:
     c: np.ndarray  # (dim,) weighted sum of layer readouts, not re-normalized
     weights: np.ndarray  # (depth,) routing weights, zeros for empty layers
     scores: np.ndarray  # (depth,) layer scores, -inf sentinel for empty layers
-    within: tuple[np.ndarray, ...]  # within[l-1]: layer l's softmax over its hit sims, in hit order
     retrieval: Retrieval  # the hits weighed: after gating, only the survivors
     config: RouterConfig
     gate_bypassed: bool = False
@@ -150,9 +149,9 @@ class FusedContext:
         """One path per hit, by descending confidence, then layer, then unit id."""
         paths = [
             RetrievalPath(layer_no, hit.unit_id, hit.doc_id, hit.sim, conf)
-            for layer_no, (layer, weight, within) in enumerate(
-                zip(self.retrieval.layers, self.weights, self.within, strict=True), start=1)
-            for hit, conf in zip(layer.hits, (weight * within).tolist(), strict=True)
+            for layer_no, (layer, weight) in enumerate(
+                zip(self.retrieval.layers, self.weights, strict=True), start=1)
+            for hit, conf in zip(layer.hits, (weight * layer.within).tolist(), strict=True)
         ]
         paths.sort(key=lambda p: (-p.path_confidence, p.layer, p.unit_id))
         return paths
@@ -201,7 +200,6 @@ def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
         c=c,
         weights=weights,
         scores=scores,
-        within=tuple(layer.within for layer in layers),
         retrieval=retrieval,
         config=cfg,
     )

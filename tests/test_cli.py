@@ -6,12 +6,13 @@ import math
 import resource
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import mgrag.evaluation
-from mgrag.cli import build_parser, main, parse_args
+from mgrag.cli import COMMANDS, build_parser, main, parse_args
 from mgrag.confidence import VAR_MODES
 from mgrag.evaluation import AGG_MODES
 from mgrag.router import SCORE_MODES
@@ -51,11 +52,16 @@ def test_no_arguments_is_a_usage_error():
     assert proc.returncode == 2
 
 
-def test_help_exits_cleanly():
+def test_help_exits_cleanly(capsys):
     proc = run_cli("--help")
     assert proc.returncode == 0
     assert "ingest" in proc.stdout
     assert "gradcheck" in proc.stdout
+    # a call that names no command builds every command's parser, so each one's help is listed
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help()
+    assert all(help_text in out for help_text, _ in COMMANDS.values())
 
 
 def test_unknown_verb_is_a_usage_error():
@@ -229,6 +235,19 @@ def test_config_file_sets_defaults_and_flags_win(index_path, tmp_path):
     assert overridden["config"]["router"]["temperature"] == 0.5
 
 
+def test_config_values_do_not_leak_into_the_next_call(index_path, tmp_path, capsys):
+    # --config values become the subparser's defaults, so a parser kept between calls would keep them
+    config = tmp_path / "gate.cfg"
+    config.write_text("tau = 0.5\n", encoding="utf-8")
+    argv = ["query", "--index", str(index_path), "--text", "library catalog indexing"]
+    assert main([*argv, "--config", str(config)]) == 0
+    configured = capsys.readouterr().out
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert plain == run_cli(*argv).stdout
+    assert plain != configured
+
+
 def test_bad_config_file_is_a_usage_error(index_path, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("temperature 2.0\n", encoding="utf-8")
@@ -249,10 +268,27 @@ def test_unknown_config_key_is_a_usage_error(index_path, tmp_path):
     assert proc.stdout == ""
 
 
-def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    parser = build_parser()
+def _subcommands(command: str | None = None) -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser(command)
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return commands.choices
+
+
+def _action_facts(parser: argparse.ArgumentParser) -> list[tuple]:
+    """What each action of a parser parses; a ``partial`` type compares by what it binds."""
+    def kind(t):
+        return (t.func, t.args, t.keywords) if isinstance(t, partial) else t
+    return [(a.dest, a.option_strings, a.default, kind(a.type), a.choices, a.required, a.nargs)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("verb", list(COMMANDS))
+def test_a_one_command_parser_is_the_full_parser_cut_to_that_command(verb):
+    assert build_parser(verb).format_usage() == build_parser().format_usage()  # lists every verb
+    alone, full = _subcommands(verb), _subcommands()
+    assert list(alone) == [verb]
+    assert alone[verb].format_help() == full[verb].format_help()
+    assert _action_facts(alone[verb]) == _action_facts(full[verb])
 
 
 def test_mode_choices_are_their_modules_constants():

@@ -281,7 +281,7 @@ def test_route_is_its_search_weighed_at_any_temperature_depth_and_gate(docs, tex
 def _bits(ctx) -> tuple:
     """Every field of a fused context, each float as its bytes."""
     return (ctx.c.tobytes(), ctx.weights.tobytes(), ctx.scores.tobytes(),
-            tuple(within.tobytes() for within in ctx.within), ctx.gate_bypassed,
+            tuple(layer.within.tobytes() for layer in ctx.retrieval.layers), ctx.gate_bypassed,
             [(p.layer, p.unit_id, p.doc_id, struct.pack("<d", p.sim), struct.pack("<d", p.path_confidence))
              for p in ctx.paths])
 

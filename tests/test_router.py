@@ -205,7 +205,7 @@ def test_readout_weights_follow_sim_softmax():
     e = math.exp(1.0)
     assert ctx.c[0] == pytest.approx(e / (e + 1), abs=1e-12)
     assert ctx.c[1] == pytest.approx(1 / (e + 1), abs=1e-12)
-    assert ctx.within[0].tolist() == pytest.approx([e / (e + 1), 1 / (e + 1)])
+    assert ctx.retrieval.layers[0].within.tolist() == pytest.approx([e / (e + 1), 1 / (e + 1)])
 
 
 def test_readout_of_no_hits_is_zero_vector():
@@ -283,7 +283,7 @@ def test_route_within_layer_weights_sum_to_one(suite_hier):
     hier, queries, _ = suite_hier
     ctx = route(hier, queries[1].text, RouterConfig(k_per_layer=4))
     for layer_no in (1, 2, 3):
-        weights = ctx.within[layer_no - 1].tolist()
+        weights = ctx.retrieval.layers[layer_no - 1].within.tolist()
         if weights:
             assert abs(sum(weights) - 1.0) < 1e-9
 
@@ -312,7 +312,7 @@ def test_route_path_confidence_is_product_of_weights(suite_hier):
     ctx = route(hier, queries[4].text, RouterConfig(k_per_layer=3))
     for path in ctx.paths:
         hits = ctx.retrieval.layers[path.layer - 1].hits
-        within = ctx.within[path.layer - 1][[h.unit_id for h in hits].index(path.unit_id)]
+        within = ctx.retrieval.layers[path.layer - 1].within[[h.unit_id for h in hits].index(path.unit_id)]
         expected = ctx.weights[path.layer - 1] * within
         assert path.path_confidence == pytest.approx(expected, abs=1e-15)
 
