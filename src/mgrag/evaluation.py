@@ -1,18 +1,19 @@
 """Retrieval metrics, document ranking aggregation, and sensitivity sweeps.
 
-Queries are routed through the memory hierarchy, gated, and the surviving
-retrieval paths are collapsed to a document ranking scored per query with
-Recall@k, NDCG@k, and average precision. A sweep builds the index once per
-mixing ratio and searches each query there once; every (depth, temperature)
-cell weighs a depth prefix of those searches, one row per grid cell, and the
-answer models of a ratio's cells train together in one stacked descent.
+Queries are routed through the memory hierarchy and gated; each surviving
+hit's path confidence is folded by document into a ranking (no path objects;
+``n_paths`` is the survivors' hit count), scored per query with Recall@k,
+NDCG@k and average precision. A sweep builds the index once per mixing ratio
+and searches each query there once; every (depth, temperature) cell weighs a
+depth prefix of those searches, one row per grid cell, and the answer models
+of a ratio's cells train together in one stacked descent.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,27 +43,30 @@ class DocRanking:
 
 
 def aggregate_ranking(ctx: FusedContext, query_id: int, mode: str = "max") -> DocRanking:
-    """Collapse retrieval paths to one score per document.
+    """Fold each hit's path confidence, its layer's weight times its ``within``, by document.
 
     max keeps the strongest path (length-neutral); sum piles up evidence and
-    favors documents with many fine-grained units.
+    favors documents with many fine-grained units. A sum adds a document's
+    confidences in descending order, as along ``ctx.paths`` (ties are equal floats).
     """
     if mode not in AGG_MODES:
         raise ConfigError(f"aggregation mode must be one of {AGG_MODES}, got {mode!r}")
-    if not ctx.paths:
+    # a product of Python floats has the bits of numpy's, without an array per layer
+    pairs = [(weight * within, hit.doc_id)
+             for layer, weight in zip(ctx.retrieval.layers, ctx.weights.tolist(), strict=True)
+             for hit, within in zip(layer.hits, layer.within.tolist(), strict=True)]
+    if not pairs:
         raise EvalError("context has no retrieval paths to rank")
     by_doc: dict[int, float] = {}
-    for path in ctx.paths:
-        if mode == "max":
-            by_doc[path.doc_id] = max(by_doc.get(path.doc_id, -math.inf), path.path_confidence)
-        else:
-            by_doc[path.doc_id] = by_doc.get(path.doc_id, 0.0) + path.path_confidence
-    ranked = sorted(by_doc.items(), key=lambda item: (-item[1], item[0]))
-    return DocRanking(
-        query_id=query_id,
-        doc_ids=tuple(doc_id for doc_id, _ in ranked),
-        scores=tuple(score for _, score in ranked),
-    )
+    if mode == "max":
+        for conf, doc_id in pairs:
+            if conf > by_doc.get(doc_id, -math.inf):
+                by_doc[doc_id] = conf
+    else:
+        for conf, doc_id in sorted(pairs, reverse=True):
+            by_doc[doc_id] = by_doc.get(doc_id, 0.0) + conf
+    doc_ids, scores = zip(*sorted(by_doc.items(), key=lambda item: (-item[1], item[0])))
+    return DocRanking(query_id=query_id, doc_ids=doc_ids, scores=scores)
 
 
 def _check_metric_args(relevant: set[int], k: int) -> None:
@@ -188,30 +192,26 @@ def evaluate(
                 "ndcg_at_k": ndcg_at_k(ranking, relevant, cfg.k),
                 "average_precision": average_precision(ranking, relevant),
                 "routing_entropy": entropy(gated.weights),
-                "n_paths": len(gated.paths),
+                "n_paths": sum(len(layer.hits) for layer in gated.retrieval.layers),
                 "gate_bypassed": gated.gate_bypassed,
             }
         )
     if not per_query:
         raise EvalError("no query had relevance judgments; nothing to evaluate")
-    config_echo = asdict(cfg)
-    config_echo["depth"] = hier.depth
-    config_echo["dim"] = hier.dim
-
-    def mean(metric: str) -> float:
-        return float(np.mean([row[metric] for row in per_query]))
-
+    # a pairwise sum per contiguous row: the bits of one np.mean per metric
+    recall, ndcg, ap, ent = np.mean([[row[metric] for row in per_query] for metric in (
+        "recall_at_k", "ndcg_at_k", "average_precision", "routing_entropy")], axis=1).tolist()
     return EvalReport(
         k=cfg.k,
         n_evaluated=len(per_query),
         n_skipped=skipped,
-        mean_recall_at_k=mean("recall_at_k"),
-        mean_ndcg_at_k=mean("ndcg_at_k"),
-        map=mean("average_precision"),
-        routing_entropy_mean=mean("routing_entropy"),
+        mean_recall_at_k=recall,
+        mean_ndcg_at_k=ndcg,
+        map=ap,
+        routing_entropy_mean=ent,
         gate_bypassed_count=bypassed,
         per_query=per_query,
-        config=config_echo,
+        config=_echo(cfg) | {"depth": hier.depth, "dim": hier.dim},
         corpus_sha256=hier.corpus_sha256,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
@@ -293,9 +293,10 @@ def sweep(
     each cell trains on its prefix of the QA searches, from initial
     parameters and ensemble perturbations drawn once per sweep, before the
     first build. A ratio's cells train in one ``descend``, or in batches
-    whose stacked arrays stay within ``_QA_STACK_BYTES``. A failing cell
-    records its error and the sweep continues; a failed build or search
-    fails every cell of its ratio with its error.
+    whose stacked arrays stay within ``_QA_STACK_BYTES``. Each depth's
+    prefixes and each temperature's configs are made once per ratio. A
+    failing cell records its error and the sweep continues; a failed build
+    or search fails every cell of its ratio with its error.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -354,25 +355,27 @@ def sweep(
             full = build(corpora[ratio], embedder_spec, max(grid.depths))
             eval_searches = [retrieve(full, q.text, base.router.k_per_layer) for q in judged]
             qa_searches = [retrieve(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa]
+            by_depth = {d: (replace(full, layers=full.layers[:d]), [r.prefix(d) for r in eval_searches],
+                            [r.prefix(d) for r in qa_searches]) for d in grid.depths}
+            by_temp = {t: (replace(base, router=replace(base.router, temperature=t)),
+                           replace(qa_train, router=replace(qa_train.router, temperature=t)) if qa else None)
+                       for t in grid.temperatures}
         except Exception as exc:  # a failed build or search fails every cell of its ratio
             for row in ratio_rows:
                 row["error"] = _error(exc)
             continue
         batch = []
         for row in ratio_rows:
-            depth, temp = row["depth"], row["temperature"]
+            hier, eval_prefixes, qa_prefixes = by_depth[row["depth"]]
+            cfg, tcfg = by_temp[row["temperature"]]
             try:
-                hier = replace(full, layers=full.layers[:depth])
-                cfg = replace(base, router=replace(base.router, temperature=temp))
-                report = evaluate(hier, judged, qrels, cfg, [r.prefix(depth) for r in eval_searches])
+                report = evaluate(hier, judged, qrels, cfg, eval_prefixes)
                 row["recall_at_k"] = report.mean_recall_at_k
                 row["ndcg_at_k"] = report.mean_ndcg_at_k
                 row["map"] = report.map
                 row["routing_entropy"] = report.routing_entropy_mean
                 if qa:
-                    tcfg = replace(qa_train, router=replace(qa_train.router, temperature=temp))
-                    prefixes = [r.prefix(depth) for r in qa_searches]
-                    X, golds = features(qa, hier, tcfg, params.vocab_size, prefixes)
+                    X, golds = features(qa, hier, tcfg, params.vocab_size, qa_prefixes)
                     batch.append((row, X))
                     if len(batch) == batch_size:
                         fit(batch, golds)
@@ -382,6 +385,12 @@ def sweep(
         if batch:
             fit(batch, golds)
     return SweepResult(rows=rows)
+
+
+def _echo(cfg) -> dict:
+    """``asdict`` of a config whose leaves are immutable, without its deep copy."""
+    return {f.name: _echo(value) if is_dataclass(value := getattr(cfg, f.name)) else value
+            for f in fields(cfg)}
 
 
 def _error(exc: Exception) -> str:

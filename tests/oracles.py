@@ -5,7 +5,8 @@ outside the embedder's array pass.
 ``predict`` and ``nll`` score one example the plain way, outside the
 library's batched objective. ``objective`` reads the joint objective and its
 gradient for one example off one epoch of ``train``, the function the
-pipeline runs.
+pipeline runs. ``path_ranking`` collapses a context's ``paths`` to a document
+ranking one path at a time, in path order.
 """
 
 from __future__ import annotations
@@ -64,3 +65,15 @@ def objective(
     result = train([example], hier, replace(cfg, lr=1.0, epochs=1), params=params)
     [row] = result.history
     return row, params.W - result.params.W, params.b - result.params.b
+
+
+def path_ranking(ctx: FusedContext, mode: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Doc ids and scores: each document's strongest path (max) or its paths summed in path order."""
+    by_doc: dict[int, float] = {}
+    for path in ctx.paths:
+        if mode == "max":
+            by_doc[path.doc_id] = max(by_doc.get(path.doc_id, -np.inf), path.path_confidence)
+        else:
+            by_doc[path.doc_id] = by_doc.get(path.doc_id, 0.0) + path.path_confidence
+    ranked = sorted(by_doc.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(doc_id for doc_id, _ in ranked), tuple(score for _, score in ranked)

@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -14,7 +14,7 @@ import pytest
 import mgrag.evaluation
 import mgrag.generator
 import mgrag.router
-from mgrag.confidence import GateConfig
+from mgrag.confidence import GateConfig, filter_paths
 from mgrag.corpus import (
     Document,
     QAExample,
@@ -40,7 +40,7 @@ from mgrag.evaluation import (
     sweep,
 )
 from mgrag.generator import TrainConfig, build_toy_qa, perturbations, train
-from mgrag.memory import build
+from mgrag.memory import Hit, build
 from mgrag.router import RetrievalPath, RouterConfig, route, search_layers
 
 # --- reference metrics, written straight off the definitions -------------------------
@@ -126,8 +126,13 @@ def test_metric_argument_validation():
 
 
 def _ctx_with(paths):
-    # aggregate_ranking reads only a context's paths
-    return SimpleNamespace(paths=tuple(paths))
+    # aggregate_ranking reads a context's weights and each searched layer's hits and within;
+    # at weight 1.0 a path's confidence is its hit's within entry
+    layers = [[p for p in paths if p.layer == layer] for layer in (1, 2, 3)]
+    return SimpleNamespace(weights=np.ones(3), retrieval=SimpleNamespace(layers=tuple(
+        SimpleNamespace(hits=[Hit(p.unit_id, p.doc_id, p.sim, row) for row, p in enumerate(found)],
+                        within=np.array([p.path_confidence for p in found], dtype=np.float64))
+        for found in layers)))
 
 
 def _path(doc_id, conf, layer=1, unit=1):
@@ -231,6 +236,36 @@ def test_report_echoes_its_configuration(suite):
     assert payload["corpus_sha256"] == hier.manifest.corpus_sha256
     assert payload["schema_version"] == 1
     assert "qa_accuracy" not in payload  # only sweep rows carry a QA accuracy
+
+
+def test_report_echoes_the_sign_of_its_own_zero_tau(suite):
+    # -0.0 == 0.0 and both hash alike, so a cache keyed on the config would echo either for both
+    hier, queries, qrels = suite
+    for tau, text in ((-0.0, '"tau_path": -0.0'), (0.0, '"tau_path": 0.0'), (-0.0, '"tau_path": -0.0')):
+        report = evaluate(hier, queries, qrels, EvalConfig(gate=GateConfig(tau_path=tau)))
+        assert math.copysign(1.0, report.config["gate"]["tau_path"]) == math.copysign(1.0, tau)
+        assert text in report.to_json()
+
+
+def test_report_config_is_its_own_copy_of_the_config(suite):
+    hier, queries, qrels = suite
+    cfg = EvalConfig(k=4, gate=GateConfig(tau_path=0.02))
+    a, b = (evaluate(hier, queries, qrels, cfg) for _ in range(2))
+    assert a.config == asdict(cfg) | {"depth": hier.depth, "dim": hier.dim}
+    a.config["router"]["k_per_layer"] = 99
+    a.config["gate"].clear()
+    assert b.config == asdict(cfg) | {"depth": hier.depth, "dim": hier.dim}
+
+
+def test_report_counts_each_querys_surviving_paths(suite):
+    hier, queries, qrels = suite
+    contexts = {q.query_id: route(hier, q.text) for q in queries}
+    for tau in (0.0, 0.07, 1.0):  # no gate, a gate that drops some paths, a bypassed gate
+        report = evaluate(hier, queries, qrels, EvalConfig(gate=GateConfig(tau_path=tau)))
+        counts = [(row["n_paths"], len(filter_paths(contexts[row["query_id"]], tau).paths),
+                   len(contexts[row["query_id"]].paths)) for row in report.per_query]
+        assert all(n == survivors for n, survivors, _ in counts)
+        assert any(n < searched for n, _, searched in counts) == (tau == 0.07)
 
 
 def test_eval_config_rejects_gate_settings_evaluation_never_reads():

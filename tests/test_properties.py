@@ -21,9 +21,10 @@ from mgrag.corpus import Document, parse_jsonl_qa, segment
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import BuildError, MgragError, RoutingError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
-from mgrag.memory import LayerMemory, build, load, save, search_layer
-from mgrag.router import (Retrieval, RetrievalPath, RouterConfig, SearchedLayer, assemble, retrieve,
-                          route, search_layers)
+from mgrag.memory import Hit, LayerMemory, build, load, save, search_layer
+from mgrag.router import (Retrieval, RouterConfig, SearchedLayer, assemble, retrieve, route,
+                          search_layers)
+from oracles import path_ranking
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -73,15 +74,18 @@ _paths = st.lists(
 @deterministic
 @given(_paths, st.sampled_from(["max", "sum"]))
 def test_aggregate_ranking_matches_a_brute_force_collapse(rows, mode):
-    paths = [
-        RetrievalPath(layer=layer, unit_id=f"{doc:08d}:{layer}:{i:05d}", doc_id=doc, sim=0.0,
-                      path_confidence=eighths / 8)
-        for i, (doc, layer, eighths) in enumerate(rows)
-    ]
-    ctx = SimpleNamespace(paths=paths)  # aggregate_ranking reads only a context's paths
+    # aggregate_ranking reads a context's weights and each searched layer's hits and within;
+    # at weight 1.0 a path's confidence is its hit's within entry
+    layers = tuple(
+        SimpleNamespace(
+            hits=[Hit(f"{doc:08d}:{layer}:{i:05d}", doc, 0.0, i)
+                  for i, (doc, at, _) in enumerate(rows) if at == layer],
+            within=np.array([eighths / 8 for _, at, eighths in rows if at == layer], dtype=np.float64))
+        for layer in (1, 2, 3))
+    ctx = SimpleNamespace(weights=np.ones(3), retrieval=SimpleNamespace(layers=layers))
     combine = max if mode == "max" else sum
-    score = {d: combine(p.path_confidence for p in paths if p.doc_id == d)
-             for d in {p.doc_id for p in paths}}
+    score = {d: combine(eighths / 8 for doc, _, eighths in rows if doc == d)
+             for d in {doc for doc, _, _ in rows}}
     ranked = sorted(score, key=lambda d: (-score[d], d))
     ranking = aggregate_ranking(ctx, 7, mode)
     assert ranking.query_id == 7
@@ -329,6 +333,41 @@ def test_a_memoized_weighing_equals_a_fresh_one_bit_for_bit(docs, text, k, weigh
                 for layer in fresh.layers]
         if any(layer.hits for layer in fresh.layers):
             assert assemble(fresh, cfg).scores.tobytes() == np.array(want).tobytes()
+
+
+# --- ranking folds the weighed layers as the paths would --------------------------------
+
+
+@deterministic
+@given(_seam_corpora, st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(" ".join),
+       _seam_configs, st.booleans(),
+       st.lists(st.integers(0, 2**20 - 1), max_size=4))  # 4 keep bits a layer, as above
+# with shared_phi a one-sentence body is one unit vector on every layer: its paths tie across layers
+@example([Document(doc_id=1, title="", body="ant bee"), Document(doc_id=2, title="", body="ant cat"),
+          Document(doc_id=3, title="", body="ant")], "ant", RouterConfig(k_per_layer=3), True, [0xFFFFF])
+def test_ranking_folds_the_weighed_layers_as_the_paths_would(docs, text, cfg, shared, masks):
+    hier = build(docs, EmbedderSpec(dim=16, shared_phi=shared), 5)
+    try:
+        ctx = route(hier, text, cfg)
+    except RoutingError:
+        return
+    r = ctx.retrieval
+    contexts = [ctx]
+    for bits in masks:  # gated through the searched layers' own keep-mask memo
+        keep = [np.array([bits >> (4 * l + i) & 1 for i in range(len(layer.hits))], dtype=bool)
+                for l, layer in enumerate(r.layers)]
+        if any(mask.any() for mask in keep):
+            contexts.append(assemble(r.kept(keep), cfg))
+    tau = float(np.nextafter(ctx.paths[0].path_confidence, 2.0))  # drops every path: bypassed
+    if tau <= 1.0:
+        contexts.append(filter_paths(ctx, tau))
+        assert contexts[-1].gate_bypassed
+    for gated in contexts:
+        for mode in ("max", "sum"):
+            ranking = aggregate_ranking(gated, 3, mode)
+            doc_ids, scores = path_ranking(gated, mode)
+            assert ranking.doc_ids == doc_ids
+            assert [struct.pack("<d", s) for s in ranking.scores] == [struct.pack("<d", s) for s in scores]
 
 
 # --- parsers and the index loader fail only with their typed errors ---------------------
