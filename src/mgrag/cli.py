@@ -27,8 +27,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .confidence import VAR_MODES, GateConfig, entropy, filter_paths
 from .embedder import EmbedderSpec
-from .errors import (BuildError, ConfigError, EvalError, IndexFormatError, MgragError, ParseError,
-                     RoutingError)
+from .errors import ConfigError, MgragError
 from .evaluation import AGG_MODES, EvalConfig, SweepGrid, evaluate, sweep
 from .generator import (
     TrainConfig,
@@ -481,11 +480,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: --help or a usage error
         return int(exc.code) if exc.code is not None else 0
-    except (BuildError, ConfigError, EvalError, IndexFormatError, ParseError, RoutingError,
-            ValueError) as exc:
+    except (MgragError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MgragError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

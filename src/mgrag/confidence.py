@@ -22,16 +22,16 @@ VAR_MODES = ("ensemble", "intra")
 _MAX_ENSEMBLE_K = 1024
 
 
-def validate_distribution(p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def validate_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"distribution must be a non-empty 1-d array, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("distribution has non-finite entries")
-    if np.any(p < -tol):
+    if (p < -1e-9).any():
         raise ValueError(f"distribution has negative entries (min {p.min()})")
     total = float(p.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total}, not 1")
     return p
 
@@ -80,8 +80,8 @@ def filter_paths(ctx: FusedContext, tau_path: float) -> FusedContext:
     order. tau = 0 is a no-op that returns the input object, as is a tau
     that keeps every path. If every path would be dropped, gating is skipped
     and the context comes back flagged as bypassed rather than empty. A
-    layer's survivors under one mask are made and weighed once per search
-    and shared by every context that gates the layer the same way.
+    layer the gate keeps whole is reused as it is; any other is rebuilt
+    from its survivors and weighed anew (``Retrieval.kept``).
     """
     if not 0.0 <= tau_path <= 1.0:
         raise ConfigError(f"tau_path must be in [0, 1], got {tau_path}")

@@ -461,11 +461,10 @@ def synthesize_corpus(
     seed: int = 0,
     domain_tag: str = "synthetic",
     id_start: int = 100_001,
-    vocab_size: int = 120,
 ) -> list[Document]:
-    """Generate a deterministic corpus of short multi-paragraph documents."""
+    """Generate a deterministic corpus of short multi-paragraph documents over 120 words."""
     rng = np.random.default_rng(seed)
-    vocab = [_word(rng) for _ in range(vocab_size)]
+    vocab = [_word(rng) for _ in range(120)]
     docs = []
     for i in range(n_docs):
         paragraphs = []
@@ -473,10 +472,10 @@ def synthesize_corpus(
             sentences = []
             for _ in range(int(rng.integers(2, 5))):
                 k = int(rng.integers(5, 11))
-                words = [vocab[int(j)] for j in rng.integers(0, vocab_size, size=k)]
+                words = [vocab[int(j)] for j in rng.integers(0, len(vocab), size=k)]
                 sentences.append(" ".join(words).capitalize() + ".")
             paragraphs.append(" ".join(sentences))
-        title_words = [vocab[int(j)] for j in rng.integers(0, vocab_size, size=3)]
+        title_words = [vocab[int(j)] for j in rng.integers(0, len(vocab), size=3)]
         docs.append(
             Document(
                 doc_id=id_start + i,
@@ -512,15 +511,13 @@ def _keyword_documents(n: int, seed: int, id_start: int, domain_tag: str, title:
 def keyword_eval_suite(
     n_queries: int = 40,
     seed: int = 0,
-    id_start: int = 1,
-    domain_tag: str = "synthetic",
 ) -> tuple[list[Document], list[Query], dict[int, set[int]]]:
     """Build a corpus where each query's keyword occurs in exactly one document.
 
     The returned qrels mark that document as the sole relevant one, so a
     working retriever scores perfect recall on this suite.
     """
-    keywords, docs = _keyword_documents(n_queries, seed, id_start, domain_tag, "{kw} report",
+    keywords, docs = _keyword_documents(n_queries, seed, 1, "synthetic", "{kw} report",
                                         ("{kw} report covering {kw} in detail.",
                                          "Additional notes on {kw} follow."))
     queries = [Query(query_id=i + 1, text=f"find the {kw} report") for i, kw in enumerate(keywords)]

@@ -123,18 +123,15 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def _uses_ensemble(gate: GateConfig) -> bool:
-    # with sigma 0 every pass is the base pass: the variance is zero by definition
-    return gate.var_mode == "ensemble" and gate.noise_sigma > 0
-
-
 def perturbations(dataset: list[QAExample], gate: GateConfig, dim: int) -> np.ndarray | None:
-    """(N, K, dim) Gaussian draws of the ensemble passes, None unless ``_uses_ensemble``.
+    """(N, K, dim) Gaussian draws of the ensemble passes, or None if the ensemble is off.
 
-    Each example's pass k comes from its own (seed, query id, k) stream, so the
-    draws depend only on the gate, the query ids and ``dim``.
+    It is on with var_mode "ensemble" and noise_sigma > 0: with sigma 0 every pass
+    is the base pass, so the variance is zero by definition. Each example's pass k
+    comes from its own (seed, query id, k) stream, so the draws depend only on the
+    gate, the query ids and ``dim``.
     """
-    if not _uses_ensemble(gate):
+    if not (gate.var_mode == "ensemble" and gate.noise_sigma > 0):
         return None
     return np.stack(
         [
@@ -213,7 +210,7 @@ def _loss_and_grad(
 
     W (C, V, 2d) and b (C, V) are the cells' parameters, X their (C, N, 2d)
     features and XS their (C, N, K, 2d) perturbed features when the ensemble
-    variance is on (see ``_uses_ensemble``), else None; the cells share the
+    variance is on (see ``perturbations``), else None; the cells share the
     golds. Products are stacked ``np.matmul`` and reductions run over a cell's
     own axes (``np.einsum`` would not be bit-equal), so each cell's values are
     those of its own C = 1 call. Each penalty's gradient is pulled back
@@ -228,7 +225,7 @@ def _loss_and_grad(
     lnp = np.log(np.maximum(p, _P_FLOOR))
     nll_vals = -np.ascontiguousarray(lnp[:, rows, golds])  # row-major: means sum as at C = 1
     h_vals = -np.sum(p * lnp, axis=2)
-    ensemble = _uses_ensemble(gate)
+    ensemble = XS is not None
     if ensemble:
         k_count = XS.shape[2]
         XS = XS.reshape(n_cells, n * k_count, -1)
@@ -335,7 +332,7 @@ def descend(
     parameters, after the last update.
     """
     n_cells = X.shape[0]
-    XS = _perturbed(X, noise, cfg.gate.noise_sigma) if _uses_ensemble(cfg.gate) else None
+    XS = None if noise is None else _perturbed(X, noise, cfg.gate.noise_sigma)
     final_W = W = np.repeat(params.W[None], n_cells, axis=0)
     final_b = b = np.repeat(params.b[None], n_cells, axis=0)
     X_all = X
@@ -414,7 +411,6 @@ def build_toy_qa(
     n_classes: int = 8,
     n_per_class: int = 5,
     seed: int = 0,
-    doc_id_start: int = 200_001,
 ) -> tuple[list[Document], list[QAExample]]:
     """Separable answer-classification set: one signature keyword per class.
 
@@ -422,7 +418,7 @@ def build_toy_qa(
     mention it, so a linear model over query+context features can reach full
     training accuracy.
     """
-    keywords, docs = _keyword_documents(n_classes, seed, doc_id_start, "toy-qa", "{kw} file",
+    keywords, docs = _keyword_documents(n_classes, seed, 200_001, "toy-qa", "{kw} file",
                                         ("The {kw} file describes {kw} procedures.",
                                          "Every {kw} entry is archived here."))
     examples = [

@@ -181,9 +181,9 @@ def search_layer(mem: LayerMemory, query_vec: np.ndarray, k: int) -> list[Hit]:
         raise ValueError(
             f"query dim {query_vec.shape} does not match layer dim {mem.vectors.shape[1]}"
         )
-    if not np.all(np.isfinite(query_vec)):
+    if not np.isfinite(query_vec).all():
         raise ValueError("query vector has non-finite components")
-    if mem.n_units == 0 or not np.any(query_vec):
+    if mem.n_units == 0 or not query_vec.any():
         return []
     sims = mem.vectors @ query_vec
     neg = -sims

@@ -14,8 +14,8 @@ layer's retrieved unit vectors.
 A layer's within-layer softmax, readout and scores depend on its hits alone,
 so a ``SearchedLayer`` computes them when it is made, and every prefix,
 temperature and gate that weighs the layer reads those same arrays: write to
-copies. A gate's survivors are made, and weighed, once per layer and distinct
-keep-mask (``SearchedLayer.kept``), and live as long as the ``Retrieval``.
+copies. A gate's survivors are a new ``Retrieval`` (``Retrieval.kept``): a
+layer it keeps whole is the same record, any other is a new one, weighed anew.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class SearchedLayer:
     write to copies, never to these arrays.
     """
 
-    __slots__ = ("hits", "vectors", "sims", "within", "readout", "max", "mean", "_kept")
+    __slots__ = ("hits", "vectors", "sims", "within", "readout", "max", "mean")
 
     def __init__(self, hits: list[Hit], vectors: np.ndarray):
         self.hits = hits  # best first
@@ -85,16 +85,6 @@ class SearchedLayer:
         else:
             self.within, self.readout = sims, np.zeros(vectors.shape[1])
             self.max = self.mean = -np.inf
-        self._kept: dict[bytes, SearchedLayer] = {}
-
-    def kept(self, mask: np.ndarray) -> "SearchedLayer":
-        """The hits a boolean ``mask`` keeps, in hit order, as a layer (this one if all)."""
-        key = mask.tobytes()
-        if 0 not in key:
-            return self
-        if key not in self._kept:
-            self._kept[key] = SearchedLayer(list(compress(self.hits, mask)), self.vectors[mask])
-        return self._kept[key]
 
 
 def _weigh(layer: SearchedLayer) -> tuple[np.ndarray, np.ndarray]:
@@ -117,8 +107,13 @@ class Retrieval:
         return Retrieval(self.encodings[:depth], self.layers[:depth])
 
     def kept(self, keep: list[np.ndarray]) -> "Retrieval":
-        """The hits each layer's keep-mask selects, with their vectors, in hit order."""
-        layers = tuple(layer.kept(mask) for layer, mask in zip(self.layers, keep, strict=True))
+        """The hits each layer's keep-mask selects, with their vectors, in hit order.
+
+        A layer its mask keeps whole is itself; any other is a new ``SearchedLayer``.
+        """
+        layers = tuple(
+            layer if mask.all() else SearchedLayer(list(compress(layer.hits, mask)), layer.vectors[mask])
+            for layer, mask in zip(self.layers, keep, strict=True))
         return Retrieval(self.encodings, layers)
 
     def check(self, depth: int, k: int, query_id: int) -> "Retrieval":
@@ -190,11 +185,11 @@ def assemble(retrieval: Retrieval, cfg: RouterConfig) -> FusedContext:
     """
     layers = retrieval.layers
     scores = np.array([layer.max if cfg.layer_score_mode == "max" else layer.mean for layer in layers])
-    if not np.any(np.isfinite(scores)):
+    if not np.isfinite(scores).any():
         raise RoutingError("no layer produced any hits")
     weights = routing_weights(scores, cfg.temperature)
     c = weights @ np.array([layer.readout for layer in layers])
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("fused context has non-finite components")
     return FusedContext(
         c=c,

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import mgrag.cli
 import mgrag.evaluation
 from mgrag.cli import COMMANDS, build_parser, main, parse_args
 from mgrag.confidence import VAR_MODES
+from mgrag.errors import MgragError
 from mgrag.evaluation import AGG_MODES
 from mgrag.router import SCORE_MODES
 
@@ -67,6 +69,19 @@ def test_help_exits_cleanly(capsys):
 def test_unknown_verb_is_a_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+def test_package_and_value_errors_exit_2_and_os_errors_exit_1(monkeypatch, tmp_path, capsys):
+    subclasses = MgragError.__subclasses__()
+    assert subclasses
+    for error in [*subclasses, ValueError, OSError, FileNotFoundError]:
+        def failing(args, error=error):
+            raise error("boom")
+
+        monkeypatch.setattr(mgrag.cli, "cmd_ingest", failing)
+        code = main(["ingest", "--jsonl", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "out.jsonl")])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1 if issubclass(error, OSError) else 2, "", "error: boom\n"), error
 
 
 # --- ingest -------------------------------------------------------------------------

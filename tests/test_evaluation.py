@@ -716,11 +716,11 @@ def test_the_stacked_cells_stay_within_the_byte_cap(monkeypatch, mixing_inputs):
 # --- a sweep weighs each searched layer once -------------------------------------------
 
 
-def test_a_sweep_weighs_each_search_layer_and_kept_set_once(monkeypatch, mixing_inputs):
+def test_a_sweep_weighs_each_search_layer_once(monkeypatch, mixing_inputs):
     # the within-layer softmax and readout depend only on a layer's hits, so every depth
-    # prefix, temperature and gate that keeps the same hits reads one weighing of them
+    # prefix, temperature and gate that keeps a searched layer whole reads one weighing of it
     corpus_a, _, queries, qrels, qa = mixing_inputs
-    weighed = {}
+    weighed, searched = {}, []
     held = []  # keeps every weighed hit alive, so no id is reused within the sweep
 
     def counted(layer):
@@ -729,17 +729,23 @@ def test_a_sweep_weighs_each_search_layer_and_kept_set_once(monkeypatch, mixing_
         weighed[key] = weighed.get(key, 0) + 1
         return weigh(layer)
 
-    weigh = mgrag.router._weigh
+    def searching(*args):
+        hits = search(*args)
+        searched.append(tuple(map(id, hits)))
+        return hits
+
+    weigh, search = mgrag.router._weigh, mgrag.router.search_layer
     monkeypatch.setattr(mgrag.router, "_weigh", counted)
+    monkeypatch.setattr(mgrag.router, "search_layer", searching)
     grid = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0))
     gate = GateConfig(tau_path=0.05)
     result = sweep(grid, corpus_a, queries, qrels, EvalConfig(gate=gate),
                    embedder_spec=EmbedderSpec(dim=32), qa_dataset=qa,
                    qa_train=TrainConfig(epochs=1, gate=gate))
     assert all("error" not in row for row in result.rows)
-    assert weighed and set(weighed.values()) == {1}
-    # the gate dropped paths: some weighed hits are a strict subset of others
-    assert any(set(a) < set(b) for a in weighed for b in weighed)
+    assert searched and [weighed[key] for key in searched] == [1] * len(searched)
+    # the gate dropped paths: some weighed hits are a strict subset of a search's
+    assert any(set(a) < set(b) for a in weighed for b in searched)
 
 
 def test_evaluate_rejects_searches_of_another_depth_or_k():

@@ -350,13 +350,20 @@ def test_a_searched_layer_without_hits_weighs_to_nothing():
     assert empty.max == empty.mean == -np.inf
 
 
-def test_a_searched_layer_makes_each_kept_set_once_and_keeps_itself_whole():
+def test_a_kept_layer_is_itself_whole_or_a_fresh_layer_of_its_survivors():
     hier = _hier([[_at_sim(0.9, other=1), _at_sim(0.7, other=2), _at_sim(0.5, other=3)]])
-    layer = search_layers(hier, np.stack([_basis(0)]), 3).layers[0]
+    r = search_layers(hier, np.stack([_basis(0)]), 3)
+    [layer] = r.layers
     assert len(layer.hits) == 3
     for bits in range(8):  # every mask of three hits
         mask = np.array([bits >> i & 1 for i in range(3)], dtype=bool)
-        kept = layer.kept(mask)
-        assert layer.kept(mask) is kept
-        assert (kept is layer) == mask.all()
-        assert kept.hits == [hit for hit, m in zip(layer.hits, mask) if m]
+        [kept] = r.kept([mask]).layers
+        if mask.all():
+            assert kept is layer
+            continue
+        fresh = SearchedLayer([hit for hit, m in zip(layer.hits, mask) if m], layer.vectors[mask])
+        assert kept is not layer and kept.hits == fresh.hits
+        for name in ("vectors", "sims", "within", "readout"):
+            got, want = getattr(kept, name), getattr(fresh, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert (kept.max, kept.mean) == (fresh.max, fresh.mean)
