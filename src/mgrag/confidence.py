@@ -26,10 +26,13 @@ def validate_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"distribution must be a non-empty 1-d array, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    # NaN makes both extremes NaN and an infinity makes one of them infinite, so
+    # finite extremes mean finite entries; only those are summed, which may overflow
+    lowest = p.min()
+    if not (math.isfinite(lowest) and math.isfinite(p.max())):
         raise ValueError("distribution has non-finite entries")
-    if (p < -1e-9).any():
-        raise ValueError(f"distribution has negative entries (min {p.min()})")
+    if lowest < -1e-9:
+        raise ValueError(f"distribution has negative entries (min {lowest})")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total}, not 1")

@@ -3,10 +3,11 @@
 Queries are routed through the memory hierarchy and gated; each surviving
 hit's path confidence is folded by document into a ranking (no path objects;
 ``n_paths`` is the survivors' hit count), scored per query with Recall@k,
-NDCG@k and average precision. A sweep builds the index once per mixing ratio
-and searches each query there once; every (depth, temperature) cell weighs a
-depth prefix of those searches, one row per grid cell, and the answer models
-of a ratio's cells train together in one stacked descent.
+NDCG@k and average precision. A sweep embeds each distinct query text once,
+builds the index once per mixing ratio and searches each query there once;
+every (depth, temperature) cell weighs a depth prefix of those searches, one
+row per grid cell, and the answer models of the cells of every ratio train
+together in shared stacked descents, batched under ``_QA_STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
 from .confidence import GateConfig, entropy, filter_paths
 from .corpus import MAX_DEPTH, Document, QAExample, Query, mix_corpora
-from .embedder import EmbedderSpec
+from .embedder import EmbedderSpec, embed_layers
 from .errors import ConfigError, EvalError, RoutingError, require_type
 from .generator import TrainConfig, answer_params, descend, features, perturbations
 from .memory import MemoryHierarchy, build
-from .router import FusedContext, Retrieval, RouterConfig, assemble, retrieve, route
+from .router import FusedContext, Retrieval, RouterConfig, assemble, route, search_layers
 
 SCHEMA_VERSION = 1
 AGG_MODES = ("max", "sum")
@@ -283,7 +285,9 @@ def sweep(
 
     One index is built per ratio, at ``max(grid.depths)``, and every judged
     query (at ``base.router.k_per_layer``) and QA example (at
-    ``qa_train.router.k_per_layer``) is searched there once. A depth-d cell
+    ``qa_train.router.k_per_layer``) is searched there once, with its text
+    embedded for layers 1..max(grid.depths) once per sweep, the first time a
+    ratio's search needs it. A depth-d cell
     weighs the depth-d prefix of those searches on the index's first d layers,
     since neither a layer nor its hits depend on the build depth or the
     temperature. Every ratio's corpus is mixed before the first build, with a
@@ -292,11 +296,13 @@ def sweep(
     ratio. ``qa_dataset`` (non-empty) and ``qa_train`` come together; then
     each cell trains on its prefix of the QA searches, from initial
     parameters and ensemble perturbations drawn once per sweep, before the
-    first build. A ratio's cells train in one ``descend``, or in batches
-    whose stacked arrays stay within ``_QA_STACK_BYTES``. Each depth's
-    prefixes and each temperature's configs are made once per ratio. A
-    failing cell records its error and the sweep continues; a failed build
-    or search fails every cell of its ratio with its error.
+    first build. The cells of every ratio join one batch in grid order, and
+    a batch trains in one ``descend`` once it holds as many cells as stack
+    within ``_QA_STACK_BYTES`` (at least one), and after the last ratio.
+    Each depth's prefixes are made once per ratio, and each temperature's
+    configs once per sweep. A failing cell records its error and the sweep
+    continues; a failed build, embedding or search fails every cell of its
+    ratio with its error.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -328,6 +334,17 @@ def sweep(
                                              ratio, size, 0 if seed is None else seed)
             except ValueError as exc:  # too few documents or colliding ids: the input's fault
                 raise ConfigError(f"mix ratio {ratio}: {exc}") from None
+    by_temp = {t: (replace(base, router=replace(base.router, temperature=t)),
+                   replace(qa_train, router=replace(qa_train.router, temperature=t)) if qa else None)
+               for t in grid.temperatures}
+    layer_nos = range(1, max(grid.depths) + 1)
+    encodings: dict[str, np.ndarray] = {}  # a text's rows for every built layer, on first need
+
+    def searched(hier: MemoryHierarchy, text: str, k: int) -> Retrieval:
+        """``retrieve``, with each text embedded once per sweep."""
+        if text not in encodings:
+            encodings[text] = embed_layers(text, layer_nos, embedder_spec)
+        return search_layers(hier, encodings[text], k)
 
     def fit(batch: list[tuple[dict, np.ndarray]], golds: np.ndarray) -> None:
         """Train a batch of cells in one descent; if it raises, each cell alone records its error."""
@@ -350,21 +367,18 @@ def sweep(
         row.update(depth=depth, temperature=temp, mix_ratio=ratio)
         rows.append(row)
         by_ratio.setdefault(ratio, []).append(row)
+    batch = []  # cells of any ratio, waiting for one descent
     for ratio, ratio_rows in by_ratio.items():
         try:
             full = build(corpora[ratio], embedder_spec, max(grid.depths))
-            eval_searches = [retrieve(full, q.text, base.router.k_per_layer) for q in judged]
-            qa_searches = [retrieve(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa]
+            eval_searches = [searched(full, q.text, base.router.k_per_layer) for q in judged]
+            qa_searches = [searched(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa]
             by_depth = {d: (replace(full, layers=full.layers[:d]), [r.prefix(d) for r in eval_searches],
                             [r.prefix(d) for r in qa_searches]) for d in grid.depths}
-            by_temp = {t: (replace(base, router=replace(base.router, temperature=t)),
-                           replace(qa_train, router=replace(qa_train.router, temperature=t)) if qa else None)
-                       for t in grid.temperatures}
-        except Exception as exc:  # a failed build or search fails every cell of its ratio
+        except Exception as exc:  # a failed build, embedding or search fails every cell of its ratio
             for row in ratio_rows:
                 row["error"] = _error(exc)
             continue
-        batch = []
         for row in ratio_rows:
             hier, eval_prefixes, qa_prefixes = by_depth[row["depth"]]
             cfg, tcfg = by_temp[row["temperature"]]
@@ -382,15 +396,21 @@ def sweep(
                         batch = []
             except Exception as exc:  # record and continue; one bad cell must not kill the sweep
                 row["error"] = _error(exc)
-        if batch:
-            fit(batch, golds)
+    if batch:
+        fit(batch, golds)
     return SweepResult(rows=rows)
 
 
 def _echo(cfg) -> dict:
     """``asdict`` of a config whose leaves are immutable, without its deep copy."""
-    return {f.name: _echo(value) if is_dataclass(value := getattr(cfg, f.name)) else value
-            for f in fields(cfg)}
+    return {name: value if _field_names(type(value := getattr(cfg, name))) is None else _echo(value)
+            for name in _field_names(type(cfg))}
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass's field names, read once per class; None for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
 def _error(exc: Exception) -> str:

@@ -6,7 +6,8 @@ outside the embedder's array pass.
 library's batched objective. ``objective`` reads the joint objective and its
 gradient for one example off one epoch of ``train``, the function the
 pipeline runs. ``path_ranking`` collapses a context's ``paths`` to a document
-ranking one path at a time, in path order.
+ranking one path at a time, in path order. ``validate_distribution`` checks a
+distribution one elementwise pass per rule.
 """
 
 from __future__ import annotations
@@ -36,6 +37,20 @@ def feature_code(feature: bytes, key: int, dim: int) -> int:
         h = _splitmix64_finalizer(h ^ int.from_bytes(feature[i : i + 8], "little"))
     h = _splitmix64_finalizer(h)
     return 2 * ((h >> 1) % dim) + (h & 1)
+
+
+def validate_distribution(p: np.ndarray) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"distribution must be a non-empty 1-d array, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("distribution has non-finite entries")
+    if (p < -1e-9).any():
+        raise ValueError(f"distribution has negative entries (min {p.min()})")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"distribution sums to {total}, not 1")
+    return p
 
 
 def predict(params: GeneratorParams, query_vec: np.ndarray, ctx: FusedContext) -> np.ndarray:

@@ -23,7 +23,7 @@ from mgrag.corpus import (
     mix_corpora,
     synthesize_corpus,
 )
-from mgrag.embedder import EmbedderSpec, embed
+from mgrag.embedder import EmbedderSpec, embed, embed_layers
 from mgrag.errors import ConfigError, EvalError
 from mgrag.evaluation import (
     SWEEP_COLUMNS,
@@ -560,7 +560,7 @@ def test_qa_sweep_searches_each_query_once_per_ratio(monkeypatch, mixing_inputs)
         draws.append(len(dataset))
         return perturbations(dataset, gate, dim)
 
-    monkeypatch.setattr(mgrag.router, "search_layers", searched)
+    monkeypatch.setattr(mgrag.evaluation, "search_layers", searched)
     monkeypatch.setattr(mgrag.evaluation, "perturbations", drawn)
     monkeypatch.setattr(mgrag.generator, "perturbations", drawn)
     grid = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
@@ -572,6 +572,29 @@ def test_qa_sweep_searches_each_query_once_per_ratio(monkeypatch, mixing_inputs)
     per_ratio = [(5, 4)] * len(queries) + [(5, 2)] * len(qa)
     assert searches == per_ratio * len(grid.mix_ratios)
     assert draws == [len(qa)]
+
+
+def test_qa_sweep_embeds_each_distinct_text_once(monkeypatch, mixing_inputs):
+    # an encoding depends only on the text, the layers and the spec, never on a ratio's index
+    corpus_a, corpus_b, queries, qrels, qa = mixing_inputs
+    repeated = Query(query_id=queries[0].query_id, text=queries[0].text)
+    unjudged = Query(query_id=9_999, text="nothing judged here")
+    asked = queries + [repeated, unjudged, qa[0].query]  # a QA text also judged
+    qrels = qrels | {qa[0].query.query_id: {corpus_a[0].doc_id}}
+    embedded = []
+
+    def counted(text, layers, spec):
+        embedded.append((text, tuple(layers)))
+        return embed_layers(text, layers, spec)
+
+    monkeypatch.setattr(mgrag.evaluation, "embed_layers", counted)
+    grid = SweepGrid(depths=(1, 3), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
+    result = sweep(grid, corpus_a, asked, qrels, corpus_b=corpus_b,
+                   embedder_spec=EmbedderSpec(dim=32), qa_dataset=qa,
+                   qa_train=TrainConfig(epochs=1))
+    assert all("error" not in row and row["qa_accuracy"] is not None for row in result.rows)
+    texts = [q.text for q in queries] + [ex.query.text for ex in qa]
+    assert sorted(embedded) == sorted((text, (1, 2, 3)) for text in set(texts))
 
 
 def test_sweep_builds_once_per_ratio_at_the_largest_depth(monkeypatch, mixing_inputs):
@@ -590,11 +613,15 @@ def test_sweep_builds_once_per_ratio_at_the_largest_depth(monkeypatch, mixing_in
     assert depths == [5, 5]
 
 
+def _blank_corpus(n_docs):
+    """Blank and punctuation-only bodies: no layer of this corpus has an indexable unit."""
+    return [Document(doc_id=9_001 + i, title="", body=["?! ...", "", " \n ", "-- ;"][i % 4])
+            for i in range(n_docs)]
+
+
 def test_sweep_reports_the_zero_unit_error_in_every_cell_of_its_ratio(mixing_inputs):
     corpus_a, _, queries, qrels, _ = mixing_inputs
-    # blank and punctuation-only bodies: no layer of this corpus has an indexable unit
-    blank = [Document(doc_id=9_001 + i, title="", body=["?! ...", "", " \n ", "-- ;"][i % 4])
-             for i in range(len(corpus_a))]
+    blank = _blank_corpus(len(corpus_a))
     grid = SweepGrid(depths=(1, 3), temperatures=(1.0, 2.0), mix_ratios=(0.0, 1.0))
     spec = EmbedderSpec(dim=32)
     result = sweep(grid, corpus_a, queries, qrels, corpus_b=blank, embedder_spec=spec)
@@ -618,7 +645,7 @@ def test_sweep_rejects_a_gold_too_large_to_train_before_any_build(monkeypatch):
               qa_dataset=huge, qa_train=TrainConfig())
 
 
-# --- a ratio's cells train in one descent ---------------------------------------------
+# --- the cells of every ratio share stacked descents ----------------------------------
 
 _QA_GRID = SweepGrid(depths=(1, 3, 5), temperatures=(0.5, 2.0), mix_ratios=(0.0, 0.5))
 # small steps: the accuracies still differ from cell to cell after ten epochs
@@ -648,7 +675,7 @@ def test_qa_sweep_outputs_are_pinned(qa_sweep):
 _QA_CELL_BYTES = 8 * (2 * 64 + 4 * 64 + 4 * 8 * 64 + 4 * 8 * 2)
 
 
-@pytest.mark.parametrize("cells_per_batch, batches", [(None, [6]), (4, [4, 2]), (1, [1] * 6)],
+@pytest.mark.parametrize("cells_per_batch, batches", [(None, [12]), (4, [4, 4, 4]), (1, [1] * 12)],
                          ids=["one-batch", "cap-binds", "cell-by-cell"])
 def test_a_ratio_trains_its_cells_in_one_objective_call_per_epoch_and_batch(
         monkeypatch, mixing_inputs, qa_sweep, cells_per_batch, batches):
@@ -664,7 +691,7 @@ def test_a_ratio_trains_its_cells_in_one_objective_call_per_epoch_and_batch(
     monkeypatch.setattr(mgrag.generator, "_loss_and_grad", counted)
     result = _qa_sweep(mixing_inputs)
     epochs = _QA_TRAIN.epochs
-    assert stacked == [c for c in batches for _ in range(epochs)] * len(_QA_GRID.mix_ratios)
+    assert stacked == [c for c in batches for _ in range(epochs)]
     assert result.to_json() == qa_sweep.to_json()
 
 
@@ -694,6 +721,34 @@ def test_a_failing_cell_fails_alone_in_its_batch(monkeypatch, mixing_inputs, qa_
             assert got == {**want, "qa_accuracy": None}
         else:
             assert got == want
+
+
+def test_cells_of_a_ratio_before_a_failed_build_train_in_the_last_batch(monkeypatch, mixing_inputs):
+    # the ratio-1.0 build fails after ratio 0's cells joined the batch; they still train,
+    # bit for bit as when ratio 0 is swept alone
+    corpus_a, _, queries, qrels, qa = mixing_inputs
+    blank = _blank_corpus(len(corpus_a))
+    stacked = []
+    objective = mgrag.generator._loss_and_grad
+
+    def counted(W, *args):
+        stacked.append(W.shape[0])
+        return objective(W, *args)
+
+    def swept(ratios):
+        grid = replace(_QA_GRID, mix_ratios=ratios)
+        return sweep(grid, corpus_a, queries, qrels, corpus_b=blank,
+                     embedder_spec=EmbedderSpec(dim=32), qa_dataset=qa, qa_train=_QA_TRAIN)
+
+    alone = swept((0.0,))
+    monkeypatch.setattr(mgrag.generator, "_loss_and_grad", counted)
+    result = swept((0.0, 1.0))
+    assert stacked == [6] * _QA_TRAIN.epochs
+    failed = [row for row in result.rows if row["mix_ratio"] == 1.0]
+    assert {row.pop("error") for row in failed} == {"BuildError: corpus produced zero indexable units"}
+    assert all(row["qa_accuracy"] is None for row in failed)
+    assert [row for row in result.rows if row["mix_ratio"] == 0.0] == alone.rows
+    assert all("error" not in row and row["qa_accuracy"] is not None for row in alone.rows)
 
 
 def test_the_stacked_cells_stay_within_the_byte_cap(monkeypatch, mixing_inputs):

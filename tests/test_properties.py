@@ -6,7 +6,9 @@ written; conftest.py keeps hypothesis's caches in pytest's cache directory.
 
 from __future__ import annotations
 
+import math
 import struct
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgrag import corpus
-from mgrag.confidence import filter_paths
+from mgrag.confidence import filter_paths, validate_distribution
 from mgrag.corpus import Document, parse_jsonl_qa, segment
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import BuildError, MgragError, RoutingError
@@ -25,6 +27,7 @@ from mgrag.memory import Hit, LayerMemory, build, load, save, search_layer
 from mgrag.router import (Retrieval, RouterConfig, SearchedLayer, assemble, retrieve, route,
                           search_layers)
 from oracles import path_ranking
+from oracles import validate_distribution as rule_by_rule
 
 DIM = 3
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -62,6 +65,43 @@ def test_search_layer_matches_a_brute_force_sort_for_every_k(case):
             (i, mem.unit_ids[i], int(mem.doc_ids[i]), sims[i]) for i in ranked[:k]
         ]
 
+
+_entries = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -2e-9, -1e-9, -0.0, 0.0, 1.0]),
+)
+
+
+@st.composite
+def _near_distributions(draw):
+    """Non-negative entries scaled to sum to 1, then one of them moved by up to 3e-9."""
+    raw = draw(st.lists(st.floats(0, 1), min_size=1, max_size=6).filter(lambda xs: sum(xs) > 0))
+    p = np.array(raw) / sum(raw)
+    p[draw(st.integers(0, len(raw) - 1))] += draw(st.floats(-3e-9, 3e-9))
+    return p
+
+
+@deterministic
+@given(st.one_of(st.lists(_entries, min_size=1, max_size=6).map(np.array), _near_distributions()))
+@example(np.array([math.inf, 1e308, 1e308]))  # an infinity among finite terms that overflow
+@example(np.array([1e308, 1e308, -5.0]))  # finite terms that overflow, one of them negative
+@example(np.array([1e308, 1e308]))
+@example(np.array([math.inf, -math.inf]))
+@example(np.array([math.inf, -5.0]))
+@example(np.array([0.5, 0.5 + 1e-9]))
+@example(np.ones((2, 2)) / 4)
+@example(np.array([]))
+def test_validate_distribution_accepts_and_rejects_as_one_pass_per_rule_does(p):
+    def outcome(check):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = check(p).tolist()
+            except ValueError as exc:
+                result = str(exc)
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    assert outcome(validate_distribution) == outcome(rule_by_rule)
 
 
 # confidences in eighths: sums are exact and equal scores are common
