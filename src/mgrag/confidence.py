@@ -42,8 +42,8 @@ def validate_distribution(p: np.ndarray) -> np.ndarray:
 def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats, with 0*ln(0) taken as 0."""
     p = validate_distribution(p)
-    mask = p > 0
-    return float(0.0 - np.sum(p[mask] * np.log(p[mask])))  # +0.0, not -0.0, for a point mass
+    q = p[p > 0]
+    return float(0.0 - np.sum(q * np.log(q)))  # +0.0, not -0.0, for a point mass
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, require_type
 
 MAX_DEPTH = 5
 # unit ids zero-pad doc ids to 8 digits so lexicographic order == numeric order
@@ -44,6 +44,10 @@ class Document:
 class Query:
     query_id: int
     text: str
+
+    def __post_init__(self):
+        require_type("query_id", self.query_id, "int")
+        require_type("text", self.text, "str")
 
 
 @dataclass(frozen=True)

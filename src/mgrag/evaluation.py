@@ -286,8 +286,8 @@ def sweep(
     One index is built per ratio, at ``max(grid.depths)``, and every judged
     query (at ``base.router.k_per_layer``) and QA example (at
     ``qa_train.router.k_per_layer``) is searched there once, with its text
-    embedded for layers 1..max(grid.depths) once per sweep, the first time a
-    ratio's search needs it. A depth-d cell
+    embedded for layers 1..max(grid.depths) once per sweep, after mixing and
+    before the first build. A depth-d cell
     weighs the depth-d prefix of those searches on the index's first d layers,
     since neither a layer nor its hits depend on the build depth or the
     temperature. Every ratio's corpus is mixed before the first build, with a
@@ -301,8 +301,8 @@ def sweep(
     within ``_QA_STACK_BYTES`` (at least one), and after the last ratio.
     Each depth's prefixes are made once per ratio, and each temperature's
     configs once per sweep. A failing cell records its error and the sweep
-    continues; a failed build, embedding or search fails every cell of its
-    ratio with its error.
+    continues; a failed build or search fails every cell of its ratio with
+    its error.
     """
     if corpus_b is None and (
         mix_size is not None or seed is not None or any(r > 0 for r in grid.mix_ratios)
@@ -338,13 +338,8 @@ def sweep(
                    replace(qa_train, router=replace(qa_train.router, temperature=t)) if qa else None)
                for t in grid.temperatures}
     layer_nos = range(1, max(grid.depths) + 1)
-    encodings: dict[str, np.ndarray] = {}  # a text's rows for every built layer, on first need
-
-    def searched(hier: MemoryHierarchy, text: str, k: int) -> Retrieval:
-        """``retrieve``, with each text embedded once per sweep."""
-        if text not in encodings:
-            encodings[text] = embed_layers(text, layer_nos, embedder_spec)
-        return search_layers(hier, encodings[text], k)
+    encodings = {text: embed_layers(text, layer_nos, embedder_spec)  # a text's rows for every layer
+                 for text in dict.fromkeys([q.text for q in judged] + [ex.query.text for ex in qa])}
 
     def fit(batch: list[tuple[dict, np.ndarray]], golds: np.ndarray) -> None:
         """Train a batch of cells in one descent; if it raises, each cell alone records its error."""
@@ -371,11 +366,12 @@ def sweep(
     for ratio, ratio_rows in by_ratio.items():
         try:
             full = build(corpora[ratio], embedder_spec, max(grid.depths))
-            eval_searches = [searched(full, q.text, base.router.k_per_layer) for q in judged]
-            qa_searches = [searched(full, ex.query.text, qa_train.router.k_per_layer) for ex in qa]
+            eval_searches = [search_layers(full, encodings[q.text], base.router.k_per_layer) for q in judged]
+            qa_searches = [search_layers(full, encodings[ex.query.text], qa_train.router.k_per_layer)
+                           for ex in qa]
             by_depth = {d: (replace(full, layers=full.layers[:d]), [r.prefix(d) for r in eval_searches],
                             [r.prefix(d) for r in qa_searches]) for d in grid.depths}
-        except Exception as exc:  # a failed build, embedding or search fails every cell of its ratio
+        except Exception as exc:  # a failed build or search fails every cell of its ratio
             for row in ratio_rows:
                 row["error"] = _error(exc)
             continue

@@ -323,55 +323,45 @@ def descend(
     X stacks each cell's ``features`` rows as (C, N, 2d); the cells share
     ``golds``, ``cfg`` and the rows' ensemble draws ``noise`` (their
     ``perturbations``, None unless the ensemble variance is on), from which
-    the stack's perturbed rows are built once. All live cells take one
-    ``_loss_and_grad`` per epoch. A cell stops at its first non-finite loss
-    (its history ends before that epoch) or gradient (that epoch is
-    recorded, with no update), is flagged diverged and drops out of the
-    later epochs. History rows record the metrics at the start of each
-    epoch, before that epoch's update; ``accuracy`` is that of the returned
-    parameters, after the last update.
+    the stack's perturbed rows are built once. Every cell stays in the stack:
+    the whole stack takes one ``_loss_and_grad`` per epoch until no cell is
+    live. A cell stops at its first non-finite loss (its history ends before
+    that epoch) or gradient (that epoch is recorded, with no update) and is
+    flagged diverged; from then on its step is zero, so its parameters stay,
+    bit for bit, where it stopped. History rows record the metrics at the
+    start of each epoch, before that epoch's update; ``accuracy`` is that of
+    the returned parameters, after the last update.
     """
     n_cells = X.shape[0]
     XS = None if noise is None else _perturbed(X, noise, cfg.gate.noise_sigma)
-    final_W = W = np.repeat(params.W[None], n_cells, axis=0)
-    final_b = b = np.repeat(params.b[None], n_cells, axis=0)
-    X_all = X
-    live = np.arange(n_cells)  # the cell of each row of W, b, X and XS
+    W = np.repeat(params.W[None], n_cells, axis=0)
+    b = np.repeat(params.b[None], n_cells, axis=0)
+    live = np.ones(n_cells, dtype=bool)
     histories: list[list[dict]] = [[] for _ in range(n_cells)]
-    diverged = np.zeros(n_cells, dtype=bool)
     for epoch in range(cfg.epochs):
-        if not live.size:
+        if not live.any():
             break
         obj = _loss_and_grad(W, b, X, XS, golds, cfg.gate)
         loss = obj.loss.mean(axis=1)
-        finite = np.isfinite(loss)
-        stats = zip(live.tolist(), finite.tolist(), loss.tolist(), obj.nll.mean(axis=1).tolist(),
+        live &= np.isfinite(loss)
+        stats = zip(histories, live.tolist(), loss.tolist(), obj.nll.mean(axis=1).tolist(),
                     obj.entropy.mean(axis=1).tolist(), obj.variance.mean(axis=1).tolist(),
                     _accuracy(obj.p, golds).tolist())
-        for cell, ok, mean_loss, nll, entropy, variance, accuracy in stats:
+        for history, ok, mean_loss, nll, entropy, variance, accuracy in stats:
             if ok:
-                histories[cell].append({"epoch": epoch, "loss": mean_loss, "nll": nll,
-                                        "entropy": entropy, "variance": variance,
-                                        "accuracy": accuracy})
-        finite &= np.isfinite(obj.dW).all(axis=(1, 2)) & np.isfinite(obj.db).all(axis=1)
-        dW, db = obj.dW, obj.db
-        if not finite.all():  # freeze the stopped cells where they are, keep descending the rest
-            diverged[live[~finite]] = True
-            if W is not final_W:
-                final_W[live], final_b[live] = W, b
-            W, b, X, live, dW, db = W[finite], b[finite], X[finite], live[finite], dW[finite], db[finite]
-            XS = None if XS is None else XS[finite]
-        W -= cfg.lr * dW
-        b -= cfg.lr * db
-    if W is not final_W:
-        final_W[live], final_b[live] = W, b
-    accuracy = _accuracy(_softmax(X_all @ final_W.transpose(0, 2, 1) + final_b[:, None, :]), golds)
+                history.append({"epoch": epoch, "loss": mean_loss, "nll": nll, "entropy": entropy,
+                                "variance": variance, "accuracy": accuracy})
+        live &= np.isfinite(obj.dW).all(axis=(1, 2)) & np.isfinite(obj.db).all(axis=1)
+        obj.dW[~live], obj.db[~live] = 0.0, 0.0  # zeroed before the scaling, which could overflow
+        W -= cfg.lr * obj.dW
+        b -= cfg.lr * obj.db
+    accuracy = _accuracy(_softmax(X @ W.transpose(0, 2, 1) + b[:, None, :]), golds)
     results = []
     for cell in range(n_cells):
         cell_params = copy.copy(params)  # no re-validation: a diverged cell's may be non-finite
-        cell_params.W, cell_params.b = final_W[cell], final_b[cell]
+        cell_params.W, cell_params.b = W[cell], b[cell]
         results.append(TrainResult(params=cell_params, history=histories[cell],
-                                   accuracy=float(accuracy[cell]), diverged=bool(diverged[cell])))
+                                   accuracy=float(accuracy[cell]), diverged=not live[cell]))
     return results
 
 

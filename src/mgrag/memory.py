@@ -92,6 +92,9 @@ class MemoryHierarchy:
     n_documents: int
 
     def __post_init__(self):
+        # a layer is searched with its number's hash key, so layers[i] must be layer i + 1
+        if (numbers := [mem.layer for mem in self.layers]) != list(range(1, len(numbers) + 1)):
+            raise ValueError(f"layers must be numbered 1..{len(numbers)}, got {numbers}")
         if not (type(self.corpus_sha256) is str and re.fullmatch("[0-9a-f]{64}", self.corpus_sha256)):
             raise ValueError(f"corpus_sha256 {self.corpus_sha256!r} is not 64 lowercase hex digits")
         if type(self.n_documents) is not int or self.n_documents < 0:

@@ -7,7 +7,8 @@ library's batched objective. ``objective`` reads the joint objective and its
 gradient for one example off one epoch of ``train``, the function the
 pipeline runs. ``path_ranking`` collapses a context's ``paths`` to a document
 ranking one path at a time, in path order. ``validate_distribution`` checks a
-distribution one elementwise pass per rule.
+distribution one elementwise pass per rule, and ``entropy`` indexes its
+positive entries twice.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def validate_distribution(p: np.ndarray) -> np.ndarray:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total}, not 1")
     return p
+
+
+def entropy(p: np.ndarray) -> float:
+    p = validate_distribution(p)
+    mask = p > 0
+    return float(0.0 - np.sum(p[mask] * np.log(p[mask])))
 
 
 def predict(params: GeneratorParams, query_vec: np.ndarray, ctx: FusedContext) -> np.ndarray:

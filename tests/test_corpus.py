@@ -12,6 +12,7 @@ import pytest
 from mgrag import corpus
 from mgrag.corpus import (
     Document,
+    Query,
     corpus_sha256,
     documents_to_jsonl,
     keyword_eval_suite,
@@ -29,7 +30,7 @@ from mgrag.corpus import (
     synthesize_corpus,
     validate_qrels,
 )
-from mgrag.errors import ParseError
+from mgrag.errors import ConfigError, ParseError
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -92,6 +93,19 @@ def test_marker_keeps_content_on_the_marker_line():
 def test_marker_queries():
     queries = parse_cisi_queries(".I 4\n.W\nwhat about x?\n")
     assert queries == [type(queries[0])(query_id=4, text="what about x?")]
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(query_id=1, text=None), "text"),
+    (dict(query_id=1, text=b"bytes"), "text"),
+    (dict(query_id="1", text="x"), "query_id"),
+    (dict(query_id=True, text="x"), "query_id"),  # a bool is an int, and would alias 1
+    (dict(query_id=1.0, text="x"), "query_id"),
+])
+def test_a_query_with_a_field_of_the_wrong_type_is_a_config_error(fields, name):
+    # a bad text would otherwise fail later, untyped, in evaluate or in every cell of a sweep
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        Query(**fields)
 
 
 def test_qrels_parse_collapses_duplicates_and_ignores_extra_columns():

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,16 @@ def test_build_validations():
         build([doc], EmbedderSpec(dim=16), depth=0)
     with pytest.raises(ValueError, match="depth"):
         build([doc], EmbedderSpec(dim=16), depth=6)
+
+
+def test_a_hierarchy_is_numbered_one_to_its_depth():
+    # layer i is searched with layer i's hash key, so a lone layer 3 must not pose as layer 1
+    hier, _ = _sample_hier()
+    for depth in range(hier.depth + 1):
+        assert replace(hier, layers=hier.layers[:depth]).depth == depth  # the depth-d build
+    for layers in ([hier.layers[2]], hier.layers[1:], hier.layers[::-1], [hier.layers[0]] * 2):
+        with pytest.raises(ValueError, match=r"layers must be numbered 1\.\.\d, got \["):
+            replace(hier, layers=layers)
 
 
 def test_manifest_hashes_track_inputs():

@@ -18,14 +18,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgrag import corpus
-from mgrag.confidence import filter_paths, validate_distribution
+from mgrag.confidence import GateConfig, entropy, filter_paths, validate_distribution
 from mgrag.corpus import Document, parse_jsonl_qa, segment
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import BuildError, MgragError, RoutingError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
+from mgrag.generator import TrainConfig, descend, init_params
 from mgrag.memory import Hit, LayerMemory, build, load, save, search_layer
 from mgrag.router import (Retrieval, RouterConfig, SearchedLayer, assemble, retrieve, route,
                           search_layers)
+from oracles import entropy as masked_twice
 from oracles import path_ranking
 from oracles import validate_distribution as rule_by_rule
 
@@ -102,6 +104,69 @@ def test_validate_distribution_accepts_and_rejects_as_one_pass_per_rule_does(p):
         return result, [(w.category, str(w.message)) for w in caught]
 
     assert outcome(validate_distribution) == outcome(rule_by_rule)
+
+
+@st.composite
+def _sparse_distributions(draw):
+    """Distributions with zero entries common, a point mass among them."""
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 1)), min_size=1, max_size=8)
+               .filter(lambda xs: sum(xs) > 0))
+    return np.array(raw) / sum(raw)
+
+
+@deterministic
+@given(_sparse_distributions())
+@example(np.array([1.0]))
+@example(np.array([0.0, 1.0, 0.0]))
+@example(np.array([5e-324, 1.0]))  # a subnormal term
+def test_entropy_has_the_bits_of_masking_twice(p):
+    assert struct.pack("<d", entropy(p)) == struct.pack("<d", masked_twice(p))
+
+
+# a poison's value, put in a cell's first row, and the history rows of the cell it stops (None:
+# it never stops); the row's feature 0 moves no logit until the first update
+_POISONS = {
+    "none": (None, None),
+    "nan": (math.nan, 0),  # the whole row: non-finite loss at epoch 0
+    "huge": (1e308, 1),  # feature 0: finite loss, overflowing gradient at epoch 0
+    "large": (1e200, 1),  # feature 0: finite epoch 0, whose update makes epoch 1's loss overflow
+}
+# the huge entropy weight lets a finite loss have an overflowing gradient; the tiny step keeps
+# the other cells finite
+_DESCENT_GATES = [GateConfig(ensemble_K=3, lambda1=1e6, lambda2=0.5),
+                  GateConfig(var_mode="intra", lambda1=1e6, lambda2=0.5)]
+
+
+@deterministic
+@given(st.lists(st.sampled_from(sorted(_POISONS)), min_size=1, max_size=5),
+       st.sampled_from(_DESCENT_GATES), st.integers(0, 2**32 - 1))
+@example(["nan", "huge", "large"], _DESCENT_GATES[0], 0)  # every cell stops
+@example(["none", "none"], _DESCENT_GATES[1], 0)  # no cell stops
+def test_a_stacked_descent_gives_every_cell_the_bits_of_its_run_alone(poisons, gate, seed):
+    n, dim, classes, epochs = 4, 4, 3, 4
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((len(poisons), n, 2 * dim))
+    noise = rng.standard_normal((n, gate.ensemble_K, dim)) if gate.var_mode == "ensemble" else None
+    golds = np.arange(n) % classes
+    cfg = TrainConfig(lr=1e-7, epochs=epochs, gate=gate)
+    params = init_params(classes, dim, seed=seed, scale=0.5)
+    params.W[:, 0] = 0.0
+    for cell, poison in enumerate(poisons):
+        value = _POISONS[poison][0]
+        if poison == "nan":
+            X[cell, 0] = value
+        elif value is not None:
+            X[cell, 0, 0] = value
+    with np.errstate(all="ignore"):
+        batched = descend(params, X, noise, golds, cfg)
+        alone = [descend(params, X[c : c + 1], noise, golds, cfg)[0] for c in range(len(poisons))]
+    for poison, got, want in zip(poisons, batched, alone, strict=True):
+        stop = _POISONS[poison][1]
+        assert (len(got.history), got.diverged) == (epochs if stop is None else stop, stop is not None)
+        assert got.params.W.tobytes() == want.params.W.tobytes()
+        assert got.params.b.tobytes() == want.params.b.tobytes()
+        assert got.history == want.history
+        assert (got.accuracy, got.diverged) == (want.accuracy, want.diverged)
 
 
 # confidences in eighths: sums are exact and equal scores are common
