@@ -3,8 +3,9 @@
 Machine-readable output (JSON/CSV) goes to standard output or to files named
 by flags; human logs go to standard error. Every command is deterministic
 for a fixed seed; the default seed is 0, never the clock. Exit codes:
-0 success, 1 runtime failure (including a sweep with failed cells), 2 usage
-or validation error (including a query with no indexable feature).
+0 success, 1 runtime failure (including a sweep with failed cells, and a
+diverged ``train-gen``, which writes no parameters), 2 usage or validation
+error (including a query with no indexable feature).
 
 Options are declared once per command, in ``COMMANDS``, and a call builds only
 its own command's parser; a ``--config`` file sets them by underscored name.
@@ -251,7 +252,7 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
     if not dataset:
         raise ConfigError(f"{args.qa}: no examples")
     result = train(dataset, hier, cfg)
-    if args.out_params:
+    if args.out_params and not result.diverged:  # a diverged run leaves no model worth loading
         save_params(result.params, args.out_params)
         log.info("wrote %s", args.out_params)
     payload = {
@@ -262,7 +263,10 @@ def cmd_train_gen(args: argparse.Namespace) -> int:
         "config": asdict(cfg),
     }
     _write_or_print(json.dumps(payload, sort_keys=True, indent=2), args.out)
-    return 0
+    if result.diverged:
+        print(f"error: training diverged after {len(result.history)} of {cfg.epochs} epochs; "
+              "no parameters written", file=sys.stderr)
+    return 1 if result.diverged else 0
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:

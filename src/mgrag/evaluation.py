@@ -1,13 +1,14 @@
 """Retrieval metrics, document ranking aggregation, and sensitivity sweeps.
 
-Queries are routed through the memory hierarchy and gated; each surviving
-hit's path confidence is folded by document into a ranking (no path objects;
-``n_paths`` is the survivors' hit count), scored per query with Recall@k,
-NDCG@k and average precision. A sweep embeds each distinct query text once,
-builds the index once per mixing ratio and searches each query there once;
-every (depth, temperature) cell weighs a depth prefix of those searches, one
-row per grid cell, and the answer models of the cells of every ratio train
-together in shared stacked descents, batched under ``_QA_STACK_BYTES``.
+Each judged query's gated context comes from ``generator.gated_contexts``, as
+each answer-model feature row does; each surviving hit's path confidence is
+folded by document into a ranking (no path objects; ``n_paths`` is the
+survivors' hit count), scored per query with Recall@k, NDCG@k and average
+precision. A sweep embeds each distinct query text once, builds the index
+once per mixing ratio and searches each query there once; every (depth,
+temperature) cell weighs a depth prefix of those searches, one row per grid
+cell, and the answer models of the cells of every ratio train together in
+shared stacked descents, batched under ``_QA_STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from functools import cache
 
 import numpy as np
 
-from .confidence import GateConfig, entropy, filter_paths
+from .confidence import GateConfig, entropy
 from .corpus import MAX_DEPTH, Document, QAExample, Query, mix_corpora
 from .embedder import EmbedderSpec, embed_layers
-from .errors import ConfigError, EvalError, RoutingError, require_type
-from .generator import TrainConfig, answer_params, descend, features, perturbations
+from .errors import ConfigError, EvalError, require_type
+from .generator import TrainConfig, answer_params, descend, features, gated_contexts, perturbations
 from .memory import MemoryHierarchy, build
-from .router import FusedContext, Retrieval, RouterConfig, assemble, route, search_layers
+from .router import FusedContext, Retrieval, RouterConfig, search_layers
 
 SCHEMA_VERSION = 1
 AGG_MODES = ("max", "sum")
@@ -160,36 +161,26 @@ def evaluate(
     cfg: EvalConfig = EvalConfig(),
     retrievals: list[Retrieval] | None = None,
 ) -> EvalReport:
-    """Route, gate, rank, and score every query that has relevance judgments.
+    """Rank and score, in query id order, the ``gated_contexts`` of the judged queries.
 
-    Queries without judgments are counted as skipped, never averaged in. A query
-    that routes nowhere (no indexable feature) raises ``RoutingError`` naming its id.
-    ``retrievals``, aligned by position with ``queries``, are their searches of
-    ``hier``, which are then only weighed; when None, each query is routed. A
-    retrieval with other than ``hier.depth`` layers, or with more than
-    ``k_per_layer`` hits in a layer, is a ``ValueError`` naming its query.
+    See there for ``retrievals``, aligned by position with ``queries``, and for
+    the errors that name a query. Queries without judgments are counted as
+    skipped, never weighed or averaged in.
     """
+    if retrievals is not None and len(retrievals) != len(queries):
+        raise ValueError(f"{len(retrievals)} retrievals for {len(queries)} queries")
+    judged = sorted((i for i, q in enumerate(queries) if qrels.get(q.query_id)),
+                    key=lambda i: queries[i].query_id)
+    contexts = gated_contexts(hier, [queries[i] for i in judged], cfg.router, cfg.gate.tau_path,
+                              None if retrievals is None else [retrievals[i] for i in judged])
     per_query = []
-    bypassed = 0
-    skipped = 0
-    searched = [None] * len(queries) if retrievals is None else retrievals
-    for query, r in sorted(zip(queries, searched, strict=True), key=lambda pair: pair[0].query_id):
-        relevant = qrels.get(query.query_id)
-        if not relevant:
-            skipped += 1
-            continue
-        try:
-            ctx = (route(hier, query.text, cfg.router) if r is None
-                   else assemble(r.check(hier.depth, cfg.router.k_per_layer, query.query_id), cfg.router))
-        except RoutingError as exc:
-            raise RoutingError(f"query {query.query_id}: {exc}") from None
-        gated = filter_paths(ctx, cfg.gate.tau_path)
-        if gated.gate_bypassed:
-            bypassed += 1
-        ranking = aggregate_ranking(gated, query.query_id, cfg.agg_mode)
+    for i, gated in zip(judged, contexts):
+        query_id = queries[i].query_id
+        relevant = qrels[query_id]
+        ranking = aggregate_ranking(gated, query_id, cfg.agg_mode)
         per_query.append(
             {
-                "query_id": query.query_id,
+                "query_id": query_id,
                 "recall_at_k": recall_at_k(ranking, relevant, cfg.k),
                 "ndcg_at_k": ndcg_at_k(ranking, relevant, cfg.k),
                 "average_precision": average_precision(ranking, relevant),
@@ -206,12 +197,12 @@ def evaluate(
     return EvalReport(
         k=cfg.k,
         n_evaluated=len(per_query),
-        n_skipped=skipped,
+        n_skipped=len(queries) - len(per_query),
         mean_recall_at_k=recall,
         mean_ndcg_at_k=ndcg,
         map=ap,
         routing_entropy_mean=ent,
-        gate_bypassed_count=bypassed,
+        gate_bypassed_count=sum(gated.gate_bypassed for gated in contexts),
         per_query=per_query,
         config=_echo(cfg) | {"depth": hier.depth, "dim": hier.dim},
         corpus_sha256=hier.corpus_sha256,

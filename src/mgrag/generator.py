@@ -24,7 +24,7 @@ from .confidence import GateConfig, filter_paths
 from .corpus import Document, QAExample, Query, _keyword_documents
 from .errors import ConfigError, ParseError, RoutingError, require_type
 from .memory import MemoryHierarchy
-from .router import Retrieval, RouterConfig, _softmax, assemble, route
+from .router import FusedContext, Retrieval, RouterConfig, _softmax, assemble, route
 
 PARAMS_FORMAT_VERSION = 1
 _P_FLOOR = 1e-300
@@ -142,6 +142,33 @@ def perturbations(dataset: list[QAExample], gate: GateConfig, dim: int) -> np.nd
     )
 
 
+def gated_contexts(hier: MemoryHierarchy, queries: list[Query], cfg: RouterConfig, tau_path: float,
+                   retrievals: list[Retrieval] | None = None) -> list[FusedContext]:
+    """Each query's context, routed or weighed from its given search, gated at ``tau_path``.
+
+    ``retrievals`` are the queries' searches of ``hier``, aligned by position;
+    when None, each query is routed. Another count of them is a ``ValueError``,
+    as is one with other than ``hier.depth`` layers or over ``k_per_layer`` hits
+    a layer, which names its query, as a ``RoutingError`` does.
+    """
+    if retrievals is not None and len(retrievals) != len(queries):
+        raise ValueError(f"{len(retrievals)} retrievals for {len(queries)} queries")
+    contexts = []
+    for query, r in zip(queries, retrievals or [None] * len(queries)):
+        try:
+            if r is not None:  # a search it would weigh at another depth or k is not its own
+                most = max((len(layer.hits) for layer in r.layers), default=0)
+                if len(r.layers) != hier.depth or most > cfg.k_per_layer:
+                    raise ValueError(f"query {query.query_id}: a retrieval of {len(r.layers)} layers and up to "
+                                     f"{most} hits a layer cannot be weighed at depth {hier.depth} and "
+                                     f"k_per_layer {cfg.k_per_layer}")
+            ctx = route(hier, query.text, cfg) if r is None else assemble(r, cfg)
+            contexts.append(filter_paths(ctx, tau_path))
+        except RoutingError as exc:
+            raise RoutingError(f"query {query.query_id}: {exc}") from None
+    return contexts
+
+
 def features(
     dataset: list[QAExample],
     hier: MemoryHierarchy,
@@ -149,30 +176,16 @@ def features(
     vocab_size: int,
     retrievals: list[Retrieval] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Retrieval side of the forward pass, each example weighed and gated once.
+    """Retrieval side of the forward pass: the examples' ``gated_contexts``.
 
-    The only builder of answer-model features, constant in the parameters.
-    ``retrievals`` are the examples' searches of ``hier``, aligned by position
-    with ``dataset`` (each example is routed when None); one with other than
-    ``hier.depth`` layers, or with more than ``k_per_layer`` hits in a layer,
-    is a ``ValueError`` naming its query. Returns the (N, 2d) rows [layer-1
-    query encoding ; gated context] and the golds. An example that routes
-    nowhere raises ``RoutingError`` naming its id.
+    The only builder of answer-model features, constant in the parameters:
+    (N, 2d) rows [layer-1 query encoding ; gated context], and the golds.
     """
     golds = np.array([ex.gold for ex in dataset])
     if golds.max() >= vocab_size:
         raise ValueError(f"gold {golds.max()} out of range for vocabulary {vocab_size}")
-    searched = [None] * len(dataset) if retrievals is None else retrievals
-    rows = []
-    for ex, r in zip(dataset, searched, strict=True):
-        try:
-            ctx = (route(hier, ex.query.text, cfg.router) if r is None
-                   else assemble(r.check(hier.depth, cfg.router.k_per_layer, ex.query.query_id), cfg.router))
-            ctx = filter_paths(ctx, cfg.gate.tau_path)
-        except RoutingError as exc:
-            raise RoutingError(f"query {ex.query.query_id}: {exc}") from None
-        rows.append(np.concatenate([ctx.retrieval.encodings[0], ctx.c]))  # layer-1 query encoding
-    return np.stack(rows), golds
+    contexts = gated_contexts(hier, [ex.query for ex in dataset], cfg.router, cfg.gate.tau_path, retrievals)
+    return np.stack([np.concatenate([ctx.retrieval.encodings[0], ctx.c]) for ctx in contexts]), golds
 
 
 def _perturbed(X: np.ndarray, noise: np.ndarray, sigma: float) -> np.ndarray:

@@ -116,17 +116,6 @@ class Retrieval:
             for layer, mask in zip(self.layers, keep, strict=True))
         return Retrieval(self.encodings, layers)
 
-    def check(self, depth: int, k: int, query_id: int) -> "Retrieval":
-        """This retrieval, if it can be a top-``k`` search of a depth-``depth`` index.
-
-        Otherwise a ``ValueError`` naming ``query_id``: it would weigh other layers or more hits.
-        """
-        most = max((len(layer.hits) for layer in self.layers), default=0)
-        if len(self.layers) != depth or most > k:
-            raise ValueError(f"query {query_id}: a retrieval of {len(self.layers)} layers and up to {most} "
-                             f"hits a layer cannot be weighed at depth {depth} and k_per_layer {k}")
-        return self
-
 
 @dataclass(frozen=True)
 class FusedContext:

@@ -9,6 +9,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mgrag.cli
@@ -666,6 +667,21 @@ def test_train_gen_reaches_separable_accuracy(qa_env, tmp_path):
     assert payload["final_train_accuracy"] == 1.0
     assert not payload["diverged"]
     assert json.loads(params_out.read_text())["format_version"] == 1
+
+
+def test_a_diverged_train_gen_writes_no_parameters_and_exits_1(qa_env, tmp_path, capsys):
+    # a diverged run's parameters may be non-finite, which load_params rejects: none are written
+    root, idx = qa_env
+    params_out = tmp_path / "params.json"
+    with np.errstate(all="ignore"):
+        code = main(["train-gen", "--index", str(idx), "--qa", str(root / "qa.jsonl"), "--lr", "1e300",
+                     "--lambda1", "1e300", "--epochs", "5", "--out-params", str(params_out)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert not params_out.exists()
+    assert json.loads(out)["diverged"] is True
+    assert err.splitlines()[-1].startswith("error: training diverged after ")
+    assert err.splitlines()[-1].endswith(" of 5 epochs; no parameters written")
 
 
 def test_train_gen_is_deterministic(qa_env):

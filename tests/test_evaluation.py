@@ -39,7 +39,7 @@ from mgrag.evaluation import (
     SweepResult,
     sweep,
 )
-from mgrag.generator import TrainConfig, build_toy_qa, perturbations, train
+from mgrag.generator import TrainConfig, build_toy_qa, features, perturbations, train
 from mgrag.memory import Hit, build
 from mgrag.router import RetrievalPath, RouterConfig, route, search_layers
 
@@ -819,3 +819,16 @@ def test_evaluate_rejects_searches_of_another_depth_or_k():
                if q.query_id in judged and max(len(layer.hits) for layer in r.layers) > 5)
     with pytest.raises(ValueError, match=rf"^query {over}: .* k_per_layer 5$"):
         evaluate(shallow, queries, qrels, cfg, wide)
+
+
+def test_searches_not_aligned_with_their_queries_are_counted_in_the_error():
+    # a list one short, or one long, would pair a query with another query's search
+    docs, queries, qrels = keyword_eval_suite(n_queries=4, seed=1)
+    hier = build(docs, EmbedderSpec(dim=64), 3)
+    searches = [mgrag.router.retrieve(hier, q.text, 5) for q in queries]
+    examples = [QAExample(query=q, gold=0) for q in queries]
+    for given, count in ((searches[1:], 3), (searches + searches[:1], 5)):
+        with pytest.raises(ValueError, match=rf"^{count} retrievals for 4 queries$"):
+            evaluate(hier, queries, qrels, EvalConfig(), given)
+        with pytest.raises(ValueError, match=rf"^{count} retrievals for 4 queries$"):
+            features(examples, hier, TrainConfig(), 2, given)

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from mgrag import corpus
 from mgrag.confidence import GateConfig, entropy, filter_paths, validate_distribution
-from mgrag.corpus import Document, parse_jsonl_qa, segment
+from mgrag.corpus import Document, Query, parse_jsonl_qa, segment
 from mgrag.embedder import EmbedderSpec, embed
 from mgrag.errors import BuildError, MgragError, RoutingError
 from mgrag.evaluation import DocRanking, aggregate_ranking, average_precision
-from mgrag.generator import TrainConfig, descend, init_params
+from mgrag.generator import TrainConfig, descend, gated_contexts, init_params
 from mgrag.memory import Hit, LayerMemory, build, load, save, search_layer
 from mgrag.router import (Retrieval, RouterConfig, SearchedLayer, assemble, retrieve, route,
                           search_layers)
@@ -473,6 +473,52 @@ def test_ranking_folds_the_weighed_layers_as_the_paths_would(docs, text, cfg, sh
             doc_ids, scores = path_ranking(gated, mode)
             assert ranking.doc_ids == doc_ids
             assert [struct.pack("<d", s) for s in ranking.scores] == [struct.pack("<d", s) for s in scores]
+
+
+# --- a query set's gated contexts, routed or weighed from given searches ----------------
+
+
+def _gated_bits(ctx) -> tuple:
+    """A gated context's weights, fused context, scores, surviving hits and bypass flag, as bits."""
+    return (ctx.weights.tobytes(), ctx.c.tobytes(), ctx.scores.tobytes(),
+            [[(hit.unit_id, struct.pack("<d", hit.sim)) for hit in layer.hits] for layer in ctx.retrieval.layers],
+            ctx.gate_bypassed)
+
+
+# "..." has no feature: a text of it alone routes nowhere
+_query_texts = st.lists(st.lists(st.sampled_from([*_WORDS, "..."]), min_size=1, max_size=2).map(" ".join),
+                        min_size=1, max_size=4)
+
+
+@deterministic
+@given(_seam_corpora, _query_texts, st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from([0.0, 0.03, 0.05, 1.0]))
+@example([Document(doc_id=1, title="", body="ant bee. cat")], ["ant", "... ...", "cat"], 3, 2, 0.05)
+# the gate drops some paths of every query and keeps others
+@example([Document(doc_id=1, title="", body="ant bee . cat dog . eel fox"),
+          Document(doc_id=2, title="", body="ant cat . bee . fox"),
+          Document(doc_id=3, title="", body="ant dog eel . bee cat")], ["ant", "bee cat", "fox"], 5, 3, 0.05)
+def test_gated_contexts_of_given_searches_are_those_routed_and_gated(docs, texts, depth, k, tau):
+    hier = build(docs, EmbedderSpec(dim=16), depth)
+    cfg = RouterConfig(k_per_layer=k)
+    queries = [Query(query_id=10 * (i + 1), text=text) for i, text in enumerate(texts)]
+    want = []  # each query routed and gated alone; the first that routes nowhere is named
+    for query in queries:
+        try:
+            want.append(_gated_bits(filter_paths(route(hier, query.text, cfg), tau)))
+        except RoutingError as exc:
+            want = f"query {query.query_id}: {exc}"
+            break
+    featureless = [query.query_id for query in queries if set(query.text.split()) == {"..."}]
+    if featureless:  # it, or an earlier query that routes nowhere, is named
+        assert isinstance(want, str) and int(want.split(":")[0].removeprefix("query ")) <= featureless[0]
+    searches = [retrieve(hier, query.text, k) for query in queries]
+    for given in (None, searches):
+        try:
+            got = [_gated_bits(ctx) for ctx in gated_contexts(hier, queries, cfg, tau, given)]
+        except RoutingError as exc:
+            got = str(exc)
+        assert got == want
 
 
 # --- parsers and the index loader fail only with their typed errors ---------------------

@@ -9,6 +9,9 @@ neither is documenting it. A name may go unused only with a reason in EXEMPT.
 No mgrag module reaches into another for a ``_``-prefixed name, by import or
 by attribute, unless the pair is listed with a reason in PRIVATE_IMPORTS.
 
+Every name an mgrag module other than ``__init__`` imports is read in that
+module; a name imported under ``TYPE_CHECKING`` is read in an annotation.
+
 Every trace name the benchmark reads names a function its tracer wraps,
 unless it is listed in DEAD_TRACE_NAMES with a reason; a refactor that
 renames or moves a traced function would otherwise zero a metric silently.
@@ -111,6 +114,36 @@ def test_no_module_takes_another_modules_private_name_unlisted():
 
 def test_every_listed_private_import_is_still_made():
     assert sorted(set(PRIVATE_IMPORTS) - _private_reaches()) == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """The names a module imports but never reads, in code or in a (string) annotation."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    annotations: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name.split(".")[0]): node.lineno for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {(alias.asname or alias.name): node.lineno for alias in node.names}
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    trees = [tree] + [ast.parse(leaf.value, mode="eval") for annotation in annotations
+                      for leaf in ast.walk(annotation)
+                      if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)]
+    read = {node.id for t in trees for node in ast.walk(t)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_name_a_module_imports_is_read_there():
+    unread = [name for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+              for name in _unread_imports(path)]
+    assert unread == [], "imported names the module never reads: drop the import"
 
 
 # trace names bench/session.py still reads, though nothing traced has them: a benchmark
